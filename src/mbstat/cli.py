@@ -8,7 +8,11 @@ rule); 5 insufficient history for the requested window/lags.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory
@@ -105,10 +109,41 @@ def _read_series(path: str, label: str):
     return parse_trades(text, asset_id=label)
 
 
-def _open_out(path: str):
+@contextmanager
+def _output(path: str):
+    """Text stream for ``path`` (``-`` is stdout).
+
+    A regular file is written to a temporary sibling that replaces ``path``
+    only when the body succeeds: a failed run leaves no partial report, and
+    a file already at ``path`` stays as it was.
+    """
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="") as out:  # e.g. /dev/null
+            yield out
+        return
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as out:
+            yield out
+        if mode is None:  # the mode open() would give a new file
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run_generate(args) -> int:
@@ -123,12 +158,8 @@ def run_generate(args) -> int:
         alpha=args.alpha,
     )
     series = gen_trades(config, asset_id=args.asset_id)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(serialize(series))
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -145,15 +176,11 @@ def run_analyze(request: AnalyzeRequest) -> int:
         families=request.stats,
     )
     chunks = iter_rolling_stats(s1, s2, plan)
-    out, close = _open_out(request.output)
-    try:
+    with _output(request.output) as out:
         if request.format == "json":
             write_json(out, plan, chunks)
         else:
             write_csv(out, plan, chunks)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

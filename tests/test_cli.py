@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import re
 
 import pytest
 
-from mbstat import parse_trades
+from mbstat import cli, parse_trades
 from mbstat.cli import main
+from mbstat.errors import ConsistencyError
 from mbstat.reports import RECORD_FIELDS
 
 WORKED_ASSET1 = "t,price,volume\n0,2,1\n1,4,2\n2,3,1\n"
@@ -144,6 +146,52 @@ class TestAnalyze:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("existing", [None, "previous report\n"])
+    def test_failure_mid_stream_leaves_no_partial_report(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        p1, p2 = generate_pair(tmp_path, n=150)
+        real = cli.iter_rolling_stats
+
+        def one_chunk_then_fail(s1, s2, plan):
+            yield next(real(s1, s2, plan))
+            raise ConsistencyError("joint-moment evaluations disagree")
+
+        monkeypatch.setattr(cli, "iter_rolling_stats", one_chunk_then_fail)
+        out = tmp_path / "report.json"
+        if existing is not None:
+            out.write_text(existing)
+        code = main([
+            "analyze", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "8", "--output", str(out),
+        ])
+        assert code == 4
+        assert "ConsistencyError" in capsys.readouterr().err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["g1.csv", "g2.csv"] + ([] if existing is None else ["report.json"])
+        )
+
+    def test_report_replaces_existing_file(self, tmp_path):
+        p1, p2 = generate_pair(tmp_path, n=150)
+        out = tmp_path / "report.csv"
+        out.write_text("stale\n")
+        assert main([
+            "analyze", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "8", "--format", "csv", "--output", str(out),
+        ]) == 0
+        assert out.read_text().startswith(",".join(RECORD_FIELDS) + "\n")
+
+    def test_report_to_device_file(self, tmp_path):
+        p1, p2 = generate_pair(tmp_path, n=150)
+        assert main([
+            "analyze", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "8", "--output", os.devnull,
+        ]) == 0
 
     def test_missing_history_exit_5(self, tmp_path, capsys):
         p1, p2 = write_pair(tmp_path)
