@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import return_view_pairs, trade_windows, window_pairs
 from mbstat import (
+    CorrelationReport,
+    MarketAverages,
     Window,
     compute_returns,
     cov,
@@ -28,10 +31,12 @@ from mbstat import (
     vwap,
 )
 from mbstat.errors import (
+    ConsistencyError,
     DegenerateDenominator,
     LengthMismatch,
     NonPositiveInvestment,
 )
+from mbstat.market_core import DENOM_FLOOR, JOINT_MOMENT_REL_TOL
 from mbstat.oracle import relative_deviation
 
 
@@ -461,3 +466,241 @@ def test_degenerate_denominator_guard():
     s2 = make_series("b", np.arange(2), [1.0, 2.0], [tiny, tiny])
     with pytest.raises(DegenerateDenominator):
         mb_corr_prices(Window(s1, 0, 2), Window(s2, 0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Test-only reference: the per-report evaluation that takes every covariance
+# from scratch (60 compensated sums per correlation report), with ndarray
+# sums.  The moment-table code must reproduce it bit for bit.
+
+
+def _ref_mean(xs):
+    arr = np.asarray(xs, dtype=np.float64)
+    return math.fsum(arr) / arr.size
+
+
+def _ref_joint_moment(xs, ys):
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    return math.fsum(x * y) / x.size
+
+
+def _ref_cov(xs, ys):
+    return _ref_joint_moment(xs, ys) - _ref_mean(xs) * _ref_mean(ys)
+
+
+def _ref_variance(xs):
+    m = _ref_mean(xs)
+    return _ref_joint_moment(xs, xs) - m * m
+
+
+def _ref_carrier_corr(values1, carrier1, values2, carrier2):
+    g1 = _ref_mean(values1) / _ref_mean(carrier1)
+    g2 = _ref_mean(values2) / _ref_mean(carrier2)
+    denominator = _ref_joint_moment(carrier1, carrier2)
+    if not denominator > DENOM_FLOOR:
+        raise DegenerateDenominator(
+            f"carrier joint moment {denominator!r} is too small to divide by"
+        )
+    cov_cc = _ref_cov(values1, values2)
+    cov_wc = _ref_cov(carrier1, values2)
+    cov_cw = _ref_cov(values1, carrier2)
+    cov_ww = _ref_cov(carrier1, carrier2)
+    market = (cov_cc - g1 * cov_wc - g2 * cov_cw + g1 * g2 * cov_ww) / denominator
+    return g1, g2, denominator, cov_cc, cov_wc, cov_cw, cov_ww, market
+
+
+def _ref_self_market_var(values, carrier):
+    return _ref_carrier_corr(values, carrier, values, carrier)[-1]
+
+
+def _ref_price_leg(w):
+    return w.value, w.volume, w.price, w.lag
+
+
+def _ref_return_leg(rv):
+    return rv.value, rv.c_past, rv.r, rv.alpha
+
+
+def _ref_report(family, slots, src1, leg1, src2, leg2):
+    """The three former builders, which differed only in the legs' sequences
+    and in the averages slots."""
+    (c1, w1, x1, lag1), (c2, w2, x2, lag2) = leg1, leg2
+    if len(src1) != len(src2):
+        raise LengthMismatch(f"window lengths differ: {len(src1)} vs {len(src2)}")
+    g1, g2, denominator, cov_cc, cov_wc, cov_cw, cov_ww, market = _ref_carrier_corr(
+        c1, w1, c2, w2
+    )
+    return CorrelationReport(
+        stat_family=family,
+        market_value=market,
+        frequency_value=_ref_cov(x1, x2),
+        averages=MarketAverages(**{slots[0]: g1, slots[1]: g2}),
+        freq_avg1=_ref_mean(x1),
+        freq_avg2=_ref_mean(x2),
+        denominator=denominator,
+        cov_cc=cov_cc,
+        cov_wc=cov_wc,
+        cov_cw=cov_cw,
+        cov_ww=cov_ww,
+        market_var1=_ref_self_market_var(c1, w1),
+        market_var2=_ref_self_market_var(c2, w2),
+        freq_var1=_ref_variance(x1),
+        freq_var2=_ref_variance(x2),
+        n=len(src1),
+        alpha=lag1,
+        beta=lag2,
+        asset1=src1.asset_id,
+        asset2=src2.asset_id,
+        t_center=src1.t_center,
+    )
+
+
+def ref_corr_prices(w1, w2):
+    return _ref_report("price_corr", ("a1", "a2"), w1, _ref_price_leg(w1), w2, _ref_price_leg(w2))
+
+
+def ref_corr_returns(rv1, rv2):
+    return _ref_report(
+        "return_corr", ("h1", "h2"), rv1, _ref_return_leg(rv1), rv2, _ref_return_leg(rv2)
+    )
+
+
+def ref_corr_price_return(w1, rv2):
+    return _ref_report(
+        "price_return_corr", ("a1", "h2"), w1, _ref_price_leg(w1), rv2, _ref_return_leg(rv2)
+    )
+
+
+def _ref_joint_moment_both_ways(report, values1, values2):
+    avgs = report.averages
+    g1 = avgs.a1 if report.stat_family == "price_corr" else avgs.h1
+    g2 = avgs.a2 if report.stat_family == "price_corr" else avgs.h2
+    combined = g1 * g2 + report.market_value
+    cc = _ref_joint_moment(values1, values2)
+    expanded = (
+        cc - g1 * report.cov_wc - g2 * report.cov_cw + 2.0 * g1 * g2 * report.cov_ww
+    ) / report.denominator
+    scale = max(abs(combined), abs(expanded))
+    if scale > 0.0 and abs(combined - expanded) > JOINT_MOMENT_REL_TOL * scale:
+        raise ConsistencyError(f"joint moment evaluations disagree: {combined!r} vs {expanded!r}")
+    return combined
+
+
+def ref_joint_price_moment(w1, w2):
+    return _ref_joint_moment_both_ways(ref_corr_prices(w1, w2), w1.value, w2.value)
+
+
+def ref_joint_return_moment(rv1, rv2):
+    return _ref_joint_moment_both_ways(ref_corr_returns(rv1, rv2), rv1.value, rv2.value)
+
+
+def _outcome(fn, *args):
+    """``repr`` of every field of the result (``-0.0`` and ``nan`` included),
+    or the name of the exception raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc).__name__
+    if isinstance(result, CorrelationReport):
+        return repr(dataclasses.astuple(result))
+    return float.hex(result)
+
+
+def assert_matches_reference(w1, w2, rv1, rv2):
+    """Every public per-window statistic of the legs against the reference.
+
+    ``w1``/``w2`` are price windows, ``rv1``/``rv2`` return views, all of one
+    length.
+    """
+    pairs = [
+        (mb_corr_prices, ref_corr_prices, w1, w2),
+        (mb_corr_prices, ref_corr_prices, w1, w1),
+        (mb_corr_returns, ref_corr_returns, rv1, rv2),
+        (mb_corr_returns, ref_corr_returns, rv1, rv1),
+        (mb_corr_price_return, ref_corr_price_return, w1, rv2),
+        (mb_joint_price_moment, ref_joint_price_moment, w1, w2),
+        (mb_joint_return_moment, ref_joint_return_moment, rv1, rv2),
+    ]
+    for fn, ref, a, b in pairs:
+        assert _outcome(fn, a, b) == _outcome(ref, a, b), fn.__name__
+    assert _outcome(mb_price_volatility, w1) == _outcome(
+        lambda w: ref_corr_prices(w, w).market_value, w1
+    )
+    assert _outcome(mb_return_volatility, rv1) == _outcome(
+        lambda rv: ref_corr_returns(rv, rv).market_value, rv1
+    )
+
+
+def legs_of(s1, s2, start, n, beta):
+    """Price windows and return views of one window position of a pair."""
+    w1 = Window(s1, start, n)
+    w2 = Window(s2, start, n, lag=beta)
+    return w1, w2, compute_returns(w1, 1), compute_returns(Window(s2, start, n), beta)
+
+
+def lognormal_series(name, rng, n, price, step_sd, volumes="lognormal"):
+    prices = price * np.exp(np.cumsum(rng.normal(0.0, step_sd, n)))
+    if volumes == "constant":
+        vols = np.full(n, 3.0)
+    else:
+        vols = np.exp(rng.normal(0.0, 0.4, n))
+    return make_series(name, np.arange(n), prices, vols)
+
+
+class TestBitIdentityWithReference:
+    """The moment table changes no bit of any report or statistic."""
+
+    @settings(max_examples=40)
+    @given(return_view_pairs(min_n=1, max_n=32), st.data())
+    def test_hypothesis_windows(self, pair, data):
+        rv1, rv2 = pair
+        n = len(rv1)
+        cols = [
+            data.draw(st.lists(st.floats(0.25, 4.0), min_size=n + 2, max_size=n + 2))
+            for _ in range(4)
+        ]
+        s1 = make_series("p1", np.arange(n + 2), cols[0], cols[1])
+        s2 = make_series("p2", np.arange(n + 2), cols[2], cols[3])
+        w1 = Window(s1, 2, n)
+        w2 = lag_view(Window(s2, 2, n), data.draw(st.integers(0, 2)))
+        assert_matches_reference(w1, w2, rv1, rv2)
+
+    @pytest.mark.parametrize(
+        "price,step_sd,volumes",
+        [
+            (1.0, 3e-2, "lognormal"),
+            (100.0, 3e-3, "lognormal"),
+            (1e4, 1e-4, "lognormal"),
+            (1e4, 1e-4, "constant"),
+            (100.0, 1e-2, "constant"),
+        ],
+    )
+    def test_regimes(self, price, step_sd, volumes):
+        rng = np.random.default_rng(17)
+        s1 = lognormal_series("a", rng, 320, price, step_sd, volumes)
+        s2 = lognormal_series("b", rng, 320, price, step_sd, volumes)
+        for start, n in [(3, 1), (3, 2), (5, 7), (10, 64), (3, 300)]:
+            assert_matches_reference(*legs_of(s1, s2, start, n, 3))
+
+    def test_single_tick_window(self):
+        s1 = make_series("a", np.arange(3), [2.5, 3.0, 1.5], [1.5, 2.0, 4.0])
+        s2 = make_series("b", np.arange(3), [1.5, 4.0, 0.5], [4.0, 1.0, 2.0])
+        assert_matches_reference(*legs_of(s1, s2, 2, 1, 2))
+
+    @pytest.mark.parametrize(
+        "vols1,vols2",
+        [
+            ([1e-200, 1e-200, 1e-200], [1e-200, 1e-200, 1e-200]),  # cross and both legs
+            ([1.0, 1e-300, 1.0], [1e-300, 1.0, 1e-300]),  # cross only
+            ([1e-200, 1e-200, 1e-200], [1e200, 1e200, 1e200]),  # leg 1 only
+            ([1.0, 2.0, 3.0], [1e-170, 1e-170, 1e-170]),  # leg 2 only
+        ],
+    )
+    def test_degenerate_denominators(self, vols1, vols2):
+        s1 = make_series("a", np.arange(3), [1.0, 2.0, 1.5], vols1)
+        s2 = make_series("b", np.arange(3), [1.0, 3.0, 2.0], vols2)
+        w1, w2 = Window(s1, 0, 3), Window(s2, 0, 3)
+        assert _outcome(mb_corr_prices, w1, w2) == "DegenerateDenominator"
+        assert _outcome(ref_corr_prices, w1, w2) == "DegenerateDenominator"
+        assert_matches_reference(*legs_of(s1, s2, 1, 2, 1))
