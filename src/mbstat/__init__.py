@@ -32,7 +32,6 @@ from .synth import GENERATOR_ID, SynthConfig, gen_trades
 from .trade_series import (
     ReturnView,
     TradeSeries,
-    TradeTick,
     Window,
     compute_returns,
     lag_view,
@@ -52,7 +51,6 @@ __all__ = [
     "ReturnView",
     "SynthConfig",
     "TradeSeries",
-    "TradeTick",
     "WeightVector",
     "Window",
     "collect_rolling_stats",

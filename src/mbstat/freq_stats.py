@@ -7,7 +7,9 @@ normalization is deliberately not applied here.
 
 Sums use ``math.fsum`` (exactly rounded compensated summation): windows can
 reach 10^6 ticks and the downstream identity checks sit at 1e-12 relative,
-which naive accumulation does not reliably deliver.
+which naive accumulation does not reliably deliver.  ``fsum`` is fed Python
+floats (``tolist``), not the array, so it does not box a numpy scalar per
+element; the floats and hence the sums are the same.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def _as_floats(xs) -> np.ndarray:
 def mean(xs) -> float:
     """Arithmetic mean ``(1/N) * sum(x_i)``; N*mean is the total sum."""
     arr = _as_floats(xs)
-    return math.fsum(arr) / arr.size
+    return math.fsum(arr.tolist()) / arr.size
 
 
 def joint_moment(xs, ys) -> float:
@@ -41,7 +43,7 @@ def joint_moment(xs, ys) -> float:
     y = _as_floats(ys)
     if x.size != y.size:
         raise LengthMismatch(f"joint moment needs equal lengths, got {x.size} and {y.size}")
-    return math.fsum(x * y) / x.size
+    return math.fsum((x * y).tolist()) / x.size
 
 
 def cov(xs, ys) -> float:

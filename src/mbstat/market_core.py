@@ -15,6 +15,15 @@ separate formula is evaluated here; the specialized forms are used as
 cross-checks in the test suite), so the specialization-chain identities hold
 bit-exactly.
 
+Each compensated sum is taken once per report.  A leg's moment table holds
+the means of ``C``, ``W`` and its per-tick prices or returns ``x`` and the
+joint moments ``W*W``, ``W*C``, ``C*C`` and ``x*x``, from which its market
+and frequency variances follow; the pair adds the five cross joint moments
+``C1*C2``, ``W1*C2``, ``C1*W2``, ``W1*W2`` and ``x1*x2``.  That is 19 sums
+where summing every covariance from scratch took 60, with bit-identical
+results: ``x*y == y*x`` holds bit for bit, so ``cov(W,C)`` and ``cov(C,W)``
+are one number, and every expression keeps its operand order.
+
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
 of means).  A Pearson-style normalization is available only on the report
 objects, clearly named, and never feeds back into any closed form.
@@ -31,7 +40,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import cov, joint_moment, mean, moments
+from .freq_stats import joint_moment, mean
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -113,41 +122,103 @@ class CorrelationReport:
         return self.frequency_value / math.sqrt(prod)
 
 
-@dataclass(frozen=True)
-class _CorrParts:
-    g1: float
-    g2: float
-    denominator: float
-    cov_cc: float
-    cov_wc: float
-    cov_cw: float
-    cov_ww: float
-    market: float
+class _Leg:
+    """Moment table of one leg: its values ``C``, weight carrier ``W``,
+    per-tick prices or returns ``x``, and its lag or return horizon."""
+
+    __slots__ = ("values", "carrier", "x", "lag", "m_c", "m_w", "m_x", "g",
+                 "jm_ww", "jm_wc", "jm_cc", "freq_var")
+
+    def __init__(self, values, carrier, x, lag: int):
+        self.values, self.carrier, self.x, self.lag = values, carrier, x, lag
+        self.m_c = mean(values)
+        self.m_w = mean(carrier)
+        self.g = self.m_c / self.m_w
+        self.m_x = mean(x)
+        self.jm_ww = joint_moment(carrier, carrier)
+        self.jm_wc = joint_moment(carrier, values)
+        self.jm_cc = joint_moment(values, values)
+        self.freq_var = joint_moment(x, x) - self.m_x * self.m_x
+
+    def market_var(self) -> float:
+        """The closed form of the leg against itself (its volatility).  Not
+        taken in ``__init__``, so that a degenerate cross denominator is
+        reported before a degenerate same-leg one."""
+        g = self.g
+        cov_cc = self.jm_cc - self.m_c * self.m_c
+        cov_wc = self.jm_wc - self.m_w * self.m_c  # == cov(C, W) bit for bit
+        cov_ww = self.jm_ww - self.m_w * self.m_w
+        return (cov_cc - g * cov_wc - g * cov_wc + g * g * cov_ww) / _divisor(self.jm_ww)
 
 
-def _carrier_corr(values1, carrier1, values2, carrier2) -> _CorrParts:
-    g1 = mean(values1) / mean(carrier1)
-    g2 = mean(values2) / mean(carrier2)
-    denominator = joint_moment(carrier1, carrier2)
+def _price_leg(w: Window) -> _Leg:
+    return _Leg(w.value, w.volume, w.price, w.lag)
+
+
+def _return_leg(rv: ReturnView) -> _Leg:
+    return _Leg(rv.value, rv.c_past, rv.r, rv.alpha)
+
+
+def _divisor(denominator: float) -> float:
     if not denominator > DENOM_FLOOR:
         raise DegenerateDenominator(
             f"carrier joint moment {denominator!r} is too small to divide by"
         )
-    cov_cc = cov(values1, values2)
-    cov_wc = cov(carrier1, values2)
-    cov_cw = cov(values1, carrier2)
-    cov_ww = cov(carrier1, carrier2)
-    market = (cov_cc - g1 * cov_wc - g2 * cov_cw + g1 * g2 * cov_ww) / denominator
-    return _CorrParts(g1, g2, denominator, cov_cc, cov_wc, cov_cw, cov_ww, market)
+    return denominator
 
 
-def _self_market_var(values, carrier) -> float:
-    return _carrier_corr(values, carrier, values, carrier).market
+# Per family: how each leg's table is read from its window or return view, and
+# the MarketAverages slot its average goes to.
+_FAMILY_LEGS = {
+    PRICE_FAMILY: (_price_leg, "a1", _price_leg, "a2"),
+    RETURN_FAMILY: (_return_leg, "h1", _return_leg, "h2"),
+    PRICE_RETURN_FAMILY: (_price_leg, "a1", _return_leg, "h2"),
+}
 
 
-def _require_equal(n1: int, n2: int) -> None:
-    if n1 != n2:
-        raise LengthMismatch(f"window lengths differ: {n1} vs {n2}")
+def _report(family: str, src1, src2) -> CorrelationReport:
+    """The closed form of a pair and the figures reported beside it.  Past
+    the two legs' tables, only the five cross joint moments are summed."""
+    if len(src1) != len(src2):
+        raise LengthMismatch(f"window lengths differ: {len(src1)} vs {len(src2)}")
+    leg_of1, slot1, leg_of2, slot2 = _FAMILY_LEGS[family]
+    leg1, leg2 = leg_of1(src1), leg_of2(src2)
+    g1, g2 = leg1.g, leg2.g
+    denominator = joint_moment(leg1.carrier, leg2.carrier)
+    cov_cc = joint_moment(leg1.values, leg2.values) - leg1.m_c * leg2.m_c
+    cov_wc = joint_moment(leg1.carrier, leg2.values) - leg1.m_w * leg2.m_c
+    cov_cw = joint_moment(leg1.values, leg2.carrier) - leg1.m_c * leg2.m_w
+    cov_ww = denominator - leg1.m_w * leg2.m_w
+    market = (cov_cc - g1 * cov_wc - g2 * cov_cw + g1 * g2 * cov_ww) / _divisor(denominator)
+    frequency = joint_moment(leg1.x, leg2.x) - leg1.m_x * leg2.m_x
+    market_var1, market_var2 = leg1.market_var(), leg2.market_var()
+    for field, value in (("market_value", market), ("frequency_value", frequency),
+                         ("denominator", denominator)):
+        if not math.isfinite(value):
+            raise ConsistencyError(f"{family}: non-finite {field} {value!r}")
+    return CorrelationReport(
+        stat_family=family,
+        market_value=market,
+        frequency_value=frequency,
+        averages=MarketAverages(**{slot1: g1, slot2: g2}),
+        freq_avg1=leg1.m_x,
+        freq_avg2=leg2.m_x,
+        denominator=denominator,
+        cov_cc=cov_cc,
+        cov_wc=cov_wc,
+        cov_cw=cov_cw,
+        cov_ww=cov_ww,
+        market_var1=market_var1,
+        market_var2=market_var2,
+        freq_var1=leg1.freq_var,
+        freq_var2=leg2.freq_var,
+        n=len(src1),
+        alpha=leg1.lag,
+        beta=leg2.lag,
+        asset1=src1.asset_id,
+        asset2=src2.asset_id,
+        t_center=src1.t_center,
+    )
 
 
 def vwap(window: Window) -> float:
@@ -188,31 +259,7 @@ def mb_corr_prices(w1: Window, w2: Window) -> CorrelationReport:
     autocorrelation; ``w2 = w1`` gives the price volatility.  The
     frequency-based price covariance is reported alongside.
     """
-    _require_equal(len(w1), len(w2))
-    parts = _carrier_corr(w1.value, w1.volume, w2.value, w2.volume)
-    return CorrelationReport(
-        stat_family=PRICE_FAMILY,
-        market_value=parts.market,
-        frequency_value=cov(w1.price, w2.price),
-        averages=MarketAverages(a1=parts.g1, a2=parts.g2),
-        freq_avg1=mean(w1.price),
-        freq_avg2=mean(w2.price),
-        denominator=parts.denominator,
-        cov_cc=parts.cov_cc,
-        cov_wc=parts.cov_wc,
-        cov_cw=parts.cov_cw,
-        cov_ww=parts.cov_ww,
-        market_var1=_self_market_var(w1.value, w1.volume),
-        market_var2=_self_market_var(w2.value, w2.volume),
-        freq_var1=moments(w1.price).variance,
-        freq_var2=moments(w2.price).variance,
-        n=len(w1),
-        alpha=w1.lag,
-        beta=w2.lag,
-        asset1=w1.asset_id,
-        asset2=w2.asset_id,
-        t_center=w1.t_center,
-    )
+    return _report(PRICE_FAMILY, w1, w2)
 
 
 def mb_price_volatility(window: Window) -> float:
@@ -228,31 +275,7 @@ def mb_corr_returns(rv1: ReturnView, rv2: ReturnView) -> CorrelationReport:
     and identical views the return volatility.  The frequency-based return
     covariance is reported alongside.
     """
-    _require_equal(len(rv1), len(rv2))
-    parts = _carrier_corr(rv1.value, rv1.c_past, rv2.value, rv2.c_past)
-    return CorrelationReport(
-        stat_family=RETURN_FAMILY,
-        market_value=parts.market,
-        frequency_value=cov(rv1.r, rv2.r),
-        averages=MarketAverages(h1=parts.g1, h2=parts.g2),
-        freq_avg1=mean(rv1.r),
-        freq_avg2=mean(rv2.r),
-        denominator=parts.denominator,
-        cov_cc=parts.cov_cc,
-        cov_wc=parts.cov_wc,
-        cov_cw=parts.cov_cw,
-        cov_ww=parts.cov_ww,
-        market_var1=_self_market_var(rv1.value, rv1.c_past),
-        market_var2=_self_market_var(rv2.value, rv2.c_past),
-        freq_var1=moments(rv1.r).variance,
-        freq_var2=moments(rv2.r).variance,
-        n=len(rv1),
-        alpha=rv1.alpha,
-        beta=rv2.alpha,
-        asset1=rv1.asset_id,
-        asset2=rv2.asset_id,
-        t_center=rv1.t_center,
-    )
+    return _report(RETURN_FAMILY, rv1, rv2)
 
 
 def mb_return_volatility(returns: ReturnView) -> float:
@@ -262,31 +285,7 @@ def mb_return_volatility(returns: ReturnView) -> float:
 
 def mb_corr_price_return(w1: Window, rv2: ReturnView) -> CorrelationReport:
     """Market-based correlation between leg-1 prices and leg-2 returns."""
-    _require_equal(len(w1), len(rv2))
-    parts = _carrier_corr(w1.value, w1.volume, rv2.value, rv2.c_past)
-    return CorrelationReport(
-        stat_family=PRICE_RETURN_FAMILY,
-        market_value=parts.market,
-        frequency_value=cov(w1.price, rv2.r),
-        averages=MarketAverages(a1=parts.g1, h2=parts.g2),
-        freq_avg1=mean(w1.price),
-        freq_avg2=mean(rv2.r),
-        denominator=parts.denominator,
-        cov_cc=parts.cov_cc,
-        cov_wc=parts.cov_wc,
-        cov_cw=parts.cov_cw,
-        cov_ww=parts.cov_ww,
-        market_var1=_self_market_var(w1.value, w1.volume),
-        market_var2=_self_market_var(rv2.value, rv2.c_past),
-        freq_var1=moments(w1.price).variance,
-        freq_var2=moments(rv2.r).variance,
-        n=len(w1),
-        alpha=w1.lag,
-        beta=rv2.alpha,
-        asset1=w1.asset_id,
-        asset2=rv2.asset_id,
-        t_center=w1.t_center,
-    )
+    return _report(PRICE_RETURN_FAMILY, w1, rv2)
 
 
 def _joint_moment_both_ways(report: CorrelationReport, values1, values2) -> float:
@@ -299,10 +298,7 @@ def _joint_moment_both_ways(report: CorrelationReport, values1, values2) -> floa
     combined = g1 * g2 + report.market_value
     cc = joint_moment(values1, values2)
     expanded = (
-        cc
-        - g1 * report.cov_wc
-        - g2 * report.cov_cw
-        + 2.0 * g1 * g2 * report.cov_ww
+        cc - g1 * report.cov_wc - g2 * report.cov_cw + 2.0 * g1 * g2 * report.cov_ww
     ) / report.denominator
     scale = max(abs(combined), abs(expanded))
     if scale > 0.0 and abs(combined - expanded) > JOINT_MOMENT_REL_TOL * scale:

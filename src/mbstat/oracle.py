@@ -41,8 +41,16 @@ def _plain_sum(values) -> float:
     return total
 
 
+def _floats(seq) -> list[float]:
+    """``[float(v) for v in seq]``.  A 1-D float64 array gives the same list
+    from one ``tolist`` call, without a numpy scalar per element."""
+    if getattr(seq, "dtype", None) == "float64" and seq.ndim == 1:
+        return seq.tolist()
+    return [float(v) for v in seq]
+
+
 def _check_positive(seq, name: str) -> list[float]:
-    out = [float(v) for v in seq]
+    out = _floats(seq)
     for v in out:
         if not v > 0.0:
             raise NonPositiveInput(f"{name} entries must be > 0, got {v}")
@@ -93,7 +101,7 @@ def make_weights(kind: str, first, second=None) -> WeightVector:
 
 def em_expectation(values, weights: WeightVector) -> float:
     """Weighted mean ``sum(values_i * weights_i)`` under a weight vector."""
-    vals = [float(v) for v in values]
+    vals = _floats(values)
     if len(vals) != len(weights):
         raise LengthMismatch(
             f"values and weights differ in length: {len(vals)} vs {len(weights)}"
@@ -132,8 +140,8 @@ def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float)
     except KeyError:
         raise NonPositiveInput(f"unknown correlation kind {kind!r}") from None
     w = make_weights(weight_kind, carrier1, carrier2)
-    a = [float(v) for v in x1]
-    b = [float(v) for v in x2]
+    a = _floats(x1)
+    b = _floats(x2)
     if not (len(a) == len(b) == len(w)):
         raise LengthMismatch(
             f"sequence lengths differ: {len(a)}, {len(b)}, weights {len(w)}"

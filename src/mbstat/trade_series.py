@@ -39,22 +39,11 @@ CSV_HEADER = "t,price,volume"
 
 
 @dataclass(frozen=True)
-class TradeTick:
-    """One trade: time on the grid, positive price/volume, value = price*volume."""
-
-    t: int
-    price: float
-    volume: float
-    value: float
-
-
-@dataclass(frozen=True)
 class TradeSeries:
     """A uniformly spaced sequence of trades for one asset.
 
-    The per-tick columns are stored as read-only numpy arrays; ``ticks``
-    materializes :class:`TradeTick` objects on demand.  ``epsilon`` is the
-    constant spacing between consecutive tick times.
+    The per-tick columns are stored as read-only numpy arrays.  ``epsilon``
+    is the constant spacing between consecutive tick times.
     """
 
     asset_id: str
@@ -74,18 +63,6 @@ class TradeSeries:
     @property
     def start_time(self) -> int:
         return int(self.t[0])
-
-    def tick(self, i: int) -> TradeTick:
-        return TradeTick(
-            t=int(self.t[i]),
-            price=float(self.price[i]),
-            volume=float(self.volume[i]),
-            value=float(self.value[i]),
-        )
-
-    @property
-    def ticks(self) -> list[TradeTick]:
-        return [self.tick(i) for i in range(len(self))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TradeSeries):

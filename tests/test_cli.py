@@ -299,3 +299,51 @@ class TestVerify:
             "verify", "--asset1-path", p1, "--asset2-path", p2,
             "--window", "2", "--stats", "nope",
         ]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_closed_forms_exit_4_like_analyze(self, tmp_path, capsys):
+        # Values near 1e160 square to inf: every market_value is NaN.
+        texts = []
+        for k in (1, 2):
+            rows = [f"{t},{1e160 * (1 + 0.01 * ((t * k) % 7))!r},{1 + (t % 3) / 2}"
+                    for t in range(40)]
+            texts.append("t,price,volume\n" + "\n".join(rows) + "\n")
+        p1, p2 = write_pair(tmp_path, *texts)
+        flags = ["--asset1-path", p1, "--asset2-path", p2, "--window", "8", "--stride", "8"]
+        assert main(["verify", *flags]) == 4
+        assert "non-finite market_value" in capsys.readouterr().err
+        out = str(tmp_path / "out.json")
+        assert main(["analyze", *flags, "--output", out]) == 4
+        assert "non-finite market_value" in capsys.readouterr().err
+
+    def test_all_zero_deviations_name_a_real_window(self, tmp_path, capsys):
+        # Constant powers of two: closed form and oracle are both exactly 0.
+        text = "t,price,volume\n" + "".join(f"{t},2,1\n" for t in range(100, 120))
+        p1, p2 = write_pair(tmp_path, text, text)
+        code = main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "8", "--stride", "4", "--stats", "price_corr", "--tol", "0",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "max_rel_dev=0.000000e+00 at t_center=104.5 " in out
+
+    def test_nan_deviation_is_a_breach(self, tmp_path, capsys, monkeypatch):
+        p1, p2 = generate_pair(tmp_path, n=120)
+        calls = []
+        oracle_corr = cli.oracle_corr
+
+        def nan_on_second_window(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 2 else oracle_corr(*args)
+
+        monkeypatch.setattr(cli, "oracle_corr", nan_on_second_window)
+        code = main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "24", "--stride", "8", "--stats", "price_corr",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "max_rel_dev=nan at t_center=" in captured.out
+        assert "[FAIL]" in captured.out
+        assert "deviation=nan" in captured.err

@@ -704,3 +704,30 @@ class TestBitIdentityWithReference:
         assert _outcome(mb_corr_prices, w1, w2) == "DegenerateDenominator"
         assert _outcome(ref_corr_prices, w1, w2) == "DegenerateDenominator"
         assert_matches_reference(*legs_of(s1, s2, 1, 2, 1))
+
+
+def test_each_compensated_sum_once_per_report(monkeypatch):
+    """A correlation report takes 19 compensated sums: per leg the means of
+    C, W and x and the joint moments W*W, W*C, C*C and x*x, plus the five
+    cross joint moments.  Summing each covariance from scratch took 60."""
+    rng = np.random.default_rng(3)
+    s1 = lognormal_series("a", rng, 40, 100.0, 3e-3)
+    s2 = lognormal_series("b", rng, 40, 100.0, 3e-3)
+    w1, w2, rv1, rv2 = legs_of(s1, s2, 5, 30, 2)
+    calls = 0
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        nonlocal calls
+        calls += 1
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    for fn, a, b in [
+        (mb_corr_prices, w1, w2),
+        (mb_corr_returns, rv1, rv2),
+        (mb_corr_price_return, w1, rv2),
+    ]:
+        calls = 0
+        fn(a, b)
+        assert calls <= 19, (fn.__name__, calls)

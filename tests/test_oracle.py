@@ -218,3 +218,52 @@ class TestRelativeDeviation:
 
     def test_floor_prevents_blowup(self):
         assert relative_deviation(1e-18, 2e-18, 1.0) == pytest.approx(1e-18)
+
+
+class TestInputTypes:
+    """Arrays, lists and tuples of the same floats give the same bits."""
+
+    @given(st.data())
+    def test_ndarray_list_tuple_agree(self, data):
+        import numpy as np
+
+        n = data.draw(st.integers(1, 40))
+        floats = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
+        c1, c2, x1, x2 = (
+            data.draw(st.lists(floats, min_size=n, max_size=n)) for _ in range(4)
+        )
+
+        def results(conv):
+            w = make_weights("volume_product", conv(c1), conv(c2))
+            return (
+                [float.hex(v) for v in w.weights],
+                [float.hex(v) for v in make_weights("past_value", conv(c1)).weights],
+                float.hex(em_expectation(conv(x1), w)),
+                float.hex(oracle_corr("price_return", conv(x1), conv(x2), conv(c1),
+                                      conv(c2), 0.75, 1.25)),
+            )
+
+        want = results(list)
+        assert results(tuple) == want
+        assert results(lambda seq: np.array(seq, dtype=np.float64)) == want
+
+    def test_non_float64_arrays_convert_per_element(self):
+        import numpy as np
+
+        big = [2**53 + 1, 3, 2**60 + 7]
+        as_ints = make_weights("volume_product", np.array(big), np.array(big))
+        assert as_ints == make_weights("volume_product", big, big)
+        halves = np.array([0.1, 0.2, 0.7], dtype=np.float32)
+        assert make_weights("volume", halves) == make_weights(
+            "volume", [float(v) for v in halves]
+        )
+
+    def test_imports_no_numpy_and_no_mbstat_arithmetic(self):
+        import mbstat.oracle as oracle
+
+        with open(oracle.__file__) as fh:
+            imports = [ln for ln in fh if ln.startswith(("import ", "from "))]
+        assert not [ln for ln in imports if "numpy" in ln]
+        assert [ln for ln in imports if "from ." in ln] == [
+            "from .errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights\n"
+        ]
