@@ -18,24 +18,21 @@ from dataclasses import dataclass
 
 from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory
 from .market_core import (
+    FAMILIES,
+    JOINT_PRICE_FAMILY,
+    JOINT_RETURN_FAMILY,
     PRICE_FAMILY,
     PRICE_RETURN_FAMILY,
+    PRICE_VOL_FAMILY,
     RETURN_FAMILY,
+    RETURN_VOL_FAMILY,
     mb_corr_price_return,
     mb_corr_prices,
     mb_corr_returns,
 )
 from .oracle import oracle_corr, relative_deviation
 from .reports import write_csv, write_json
-from .rolling import (
-    FAMILIES,
-    JOINT_PRICE_FAMILY,
-    JOINT_RETURN_FAMILY,
-    PRICE_VOL_FAMILY,
-    RETURN_VOL_FAMILY,
-    iter_rolling_stats,
-    make_plan,
-)
+from .rolling import check_request, iter_rolling_stats, make_plan
 from .synth import MODES, SynthConfig, gen_trades
 from .trade_series import Window, compute_returns, parse_trades, serialize
 
@@ -58,9 +55,6 @@ _STAT_CHOICES = {
 
 _VERIFY_CHOICES = ("price_corr", "return_corr", "price_return_corr")
 
-_LEG1_RETURN_STATS = {RETURN_FAMILY, RETURN_VOL_FAMILY, JOINT_RETURN_FAMILY}
-_LEG2_RETURN_STATS = {RETURN_FAMILY, PRICE_RETURN_FAMILY, JOINT_RETURN_FAMILY}
-
 
 @dataclass(frozen=True)
 class AnalyzeRequest:
@@ -77,17 +71,7 @@ class AnalyzeRequest:
     format: str
 
     def __post_init__(self):
-        if self.window < 1:
-            raise InvalidConfig(f"--window must be >= 1, got {self.window}")
-        if self.stride < 1:
-            raise InvalidConfig(f"--stride must be >= 1, got {self.stride}")
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidConfig("--alpha/--beta must be >= 0 grid steps")
-        fams = set(self.stats)
-        if fams & _LEG1_RETURN_STATS and self.alpha < 1:
-            raise InvalidConfig("--alpha must be >= 1 when return statistics are requested")
-        if fams & _LEG2_RETURN_STATS and self.beta < 1:
-            raise InvalidConfig("--beta must be >= 1 when leg-2 return statistics are requested")
+        check_request(self.window, self.stride, self.alpha, self.beta, self.stats)
         if self.format not in ("json", "csv"):
             raise InvalidConfig(f"--format must be json or csv, got {self.format!r}")
 
@@ -194,19 +178,14 @@ def run_verify(args) -> int:
             raise InvalidConfig(
                 f"unknown verify family {name!r}; choose from {', '.join(_VERIFY_CHOICES)}"
             )
-    if args.window < 1 or args.stride < 1:
-        raise InvalidConfig("--window and --stride must be >= 1")
-    if "return_corr" in stats and args.alpha < 1:
-        raise InvalidConfig("--alpha must be >= 1 to verify return correlations")
-    if stats != ("price_corr",) and args.beta < 1:
-        raise InvalidConfig("--beta must be >= 1 to verify return-leg correlations")
     if args.tol < 0:
         raise InvalidConfig("--tol must be >= 0")
+    requested = {_STAT_CHOICES[s][0] for s in stats}
+    families = tuple(f for f in FAMILIES if f in requested)
+    check_request(args.window, args.stride, args.alpha, args.beta, families)
 
     s1 = _read_series(args.asset1_path, "asset1")
     s2 = _read_series(args.asset2_path, "asset2")
-    requested = {_STAT_CHOICES[s][0] for s in stats}
-    families = tuple(f for f in FAMILIES if f in requested)
     plan = make_plan(
         s1,
         s2,

@@ -9,7 +9,9 @@ Sums use ``math.fsum`` (exactly rounded compensated summation): windows can
 reach 10^6 ticks and the downstream identity checks sit at 1e-12 relative,
 which naive accumulation does not reliably deliver.  ``fsum`` is fed Python
 floats (``tolist``), not the array, so it does not box a numpy scalar per
-element; the floats and hence the sums are the same.
+element; the floats and hence the sums are the same.  A sum of finite terms
+whose exact value is past the float range raises ``ConsistencyError``
+rather than ``fsum``'s bare ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import ConsistencyError, EmptyInput, LengthMismatch
 
 
 def _as_floats(xs) -> np.ndarray:
@@ -31,10 +33,18 @@ def _as_floats(xs) -> np.ndarray:
     return arr
 
 
+def _fsum_mean(arr: np.ndarray) -> float:
+    try:
+        return math.fsum(arr.tolist()) / arr.size
+    except OverflowError:
+        raise ConsistencyError(
+            f"the compensated sum of {arr.size} terms overflows the float range"
+        ) from None
+
+
 def mean(xs) -> float:
     """Arithmetic mean ``(1/N) * sum(x_i)``; N*mean is the total sum."""
-    arr = _as_floats(xs)
-    return math.fsum(arr.tolist()) / arr.size
+    return _fsum_mean(_as_floats(xs))
 
 
 def joint_moment(xs, ys) -> float:
@@ -43,7 +53,7 @@ def joint_moment(xs, ys) -> float:
     y = _as_floats(ys)
     if x.size != y.size:
         raise LengthMismatch(f"joint moment needs equal lengths, got {x.size} and {y.size}")
-    return math.fsum((x * y).tolist()) / x.size
+    return _fsum_mean(x * y)
 
 
 def cov(xs, ys) -> float:

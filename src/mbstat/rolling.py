@@ -9,8 +9,14 @@ The anchor interval is 4096 strides, shrunk only when ``stride`` or a tiny
 window would let the in-block span grow past what keeps the incremental
 results within 1e-9 of full recomputation.
 
-Closed forms are then assembled per position exactly as in
-:mod:`mbstat.market_core`, vectorized over window positions.  Results stream
+Everything per family comes from :data:`mbstat.market_core.FAMILY_LEGS`: the
+per-tick arrays of each leg, the window sums a family reads (a product's
+operands in sorted order, so that mirrored products such as ``U1*C1`` and
+``C1*U1`` are one pass: 31 passes per anchor block for all seven families),
+the averages slots and the lag rules.  The closed form and the checked joint
+moment are :func:`mbstat.market_core.closed_form` and
+:func:`~mbstat.market_core.checked_joint_moment`, the functions the
+per-window API calls, here over arrays of window positions.  Results stream
 out chunk by chunk (one chunk per anchor block), so a million-position run
 never holds more than one block of records in memory.
 """
@@ -22,42 +28,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DegenerateDenominator,
-    InvalidConfig,
-    LagNotOnGrid,
-    MissingHistory,
-    NonUniformSpacing,
-)
-from .market_core import (
-    DENOM_FLOOR,
-    JOINT_MOMENT_REL_TOL,
+from .errors import InvalidConfig, MissingHistory, NonUniformSpacing
+from .market_core import (  # the family names stay importable from here
+    FAMILIES,
+    FAMILY_LEGS,
+    JOINT_PRICE_FAMILY,
+    JOINT_RETURN_FAMILY,
     PRICE_FAMILY,
     PRICE_RETURN_FAMILY,
+    PRICE_VOL_FAMILY,
     RETURN_FAMILY,
+    RETURN_VOL_FAMILY,
+    average_slots,
+    checked_joint_moment,
+    closed_form,
+    require_finite,
 )
 from .trade_series import TradeSeries
 
-PRICE_VOL_FAMILY = "price_vol"
-RETURN_VOL_FAMILY = "return_vol"
-JOINT_PRICE_FAMILY = "joint_price_moment"
-JOINT_RETURN_FAMILY = "joint_return_moment"
-
-#: Canonical emission order; reports iterate families in this order.
-FAMILIES = (
-    PRICE_FAMILY,
-    RETURN_FAMILY,
-    PRICE_RETURN_FAMILY,
-    PRICE_VOL_FAMILY,
-    RETURN_VOL_FAMILY,
-    JOINT_PRICE_FAMILY,
-    JOINT_RETURN_FAMILY,
-)
-
-_LEG1_RETURN_FAMILIES = {RETURN_FAMILY, RETURN_VOL_FAMILY, JOINT_RETURN_FAMILY}
-_LEG2_RETURN_FAMILIES = {RETURN_FAMILY, PRICE_RETURN_FAMILY, JOINT_RETURN_FAMILY}
-_LEG2_LAG_FAMILIES = {PRICE_FAMILY, JOINT_PRICE_FAMILY}
+# Per leg of FAMILY_LEGS: the names of its value, carrier and per-tick arrays.
+_LEG_ARRAYS = {
+    "p1": ("C1", "U1", "p1"),
+    "r1": ("C1", "Co1", "r1"),
+    "p2": ("C2b", "U2b", "p2b"),
+    "r2": ("C2", "Co2", "r2"),
+}
 
 _ANCHOR_INTERVAL = 4096
 
@@ -116,6 +111,33 @@ def _anchor_interval(window: int, stride: int) -> int:
     return max(1, min(_ANCHOR_INTERVAL, by_drift))
 
 
+def _legs(families) -> set[str]:
+    return {leg for family in families for leg in FAMILY_LEGS[family]}
+
+
+def check_request(window: int, stride: int, alpha: int, beta: int, families) -> tuple[str, ...]:
+    """The window, stride, lag and family rules of a request, checked before
+    any input is read; returns the families without repeats."""
+    if window < 1:
+        raise InvalidConfig(f"window must be >= 1, got {window}")
+    if stride < 1:
+        raise InvalidConfig(f"stride must be >= 1, got {stride}")
+    families = tuple(dict.fromkeys(families))
+    unknown = [f for f in families if f not in FAMILY_LEGS]
+    if unknown:
+        raise InvalidConfig(f"unknown stat families {unknown}; know {FAMILIES}")
+    if not families:
+        raise InvalidConfig("at least one stat family is required")
+    if alpha < 0 or beta < 0:
+        raise InvalidConfig(f"lags must be >= 0 grid steps, got alpha={alpha}, beta={beta}")
+    legs = _legs(families)
+    if "r1" in legs and alpha < 1:
+        raise InvalidConfig("alpha must be >= 1 when leg-1 return statistics are requested")
+    if "r2" in legs and beta < 1:
+        raise InvalidConfig("beta must be >= 1 when leg-2 return statistics are requested")
+    return families
+
+
 def make_plan(
     s1: TradeSeries,
     s2: TradeSeries,
@@ -127,26 +149,8 @@ def make_plan(
     families: tuple[str, ...] = FAMILIES,
 ) -> RollingPlan:
     """Validate a rolling request against the pair and fix its geometry."""
-    if window < 1:
-        raise InvalidConfig(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise InvalidConfig(f"stride must be >= 1, got {stride}")
-    families = tuple(dict.fromkeys(families))
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown:
-        raise InvalidConfig(f"unknown stat families {unknown}; know {FAMILIES}")
-    if not families:
-        raise InvalidConfig("at least one stat family is required")
-    fams = set(families)
-    need_r1 = bool(fams & _LEG1_RETURN_FAMILIES)
-    need_r2 = bool(fams & _LEG2_RETURN_FAMILIES)
-    need_lag2 = bool(fams & _LEG2_LAG_FAMILIES)
-    if alpha < 0 or beta < 0:
-        raise LagNotOnGrid("lags must be >= 0 grid steps")
-    if need_r1 and alpha < 1:
-        raise InvalidConfig("alpha must be >= 1 when leg-1 return statistics are requested")
-    if need_r2 and beta < 1:
-        raise InvalidConfig("beta must be >= 1 when leg-2 return statistics are requested")
+    families = check_request(window, stride, alpha, beta, families)
+    legs = _legs(families)
 
     if s1.epsilon != s2.epsilon:
         raise NonUniformSpacing(
@@ -164,8 +168,8 @@ def make_plan(
     off2 = (t_lo - int(s2.t[0])) // eps
     length = (t_hi - t_lo) // eps + 1
 
-    need1 = alpha if need_r1 else 0
-    need2 = beta if (need_r2 or need_lag2) else 0
+    need1 = alpha if "r1" in legs else 0
+    need2 = beta if legs & {"p2", "r2"} else 0
     skip = max(0, need1 - off1, need2 - off2)
     off1 += skip
     off2 += skip
@@ -195,73 +199,40 @@ def make_plan(
 
 
 def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[str, np.ndarray]:
+    """The per-tick arrays of the plan's legs, named as in ``_LEG_ARRAYS``."""
     off1, off2, length = plan.off1, plan.off2, plan.length
-    fams = set(plan.families)
+    legs = _legs(plan.families)
     arrays = {
         "p1": s1.price[off1 : off1 + length],
         "C1": s1.value[off1 : off1 + length],
         "U1": s1.volume[off1 : off1 + length],
     }
-    if fams & _LEG1_RETURN_FAMILIES:
+    if "r1" in legs:
         lagged = s1.price[off1 - plan.alpha : off1 - plan.alpha + length]
         arrays["r1"] = arrays["p1"] / lagged
         arrays["Co1"] = lagged * arrays["U1"]
-    if fams & _LEG2_LAG_FAMILIES:
+    if "p2" in legs:
         lo = off2 - plan.beta
         arrays["p2b"] = s2.price[lo : lo + length]
         arrays["C2b"] = s2.value[lo : lo + length]
         arrays["U2b"] = s2.volume[lo : lo + length]
-    if fams & _LEG2_RETURN_FAMILIES:
-        arrays["p2"] = s2.price[off2 : off2 + length]
+    if "r2" in legs:
         arrays["C2"] = s2.value[off2 : off2 + length]
-        arrays["U2"] = s2.volume[off2 : off2 + length]
         lagged = s2.price[off2 - plan.beta : off2 - plan.beta + length]
-        arrays["r2"] = arrays["p2"] / lagged
-        arrays["Co2"] = lagged * arrays["U2"]
+        arrays["r2"] = s2.price[off2 : off2 + length] / lagged
+        arrays["Co2"] = lagged * s2.volume[off2 : off2 + length]
     return arrays
 
 
-# Window sums each family consumes, as (x, y) names; y=None is a plain sum.
-_FAMILY_SUMS = {
-    PRICE_FAMILY: {
-        "c1": ("C1", None), "w1": ("U1", None), "c2": ("C2b", None), "w2": ("U2b", None),
-        "cc": ("C1", "C2b"), "wc": ("U1", "C2b"), "cw": ("C1", "U2b"), "ww": ("U1", "U2b"),
-        "x1": ("p1", None), "x2": ("p2b", None), "xx": ("p1", "p2b"),
-    },
-    RETURN_FAMILY: {
-        "c1": ("C1", None), "w1": ("Co1", None), "c2": ("C2", None), "w2": ("Co2", None),
-        "cc": ("C1", "C2"), "wc": ("Co1", "C2"), "cw": ("C1", "Co2"), "ww": ("Co1", "Co2"),
-        "x1": ("r1", None), "x2": ("r2", None), "xx": ("r1", "r2"),
-    },
-    PRICE_RETURN_FAMILY: {
-        "c1": ("C1", None), "w1": ("U1", None), "c2": ("C2", None), "w2": ("Co2", None),
-        "cc": ("C1", "C2"), "wc": ("U1", "C2"), "cw": ("C1", "Co2"), "ww": ("U1", "Co2"),
-        "x1": ("p1", None), "x2": ("r2", None), "xx": ("p1", "r2"),
-    },
-    PRICE_VOL_FAMILY: {
-        "c1": ("C1", None), "w1": ("U1", None), "c2": ("C1", None), "w2": ("U1", None),
-        "cc": ("C1", "C1"), "wc": ("U1", "C1"), "cw": ("C1", "U1"), "ww": ("U1", "U1"),
-        "x1": ("p1", None), "x2": ("p1", None), "xx": ("p1", "p1"),
-    },
-    RETURN_VOL_FAMILY: {
-        "c1": ("C1", None), "w1": ("Co1", None), "c2": ("C1", None), "w2": ("Co1", None),
-        "cc": ("C1", "C1"), "wc": ("Co1", "C1"), "cw": ("C1", "Co1"), "ww": ("Co1", "Co1"),
-        "x1": ("r1", None), "x2": ("r1", None), "xx": ("r1", "r1"),
-    },
-}
-_FAMILY_SUMS[JOINT_PRICE_FAMILY] = _FAMILY_SUMS[PRICE_FAMILY]
-_FAMILY_SUMS[JOINT_RETURN_FAMILY] = _FAMILY_SUMS[RETURN_FAMILY]
-
-# Which market-average slots (a1, a2, h1, h2) each family's g1/g2 fill.
-_FAMILY_AVG_SLOTS = {
-    PRICE_FAMILY: ("a1", "a2"),
-    RETURN_FAMILY: ("h1", "h2"),
-    PRICE_RETURN_FAMILY: ("a1", "h2"),
-    PRICE_VOL_FAMILY: ("a1", "a2"),
-    RETURN_VOL_FAMILY: ("h1", "h2"),
-    JOINT_PRICE_FAMILY: ("a1", "a2"),
-    JOINT_RETURN_FAMILY: ("h1", "h2"),
-}
+def _sum_specs(family: str) -> dict[str, tuple[str, str | None]]:
+    """The window sums a family reads, as ``(x, y)`` array names (``y=None``
+    is a plain sum).  A product's names are sorted: ``x*y == y*x`` bit for
+    bit, so mirrored products are one sum."""
+    (c1, w1, x1), (c2, w2, x2) = (_LEG_ARRAYS[leg] for leg in FAMILY_LEGS[family])
+    plain = {"c1": c1, "w1": w1, "c2": c2, "w2": w2, "x1": x1, "x2": x2}
+    products = {"cc": (c1, c2), "wc": (w1, c2), "cw": (c1, w2), "ww": (w1, w2), "xx": (x1, x2)}
+    return {**{k: (name, None) for k, name in plain.items()},
+            **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
 def _chunk_window_sums(x, y, s_anchor: int, rel: np.ndarray, n: int) -> np.ndarray:
@@ -280,58 +251,21 @@ def _chunk_window_sums(x, y, s_anchor: int, rel: np.ndarray, n: int) -> np.ndarr
 
 def _family_records(family: str, sums: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
     inv_n = 1.0 / n
-    m_c1 = sums["c1"] * inv_n
-    m_w1 = sums["w1"] * inv_n
-    m_c2 = sums["c2"] * inv_n
-    m_w2 = sums["w2"] * inv_n
-    g1 = m_c1 / m_w1
-    g2 = m_c2 / m_w2
-    denom = sums["ww"] * inv_n
-    if not np.all(denom > DENOM_FLOOR):
-        raise DegenerateDenominator(f"{family}: carrier joint moment underflowed")
-    cov_cc = sums["cc"] * inv_n - m_c1 * m_c2
-    cov_wc = sums["wc"] * inv_n - m_w1 * m_c2
-    cov_cw = sums["cw"] * inv_n - m_c1 * m_w2
-    cov_ww = sums["ww"] * inv_n - m_w1 * m_w2
-    market = (cov_cc - g1 * cov_wc - g2 * cov_cw + g1 * g2 * cov_ww) / denom
-    freq = sums["xx"] * inv_n - (sums["x1"] * inv_n) * (sums["x2"] * inv_n)
-
+    m = {key: total * inv_n for key, total in sums.items()}
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = closed_form(
+        family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"], m["wc"], m["cw"], m["ww"]
+    )
+    freq = m["xx"] - m["x1"] * m["x2"]
     if family in (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY):
-        combined = g1 * g2 + market
-        expanded = (
-            sums["cc"] * inv_n - g1 * cov_wc - g2 * cov_cw + 2.0 * g1 * g2 * cov_ww
-        ) / denom
-        drift = np.max(np.abs(combined - expanded) / np.abs(combined))
-        if drift > JOINT_MOMENT_REL_TOL:
-            raise ConsistencyError(
-                f"{family}: joint-moment evaluations disagree by {drift:.3e} relative"
-            )
-        market = combined
-        freq = sums["xx"] * inv_n  # raw frequency joint moment
+        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
+                                      m["ww"])
+        freq = m["xx"]  # raw frequency joint moment
+    require_finite(family, market_value=market, frequency_value=freq, denominator=m["ww"])
 
-    zeros = np.zeros_like(market)
-    avgs = {"a1": zeros, "a2": zeros, "h1": zeros, "h2": zeros}
-    slot1, slot2 = _FAMILY_AVG_SLOTS[family]
-    avgs[slot1] = g1
-    avgs[slot2] = g2
-
-    record = {
-        "market_value": market,
-        "frequency_value": freq,
-        "a1": avgs["a1"],
-        "a2": avgs["a2"],
-        "h1": avgs["h1"],
-        "h2": avgs["h2"],
-        "denominator": denom,
-        "cov_cc": cov_cc,
-        "cov_uc": cov_wc,
-        "cov_cu": cov_cw,
-        "cov_ww": cov_ww,
-    }
-    for key in ("market_value", "frequency_value", "denominator"):
-        if not np.all(np.isfinite(record[key])):
-            raise ConsistencyError(f"{family}: non-finite {key} in rolling output")
-    return record
+    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), np.zeros_like(market))
+    averages.update(zip(average_slots(family), (g1, g2)))
+    return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
+            "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
 
 
 def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
@@ -339,10 +273,8 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     arrays = _base_arrays(s1, s2, plan)
     n = plan.window
     half = (n - 1) / 2.0
-    sum_specs: dict[tuple[str, str | None], None] = {}
-    for family in plan.families:
-        for spec in _FAMILY_SUMS[family].values():
-            sum_specs[spec] = None
+    family_specs = {family: _sum_specs(family) for family in plan.families}
+    sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
 
     for c0 in range(0, plan.n_positions, plan.anchor):
         c1 = min(c0 + plan.anchor, plan.n_positions)
@@ -358,7 +290,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
         t_center = plan.t_origin + (starts + half) * plan.epsilon
         families = {}
         for family in plan.families:
-            sums = {k: sums_by_spec[spec] for k, spec in _FAMILY_SUMS[family].items()}
+            sums = {k: sums_by_spec[spec] for k, spec in family_specs[family].items()}
             families[family] = _family_records(family, sums, n)
         yield RollingChunk(first_position=c0, t_center=t_center, families=families)
 

@@ -347,3 +347,39 @@ class TestVerify:
         assert "max_rel_dev=nan at t_center=" in captured.out
         assert "[FAIL]" in captured.out
         assert "deviation=nan" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_compensated_sum_exit_4_like_analyze(self, tmp_path, capsys):
+        # Trade values near 6e153: eight squares sum past the float range.
+        text = "t,price,volume\n" + "".join(
+            f"{t},{1.2e154 * (1 + 0.01 * (t % 5))!r},0.5\n" for t in range(40)
+        )
+        p1, p2 = write_pair(tmp_path, text, text)
+        flags = ["--asset1-path", p1, "--asset2-path", p2, "--window", "8", "--stride", "8",
+                 "--stats", "price_corr"]
+        assert main(["verify", *flags]) == 4
+        assert "error[ConsistencyError]" in capsys.readouterr().err
+        assert main(["analyze", *flags, "--output", str(tmp_path / "out.json")]) == 4
+        assert "error[ConsistencyError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--window", "0"],
+        ["--window", "2", "--stride", "0"],
+        ["--window", "2", "--alpha", "-1", "--stats", "price_corr"],
+        ["--window", "2", "--beta", "-1", "--stats", "price_corr"],
+        ["--window", "2", "--alpha", "0", "--stats", "return_corr"],
+        ["--window", "2", "--beta", "0", "--stats", "price_return_corr"],
+    ],
+)
+@pytest.mark.parametrize("asset1", ["present", "absent"])
+def test_bad_flags_exit_2_from_both_commands(tmp_path, capsys, command, flags, asset1):
+    """One validator: the same flags are refused alike, before any file is read."""
+    p1, p2 = write_pair(tmp_path)
+    if asset1 == "absent":
+        p1 = str(tmp_path / "absent.csv")
+    assert main([command, "--asset1-path", p1, "--asset2-path", p2, *flags]) == 2
+    assert "error[InvalidConfig]" in capsys.readouterr().err

@@ -731,3 +731,45 @@ def test_each_compensated_sum_once_per_report(monkeypatch):
         calls = 0
         fn(a, b)
         assert calls <= 19, (fn.__name__, calls)
+
+
+def test_volatility_reads_one_moment_table(monkeypatch):
+    """A volatility takes the 7 sums of its leg's moment table: the means of
+    C, W and x and the joint moments W*W, W*C, C*C and x*x.  Building the
+    pair report of the leg with itself took 19.  A joint moment reads the
+    cross moment C1*C2 of its report instead of summing it again: 19, not 20."""
+    rng = np.random.default_rng(3)
+    w1, w2, rv1, rv2 = legs_of(*(lognormal_series(k, rng, 40, 100.0, 3e-3) for k in "ab"),
+                               5, 30, 2)
+    calls = 0
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        nonlocal calls
+        calls += 1
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    for fn, args, sums in [
+        (mb_price_volatility, (w1,), 7),
+        (mb_return_volatility, (rv1,), 7),
+        (mb_joint_price_moment, (w1, w2), 19),
+        (mb_joint_return_moment, (rv1, rv2), 19),
+    ]:
+        calls = 0
+        fn(*args)
+        assert calls == sums, (fn.__name__, calls)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn", [mb_price_volatility, mb_return_volatility])
+def test_volatility_refuses_degenerate_and_non_finite_legs(fn):
+    def leg(volumes, scale):
+        s = make_series("a", np.arange(4), np.array([1.0, 2.0, 1.5, 3.0]) * scale, volumes)
+        w = Window(s, 1, 3)
+        return w if fn is mb_price_volatility else compute_returns(w, 1)
+
+    with pytest.raises(DegenerateDenominator):
+        fn(leg([1e-200] * 4, 1.0))
+    with pytest.raises(ConsistencyError, match="non-finite market_value"):
+        fn(leg([1.0] * 4, 1e160))  # values square to inf

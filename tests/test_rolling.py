@@ -18,6 +18,7 @@ from mbstat import (
     mb_price_volatility,
     mb_return_volatility,
 )
+from mbstat import rolling
 from mbstat.errors import InvalidConfig, MissingHistory, NonUniformSpacing
 from mbstat.oracle import relative_deviation
 from mbstat.rolling import FAMILIES, _anchor_interval
@@ -117,6 +118,12 @@ class TestPlan:
             make_plan(s1, s2, window=4, families=("return_corr",), alpha=0, beta=1)
         with pytest.raises(InvalidConfig):
             make_plan(s1, s2, window=4, families=("price_return_corr",), beta=0)
+
+    @pytest.mark.parametrize("lags", [{"alpha": -1}, {"beta": -1}])
+    def test_negative_lag_is_invalid_config(self, lags):
+        s1, s2 = synth_pair(20)
+        with pytest.raises(InvalidConfig, match="lags must be >= 0"):
+            make_plan(s1, s2, window=4, families=("price_corr",), **lags)
 
     def test_anchor_interval_snaps_to_default(self):
         assert _anchor_interval(256, 1) == 4096
@@ -224,3 +231,20 @@ class TestChunking:
         merged = collect_rolling_stats(s1, s2, plan)
         for i in range(plan.n_positions):
             assert merged.t_center[i] == plan.t_center(i)
+
+    def test_mirrored_products_are_one_pass(self, monkeypatch):
+        # (U1,C1)/(C1,U1) and (Co1,C1)/(C1,Co1) are one window sum each.
+        s1, s2 = synth_pair(9000)
+        plan = make_plan(s1, s2, window=8, alpha=1, beta=1)
+        passes = 0
+        window_sums = rolling._chunk_window_sums
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            return window_sums(*args)
+
+        monkeypatch.setattr(rolling, "_chunk_window_sums", counting)
+        blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
+        assert blocks > 1
+        assert passes == 31 * blocks
