@@ -3,22 +3,23 @@
 The engine advances a fixed-size window over the common grid of two series
 and maintains every needed window sum (sum x, sum x^2, sum x*y per tracked
 pair) by add/drop deltas from a periodically recomputed anchor: within a
-block the deltas are the cumulative sums of the entering and leaving ticks,
-and each block starts from a fresh full recomputation, which bounds drift.
-The anchor interval is 4096 strides, shrunk only when ``stride`` or a tiny
-window would let the in-block span grow past what keeps the incremental
-results within 1e-9 of full recomputation.
+block the deltas are read from one cumulative sum by two strided slices, and
+each block starts from a fresh full recomputation, which bounds drift.  The
+anchor interval is 4096 strides, shrunk only when ``stride`` or a tiny window
+would let the in-block span grow past what keeps the incremental results
+within 1e-9 of full recomputation.
 
 Everything per family comes from :data:`mbstat.market_core.FAMILY_LEGS`: the
 per-tick arrays of each leg, the window sums a family reads (a product's
 operands in sorted order, so that mirrored products such as ``U1*C1`` and
-``C1*U1`` are one pass: 31 passes per anchor block for all seven families),
-the averages slots and the lag rules.  The closed form and the checked joint
-moment are :func:`mbstat.market_core.closed_form` and
-:func:`~mbstat.market_core.checked_joint_moment`, the functions the
-per-window API calls, here over arrays of window positions.  Results stream
-out chunk by chunk (one chunk per anchor block), so a million-position run
-never holds more than one block of records in memory.
+``C1*U1`` are one pass: 31 per anchor block for all seven families), the
+averages slots and the lag rules.  Per block, each distinct sum is scaled to
+a mean once, and :func:`mbstat.market_core.closed_form` runs once per leg
+pair (5 for all seven families), under the first family in plan order that
+needs it; the joint moments reuse their correlation's closed form and each
+family keeps its own :func:`~mbstat.market_core.checked_joint_moment` and
+finiteness check.  Results stream out chunk by chunk (one chunk per anchor
+block), so a million-position run never holds more than one block of records.
 """
 
 from __future__ import annotations
@@ -235,26 +236,22 @@ def _sum_specs(family: str) -> dict[str, tuple[str, str | None]]:
             **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
-def _chunk_window_sums(x, y, s_anchor: int, rel: np.ndarray, n: int) -> np.ndarray:
-    """Window sums at starts ``s_anchor + rel``: full recompute at the anchor,
-    cumulative add/drop deltas within the block."""
-    hi = s_anchor + int(rel[-1]) + n
+def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.ndarray:
+    """Window sums at the ``k`` starts ``s_anchor + j*stride``: full recompute at
+    the anchor, add/drop deltas read from one cumulative sum by strided slices."""
+    hi = s_anchor + (k - 1) * stride + n
     seg = x[s_anchor:hi] if y is None else x[s_anchor:hi] * y[s_anchor:hi]
-    out = np.empty(rel.size, dtype=np.float64)
+    out = np.empty(k, dtype=np.float64)
     out[0] = np.sum(seg[:n])
-    if rel.size > 1:
+    if k > 1:
         c = np.cumsum(seg)
-        r = rel[1:]
-        out[1:] = out[0] + (c[r + n - 1] - c[n - 1]) - c[r - 1]
+        enter, leave = c[stride + n - 1 :: stride][: k - 1], c[stride - 1 :: stride][: k - 1]
+        out[1:] = out[0] + (enter - c[n - 1]) - leave
     return out
 
 
-def _family_records(family: str, sums: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
-    inv_n = 1.0 / n
-    m = {key: total * inv_n for key, total in sums.items()}
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = closed_form(
-        family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"], m["wc"], m["cw"], m["ww"]
-    )
+def _family_records(family: str, m: dict[str, np.ndarray], form: tuple) -> dict[str, np.ndarray]:
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
     freq = m["xx"] - m["x1"] * m["x2"]
     if family in (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY):
         market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
@@ -271,27 +268,30 @@ def _family_records(family: str, sums: dict[str, np.ndarray], n: int) -> dict[st
 def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     """Yield one :class:`RollingChunk` per anchor block, in position order."""
     arrays = _base_arrays(s1, s2, plan)
-    n = plan.window
-    half = (n - 1) / 2.0
+    n, stride = plan.window, plan.stride
+    inv_n, half = 1.0 / n, (n - 1) / 2.0
     family_specs = {family: _sum_specs(family) for family in plan.families}
     sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
 
     for c0 in range(0, plan.n_positions, plan.anchor):
-        c1 = min(c0 + plan.anchor, plan.n_positions)
-        rel = np.arange(c1 - c0, dtype=np.int64) * plan.stride
-        s_anchor = c0 * plan.stride
-        sums_by_spec = {
+        k = min(plan.anchor, plan.n_positions - c0)
+        s_anchor = c0 * stride
+        means = {
             (xn, yn): _chunk_window_sums(
-                arrays[xn], None if yn is None else arrays[yn], s_anchor, rel, n
-            )
+                arrays[xn], None if yn is None else arrays[yn], s_anchor, k, stride, n
+            ) * inv_n
             for (xn, yn) in sum_specs
         }
-        starts = s_anchor + rel
+        starts = s_anchor + np.arange(k, dtype=np.int64) * stride
         t_center = plan.t_origin + (starts + half) * plan.epsilon
-        families = {}
+        forms, families = {}, {}
         for family in plan.families:
-            sums = {k: sums_by_spec[spec] for k, spec in family_specs[family].items()}
-            families[family] = _family_records(family, sums, n)
+            m = {key: means[spec] for key, spec in family_specs[family].items()}
+            legs = FAMILY_LEGS[family]
+            if legs not in forms:  # run by the pair's first family, which its errors name
+                forms[legs] = closed_form(family, m["c1"], m["w1"], m["c2"], m["w2"],
+                                          m["cc"], m["wc"], m["cw"], m["ww"])
+            families[family] = _family_records(family, m, forms[legs])
         yield RollingChunk(first_position=c0, t_center=t_center, families=families)
 
 

@@ -80,9 +80,10 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     """Validate raw columns and build a :class:`TradeSeries`.
 
     Times must be strictly increasing with one constant integer spacing;
-    prices and volumes strictly positive.  A declared value column, if given,
-    is checked against price*volume and then discarded: the stored value is
-    always the exact float product, so the trade identity holds bit-exactly.
+    prices and volumes strictly positive, their product (the trade value)
+    finite.  A declared value column, if given, is checked against
+    price*volume and then discarded: the stored value is always the exact
+    float product, so the trade identity holds bit-exactly.
     """
     t_raw = np.asarray(times)
     if t_raw.dtype.kind == "f" and not np.all(t_raw == np.floor(t_raw)):
@@ -122,7 +123,12 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     else:
         epsilon = 1  # single tick: spacing is vacuous
 
-    value = price * volume
+    with np.errstate(over="ignore"):  # refused just below, naming the row
+        value = price * volume
+    if not np.all(np.isfinite(value)):
+        i = int(np.argmax(~np.isfinite(value)))
+        raise ParseError(f"trade value price*volume = {float(price[i])!r}*{float(volume[i])!r} "
+                         f"at t={t[i]} is not finite")
     if declared_values is not None:
         declared = np.asarray(declared_values, dtype=np.float64)
         if declared.size != t.size:

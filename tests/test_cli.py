@@ -214,6 +214,16 @@ class TestAnalyze:
         assert code == 4
         assert "NonUniformSpacing" in capsys.readouterr().err
 
+    def test_overflowing_trade_value_is_a_parse_error(self, tmp_path, capsys):
+        rows = "".join(f"{t},{1e300 if t == 5 else 2.0!r},{1e9 if t == 5 else 1.0!r}\n"
+                       for t in range(20))
+        p1, p2 = write_pair(tmp_path, "t,price,volume\n" + rows)
+        out = str(tmp_path / "out.json")
+        assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "4",
+                     "--stats", "return_vol", "--alpha", "1", "--output", out]) == 4
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err and "at t=5 is not finite" in err
+
     def test_unknown_stat_exit_2(self, tmp_path, capsys):
         p1, p2 = write_pair(tmp_path)
         code = main([

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from mbstat import (
     mb_return_volatility,
 )
 from mbstat import rolling
-from mbstat.errors import InvalidConfig, MissingHistory, NonUniformSpacing
+from mbstat.errors import DegenerateDenominator, InvalidConfig, MissingHistory, NonUniformSpacing
+from mbstat.market_core import average_slots, checked_joint_moment, closed_form, require_finite
 from mbstat.oracle import relative_deviation
 from mbstat.rolling import FAMILIES, _anchor_interval
 
@@ -248,3 +251,142 @@ class TestChunking:
         blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
         assert blocks > 1
         assert passes == 31 * blocks
+
+
+# Test-only reference: the engine as it stood before strided window sums, one
+# mean per distinct sum and one closed form per leg pair; every array it
+# yields must be bit-identical to the engine's.
+def _ref_chunk_window_sums(x, y, s_anchor, rel, n):
+    hi = s_anchor + int(rel[-1]) + n
+    seg = x[s_anchor:hi] if y is None else x[s_anchor:hi] * y[s_anchor:hi]
+    out = np.empty(rel.size, dtype=np.float64)
+    out[0] = np.sum(seg[:n])
+    if rel.size > 1:
+        c = np.cumsum(seg)
+        r = rel[1:]
+        out[1:] = out[0] + (c[r + n - 1] - c[n - 1]) - c[r - 1]
+    return out
+
+
+def _ref_family_records(family, sums, n):
+    inv_n = 1.0 / n
+    m = {key: total * inv_n for key, total in sums.items()}
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = closed_form(
+        family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"], m["wc"], m["cw"], m["ww"]
+    )
+    freq = m["xx"] - m["x1"] * m["x2"]
+    if family in ("joint_price_moment", "joint_return_moment"):
+        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
+                                      m["ww"])
+        freq = m["xx"]
+    require_finite(family, market_value=market, frequency_value=freq, denominator=m["ww"])
+    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), np.zeros_like(market))
+    averages.update(zip(average_slots(family), (g1, g2)))
+    return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
+            "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
+
+
+def ref_iter_rolling_stats(s1, s2, plan):
+    arrays = rolling._base_arrays(s1, s2, plan)
+    n = plan.window
+    half = (n - 1) / 2.0
+    family_specs = {family: rolling._sum_specs(family) for family in plan.families}
+    sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
+    for c0 in range(0, plan.n_positions, plan.anchor):
+        c1 = min(c0 + plan.anchor, plan.n_positions)
+        rel = np.arange(c1 - c0, dtype=np.int64) * plan.stride
+        s_anchor = c0 * plan.stride
+        sums_by_spec = {
+            (xn, yn): _ref_chunk_window_sums(
+                arrays[xn], None if yn is None else arrays[yn], s_anchor, rel, n
+            )
+            for (xn, yn) in sum_specs
+        }
+        t_center = plan.t_origin + (s_anchor + rel + half) * plan.epsilon
+        families = {}
+        for family in plan.families:
+            sums = {k: sums_by_spec[spec] for k, spec in family_specs[family].items()}
+            families[family] = _ref_family_records(family, sums, n)
+        yield c0, t_center, families
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_pair(n_ticks):
+    return synth_pair(n_ticks, seed=300, price_start=1e4, log_price_step_sd=1e-3)
+
+
+def _guard_plan(window, stride, lag, families):
+    """A plan of at least three anchor blocks, the last one partial."""
+    anchor = _anchor_interval(window, stride)
+    positions = 2 * anchor + anchor // 2 + 1
+    s1, s2 = _guard_pair(window + (positions - 1) * stride + lag)
+    plan = make_plan(s1, s2, window=window, stride=stride, alpha=lag, beta=lag,
+                     families=families)
+    assert plan.n_positions > 2 * plan.anchor and plan.n_positions % plan.anchor, plan
+    return s1, s2, plan
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared as is
+        return type(exc), str(exc)
+
+
+class TestBitIdentityGuard:
+    FAMILY_SETS = [FAMILIES, ("joint_price_moment",), ("price_corr", "joint_price_moment"),
+                   ("return_vol",)]
+
+    @pytest.mark.parametrize("families", FAMILY_SETS, ids=lambda fs: ",".join(fs))
+    @pytest.mark.parametrize("lag", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7, 256])
+    @pytest.mark.parametrize("window", [1, 4, 10, 256])  # 10: 1/n is inexact
+    def test_engine_matches_reference_bits(self, window, stride, lag, families):
+        s1, s2, plan = _guard_plan(window, stride, lag, families)
+        got = list(iter_rolling_stats(s1, s2, plan))
+        want = list(ref_iter_rolling_stats(s1, s2, plan))
+        assert len(got) == len(want) >= 3
+        for chunk, (c0, t_center, ref_families) in zip(got, want):
+            assert chunk.first_position == c0
+            assert chunk.t_center.tobytes() == t_center.tobytes()
+            assert list(chunk.families) == list(ref_families)
+            for family, arrays in ref_families.items():
+                assert list(chunk.families[family]) == list(arrays)
+                for key, arr in arrays.items():
+                    assert chunk.families[family][key].dtype == arr.dtype
+                    assert chunk.families[family][key].tobytes() == arr.tobytes(), (family, key)
+
+    def test_one_closed_form_per_leg_pair(self, monkeypatch):
+        # seven families over five leg pairs: the joint moments reuse the
+        # closed form of their correlation
+        s1, s2, plan = _guard_plan(8, 1, 1, FAMILIES)
+        calls = []
+        form = rolling.closed_form
+
+        def counting(family, *args):
+            calls.append(family)
+            return form(family, *args)
+
+        monkeypatch.setattr(rolling, "closed_form", counting)
+        blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
+        assert blocks >= 3
+        assert calls == ["price_corr", "return_corr", "price_return_corr", "price_vol",
+                         "return_vol"] * blocks
+
+    @pytest.mark.parametrize("families, named", [
+        (("price_corr", "joint_price_moment"), "price_corr"),
+        (("joint_price_moment", "price_corr"), "joint_price_moment"),
+        (("joint_price_moment",), "joint_price_moment"),
+    ])
+    def test_degenerate_shared_carrier_error_unchanged(self, families, named):
+        # volumes near 1e-160 put jm(U1, U2) near 1e-320, below DENOM_FLOOR
+        n = 40
+        rng = np.random.default_rng(7)
+        s1, s2 = (make_series(name, np.arange(n), 100.0 + rng.random(n),
+                              1e-160 * (1.0 + rng.random(n))) for name in ("one", "two"))
+        plan = make_plan(s1, s2, window=8, stride=1, families=families)
+        got = _outcome(lambda: list(iter_rolling_stats(s1, s2, plan)))
+        want = _outcome(lambda: list(ref_iter_rolling_stats(s1, s2, plan)))
+        assert got == want
+        assert got[0] is DegenerateDenominator
+        assert got[1].startswith(f"{named}: carrier joint moment ")

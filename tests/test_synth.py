@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,29 @@ class TestDeterminism:
         free = gen_trades(SynthConfig(n_ticks=50, seed=9, mode="free"))
         const = gen_trades(SynthConfig(n_ticks=50, seed=9, mode="constant_volume"))
         assert np.array_equal(free.price, const.price)
+
+
+# SHA-256 of serialize(gen_trades(...)) at 2000 ticks.  GENERATOR_ID promises
+# the same bits on every platform; a change here means np.exp, np.log or np.cos
+# (or the generator itself) now gives other bits, and GENERATOR_ID must move.
+PINNED_DIGESTS = {
+    ("free", 1): "a22bbb57d3d23b1a8416e0ee41279094f8ad6d3e31883fe3a58573d85da4f65c",
+    ("free", 42): "78f14c257b2425fef647f70e807cbc675055aed291879f6f2a28adb42e9c6488",
+    ("free", 20260): "dbb54afca0aa4e20e0bf99421427b116f8bcb4604a48763520a76299ed454a71",
+    ("constant_past_value", 1):
+        "ab9f51926675d974debce656ab7e37bb6461633cb35932955225272a55eb6389",
+    ("constant_past_value", 42):
+        "b81b0bf87556feedc118372a4d2492ad0079f3a36dd8e852e76f5b65f281ae25",
+    ("constant_past_value", 20260):
+        "53db3d3893318365d3b11d12d84f3a6d4004eeb78fb3e87c0be2b7961df6b0a9",
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(PINNED_DIGESTS))
+def test_pinned_digest(mode, seed):
+    extra = {"alpha": 2} if mode == "constant_past_value" else {}
+    text = serialize(gen_trades(SynthConfig(n_ticks=2000, seed=seed, mode=mode, **extra)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[mode, seed]
 
 
 class TestModes:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -85,6 +87,16 @@ class TestParse:
     def test_column_count(self):
         with pytest.raises(ParseError):
             parse_trades("t,price,volume\n0,2")
+
+    def test_overflowing_trade_value_rejected(self):
+        # price and volume are finite, their product is not
+        text = "t,price,volume\n0,2,1\n1,1e300,1e9\n2,3,1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the rule, not a numpy warning
+            with pytest.raises(ParseError, match=r"= 1e\+300\*1000000000\.0 at t=1 "):
+                parse_trades(text)
+            with pytest.raises(ParseError, match="at t=5 is not finite"):
+                make_series("a", [4, 5], [2.0, 1e200], [1.0, 1e200])
 
 
 class TestRoundTrip:
