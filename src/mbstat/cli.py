@@ -16,9 +16,10 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory
+from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory, ParseError
 from .market_core import (
     FAMILIES,
+    FAMILY_LEGS,
     JOINT_PRICE_FAMILY,
     JOINT_RETURN_FAMILY,
     PRICE_FAMILY,
@@ -26,15 +27,13 @@ from .market_core import (
     PRICE_VOL_FAMILY,
     RETURN_FAMILY,
     RETURN_VOL_FAMILY,
-    mb_corr_price_return,
-    mb_corr_prices,
-    mb_corr_returns,
+    average_slots,
 )
 from .oracle import oracle_corr, relative_deviation
 from .reports import write_csv, write_json
-from .rolling import check_request, iter_rolling_stats, make_plan
+from .rolling import check_request, iter_rolling_stats, leg_sequences, make_plan
 from .synth import MODES, SynthConfig, gen_trades
-from .trade_series import Window, compute_returns, parse_trades, serialize
+from .trade_series import parse_trades, serialize
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -53,7 +52,10 @@ _STAT_CHOICES = {
     "joint_moments": (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY),
 }
 
-_VERIFY_CHOICES = ("price_corr", "return_corr", "price_return_corr")
+_VERIFY_DEFAULT = "price_corr,return_corr,price_return_corr"
+
+# The oracle's correlation kind is named by the two legs' letters.
+_ORACLE_LEG_KIND = {"p": "price", "r": "return"}
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,11 @@ def _parse_stats(spec: str) -> tuple[str, ...]:
 
 
 def _read_series(path: str, label: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()  # one decode of the whole file: offsets are file offsets
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     return parse_trades(text, asset_id=label)
 
 
@@ -170,18 +175,12 @@ def run_analyze(request: AnalyzeRequest) -> int:
 
 
 def run_verify(args) -> int:
-    """Recompute every window's correlations with the brute-force oracle and
-    compare against the closed forms."""
-    stats = tuple(dict.fromkeys(s.strip() for s in args.stats.split(",")))
-    for name in stats:
-        if name not in _VERIFY_CHOICES:
-            raise InvalidConfig(
-                f"unknown verify family {name!r}; choose from {', '.join(_VERIFY_CHOICES)}"
-            )
-    if args.tol < 0:
-        raise InvalidConfig("--tol must be >= 0")
-    requested = {_STAT_CHOICES[s][0] for s in stats}
-    families = tuple(f for f in FAMILIES if f in requested)
+    """Drain the rolling engine, the one ``analyze`` reports from, and check
+    every window's market value against the brute-force oracle run on that
+    window's raw per-tick sequences."""
+    families = _parse_stats(args.stats)
+    if not args.tol >= 0:  # also refuses NaN
+        raise InvalidConfig(f"--tol must be >= 0, got {args.tol!r}")
     check_request(args.window, args.stride, args.alpha, args.beta, families)
 
     s1 = _read_series(args.asset1_path, "asset1")
@@ -195,61 +194,46 @@ def run_verify(args) -> int:
         beta=args.beta,
         families=families,
     )
-    worst = {}  # family -> (dev, t_center) of its first worst window
+    sequences = leg_sequences(s1, s2, plan)
+    worst = {}  # family -> (dev, position) of its first worst window
     n = plan.window
-    for i in range(plan.n_positions):
-        i1 = plan.start_index1(i)
-        i2 = plan.start_index2(i)
-        w1 = Window(s1, i1, n)
-        rv1 = rv2 = None
-        if "return_corr" in stats:
-            rv1 = compute_returns(w1, args.alpha)
-        if "return_corr" in stats or "price_return_corr" in stats:
-            rv2 = compute_returns(Window(s2, i2, n), args.beta)
-        for name in stats:
-            if name == "price_corr":
-                w2 = Window(s2, i2, n, lag=args.beta)
-                rep = mb_corr_prices(w1, w2)
-                direct = oracle_corr(
-                    "price_price", w1.price, w2.price, w1.volume, w2.volume,
-                    rep.averages.a1, rep.averages.a2,
-                )
-                scale = abs(rep.averages.a1 * rep.averages.a2)
-            elif name == "return_corr":
-                rep = mb_corr_returns(rv1, rv2)
-                direct = oracle_corr(
-                    "return_return", rv1.r, rv2.r, rv1.c_past, rv2.c_past,
-                    rep.averages.h1, rep.averages.h2,
-                )
-                scale = abs(rep.averages.h1 * rep.averages.h2)
-            else:
-                rep = mb_corr_price_return(w1, rv2)
-                direct = oracle_corr(
-                    "price_return", w1.price, rv2.r, w1.volume, rv2.c_past,
-                    rep.averages.a1, rep.averages.h2,
-                )
-                scale = abs(rep.averages.a1 * rep.averages.h2)
-            dev = relative_deviation(rep.market_value, direct, scale)
-            prev = worst.get(name)
-            # A NaN deviation (a non-finite oracle sum) ranks above every number.
-            if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
-                worst[name] = (dev, plan.t_center(i))
+    for chunk in iter_rolling_stats(s1, s2, plan):
+        for family in families:
+            legs = FAMILY_LEGS[family]
+            kind = "_".join(_ORACLE_LEG_KIND[leg[0]] for leg in legs)
+            (x1, w1), (x2, w2) = (sequences[leg] for leg in legs)
+            joint = family in (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY)
+            records = chunk.families[family]
+            columns = (records[key].tolist() for key in ("market_value", *average_slots(family)))
+            for j, (market, g1, g2) in enumerate(zip(*columns)):
+                position = chunk.first_position + j
+                lo = position * plan.stride
+                direct = oracle_corr(kind, x1[lo : lo + n], x2[lo : lo + n],
+                                     w1[lo : lo + n], w2[lo : lo + n], g1, g2)
+                if joint:
+                    direct += g1 * g2
+                dev = relative_deviation(market, direct, abs(g1 * g2))
+                prev = worst.get(family)
+                # A NaN deviation (a non-finite oracle sum) ranks above every number.
+                if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
+                    worst[family] = (dev, position)
 
     failed = []
-    for name in stats:
-        dev, at = worst[name]
+    for family in families:
+        dev, position = worst[family]
+        at = plan.t_center(position)
         ok = dev <= args.tol  # False for NaN
         status = "ok" if ok else "FAIL"
         print(
-            f"{name}: max_rel_dev={dev:.6e} at t_center={at:g} "
+            f"{family}: max_rel_dev={dev:.6e} at t_center={at:g} "
             f"over {plan.n_positions} windows [{status}]"
         )
         if not ok:
-            failed.append((name, at, dev))
+            failed.append((family, at, dev))
     if failed:
-        for name, at, dev in failed:
+        for family, at, dev in failed:
             print(
-                f"tolerance breach: family={name} window_t_center={at:g} "
+                f"tolerance breach: family={family} window_t_center={at:g} "
                 f"deviation={dev:.6e} > tol={args.tol:g}",
                 file=sys.stderr,
             )
@@ -302,11 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(handler=_handle_analyze)
 
     ver = sub.add_parser(
-        "verify", help="check closed forms against the brute-force oracle per window"
+        "verify", help="check analyze's numbers against the brute-force oracle per window"
     )
     add_pair_flags(ver)
-    ver.add_argument("--stats", default=",".join(_VERIFY_CHOICES),
-                     help="comma-separated subset of: " + ", ".join(_VERIFY_CHOICES))
+    ver.add_argument("--stats", default=_VERIFY_DEFAULT,
+                     help="comma-separated subset of: " + ", ".join(sorted(_STAT_CHOICES)))
     ver.add_argument("--tol", type=float, default=1e-9,
                      help="max allowed relative deviation")
     ver.set_defaults(handler=run_verify)

@@ -225,6 +225,15 @@ def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[st
     return arrays
 
 
+def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
+    """Per leg of the plan: the per-tick values (prices or returns) and weight
+    carrier (volumes or past values) the engine reads.  Position ``i``'s
+    window is ``[i*stride, i*stride + window)`` of each array."""
+    arrays = _base_arrays(s1, s2, plan)
+    return {leg: (arrays[_LEG_ARRAYS[leg][2]], arrays[_LEG_ARRAYS[leg][1]])
+            for leg in _legs(plan.families)}
+
+
 def _sum_specs(family: str) -> dict[str, tuple[str, str | None]]:
     """The window sums a family reads, as ``(x, y)`` array names (``y=None``
     is a plain sum).  A product's names are sorted: ``x*y == y*x`` bit for

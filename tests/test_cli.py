@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from mbstat import cli, parse_trades
+from mbstat import FAMILIES, cli, parse_trades
 from mbstat.cli import main
 from mbstat.errors import ConsistencyError
 from mbstat.reports import RECORD_FIELDS
@@ -371,6 +371,69 @@ class TestVerify:
         assert "error[ConsistencyError]" in capsys.readouterr().err
         assert main(["analyze", *flags, "--output", str(tmp_path / "out.json")]) == 4
         assert "error[ConsistencyError]" in capsys.readouterr().err
+
+
+    def test_tol_nan_is_refused_before_any_file_is_read(self, tmp_path, capsys):
+        code = main([
+            "verify", "--asset1-path", str(tmp_path / "absent.csv"),
+            "--asset2-path", str(tmp_path / "absent2.csv"), "--window", "2", "--tol", "nan",
+        ])
+        assert code == 2
+        assert "error[InvalidConfig]: --tol" in capsys.readouterr().err
+
+    def test_all_seven_families_in_family_order(self, tmp_path, capsys):
+        p1, p2 = generate_pair(tmp_path, n=240)
+        code = main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "24", "--stride", "8", "--alpha", "1", "--beta", "2",
+            "--stats", "joint_moments,return_vol,price_vol,price_return_corr,return_corr,"
+                       "price_corr",
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split(":")[0] for line in lines] == list(FAMILIES)
+        assert all(line.endswith("over 27 windows [ok]") for line in lines)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_catches_a_wrong_engine_number(self, tmp_path, capsys, monkeypatch, family):
+        # One volatile series against itself: every family's value is large
+        # next to its g1*g2 floor, so a 1e-6 error shows against --tol 1e-9.
+        path = generate_pair(tmp_path, n=240, extra=("--log-price-step-sd", "0.2"))[0]
+        engine = cli.iter_rolling_stats
+
+        def one_family_off(*args):
+            for chunk in engine(*args):
+                records = chunk.families[family]
+                records["market_value"] = records["market_value"] * (1 + 1e-6)
+                yield chunk
+
+        monkeypatch.setattr(cli, "iter_rolling_stats", one_family_off)
+        code = main([
+            "verify", "--asset1-path", path, "--asset2-path", path,
+            "--window", "24", "--stride", "8",
+            "--stats", "price_corr,return_corr,price_return_corr,price_vol,return_vol,"
+                       "joint_moments",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        status = {line.split(":")[0]: line.rsplit(" ", 1)[1]
+                  for line in captured.out.splitlines()}
+        assert status == {f: "[FAIL]" if f == family else "[ok]" for f in FAMILIES}
+        assert f"tolerance breach: family={family} " in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    p1, p2 = write_pair(tmp_path)
+    with open(p1, "ab") as fh:
+        fh.write(b"3,\xff,1\n")
+    argv = [command, "--asset1-path", p1, "--asset2-path", p2, "--window", "2",
+            "--stats", "price_corr"]
+    if command == "analyze":
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == 4
+    offset = len(WORKED_ASSET1) + 2
+    assert f"error[ParseError]: {p1}: byte {offset} is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
