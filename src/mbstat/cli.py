@@ -14,21 +14,9 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory, ParseError
-from .market_core import (
-    FAMILIES,
-    FAMILY_LEGS,
-    JOINT_PRICE_FAMILY,
-    JOINT_RETURN_FAMILY,
-    PRICE_FAMILY,
-    PRICE_RETURN_FAMILY,
-    PRICE_VOL_FAMILY,
-    RETURN_FAMILY,
-    RETURN_VOL_FAMILY,
-    average_slots,
-)
+from .market_core import FAMILIES, FAMILY_LEGS, JOINT_FAMILIES, average_slots
 from .oracle import oracle_corr, relative_deviation
 from .reports import write_csv, write_json
 from .rolling import check_request, iter_rolling_stats, leg_sequences, make_plan
@@ -42,52 +30,14 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_HISTORY = 5
 
-# CLI stat names; joint_moments expands to both joint families.
-_STAT_CHOICES = {
-    "price_corr": (PRICE_FAMILY,),
-    "return_corr": (RETURN_FAMILY,),
-    "price_return_corr": (PRICE_RETURN_FAMILY,),
-    "price_vol": (PRICE_VOL_FAMILY,),
-    "return_vol": (RETURN_VOL_FAMILY,),
-    "joint_moments": (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY),
-}
+# CLI stat names: each family by its own name, but joint_moments for both joint families.
+_STAT_CHOICES = {f: (f,) for f in FAMILIES if f not in JOINT_FAMILIES}
+_STAT_CHOICES["joint_moments"] = JOINT_FAMILIES
 
 _VERIFY_DEFAULT = "price_corr,return_corr,price_return_corr"
 
 # The oracle's correlation kind is named by the two legs' letters.
 _ORACLE_LEG_KIND = {"p": "price", "r": "return"}
-
-
-@dataclass(frozen=True)
-class AnalyzeRequest:
-    """A resolved analyze invocation (paths, lags, window geometry, output)."""
-
-    asset1_path: str
-    asset2_path: str
-    beta: int
-    alpha: int
-    window: int
-    stride: int
-    stats: tuple[str, ...]
-    output: str
-    format: str
-
-    def __post_init__(self):
-        check_request(self.window, self.stride, self.alpha, self.beta, self.stats)
-        if self.format not in ("json", "csv"):
-            raise InvalidConfig(f"--format must be json or csv, got {self.format!r}")
-
-
-def _parse_stats(spec: str) -> tuple[str, ...]:
-    requested = set()
-    for name in spec.split(","):
-        name = name.strip()
-        if name not in _STAT_CHOICES:
-            raise InvalidConfig(
-                f"unknown stat {name!r}; choose from {', '.join(sorted(_STAT_CHOICES))}"
-            )
-        requested.update(_STAT_CHOICES[name])
-    return tuple(f for f in FAMILIES if f in requested)
 
 
 def _read_series(path: str, label: str):
@@ -153,21 +103,31 @@ def run_generate(args) -> int:
     return EXIT_OK
 
 
-def run_analyze(request: AnalyzeRequest) -> int:
-    s1 = _read_series(request.asset1_path, "asset1")
-    s2 = _read_series(request.asset2_path, "asset2")
-    plan = make_plan(
-        s1,
-        s2,
-        window=request.window,
-        stride=request.stride,
-        alpha=request.alpha,
-        beta=request.beta,
-        families=request.stats,
-    )
+def _plan(args):
+    """The pair and the plan of an ``analyze`` or ``verify`` invocation.  The
+    stat names and the request are checked before any file is read."""
+    requested = set()
+    for name in args.stats.split(","):
+        name = name.strip()
+        if name not in _STAT_CHOICES:
+            raise InvalidConfig(
+                f"unknown stat {name!r}; choose from {', '.join(sorted(_STAT_CHOICES))}"
+            )
+        requested.update(_STAT_CHOICES[name])
+    families = tuple(f for f in FAMILIES if f in requested)
+    check_request(args.window, args.stride, args.alpha, args.beta, families)
+    s1 = _read_series(args.asset1_path, "asset1")
+    s2 = _read_series(args.asset2_path, "asset2")
+    plan = make_plan(s1, s2, window=args.window, stride=args.stride, alpha=args.alpha,
+                     beta=args.beta, families=families)
+    return s1, s2, plan
+
+
+def run_analyze(args) -> int:
+    s1, s2, plan = _plan(args)
     chunks = iter_rolling_stats(s1, s2, plan)
-    with _output(request.output) as out:
-        if request.format == "json":
+    with _output(args.output) as out:
+        if args.format == "json":
             write_json(out, plan, chunks)
         else:
             write_csv(out, plan, chunks)
@@ -178,33 +138,22 @@ def run_verify(args) -> int:
     """Drain the rolling engine, the one ``analyze`` reports from, and check
     every window's market value against the brute-force oracle run on that
     window's raw per-tick sequences."""
-    families = _parse_stats(args.stats)
     if not args.tol >= 0:  # also refuses NaN
         raise InvalidConfig(f"--tol must be >= 0, got {args.tol!r}")
-    check_request(args.window, args.stride, args.alpha, args.beta, families)
-
-    s1 = _read_series(args.asset1_path, "asset1")
-    s2 = _read_series(args.asset2_path, "asset2")
-    plan = make_plan(
-        s1,
-        s2,
-        window=args.window,
-        stride=args.stride,
-        alpha=args.alpha,
-        beta=args.beta,
-        families=families,
-    )
+    s1, s2, plan = _plan(args)
     sequences = leg_sequences(s1, s2, plan)
+    checks = []  # per family: its oracle kind, joint flag, legs' arrays and columns read
+    for family in plan.families:
+        leg1, leg2 = FAMILY_LEGS[family]
+        kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
+        checks.append((family, kind, family in JOINT_FAMILIES, sequences[leg1], sequences[leg2],
+                       ("market_value", *average_slots(family))))
     worst = {}  # family -> (dev, position) of its first worst window
     n = plan.window
     for chunk in iter_rolling_stats(s1, s2, plan):
-        for family in families:
-            legs = FAMILY_LEGS[family]
-            kind = "_".join(_ORACLE_LEG_KIND[leg[0]] for leg in legs)
-            (x1, w1), (x2, w2) = (sequences[leg] for leg in legs)
-            joint = family in (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY)
+        for family, kind, joint, (x1, w1), (x2, w2), keys in checks:
             records = chunk.families[family]
-            columns = (records[key].tolist() for key in ("market_value", *average_slots(family)))
+            columns = (records[key].tolist() for key in keys)
             for j, (market, g1, g2) in enumerate(zip(*columns)):
                 position = chunk.first_position + j
                 lo = position * plan.stride
@@ -219,13 +168,13 @@ def run_verify(args) -> int:
                     worst[family] = (dev, position)
 
     failed = []
-    for family in families:
+    for family in plan.families:
         dev, position = worst[family]
         at = plan.t_center(position)
         ok = dev <= args.tol  # False for NaN
         status = "ok" if ok else "FAIL"
         print(
-            f"{family}: max_rel_dev={dev:.6e} at t_center={at:g} "
+            f"{family}: max_rel_dev={dev:.6e} at t_center={at!r} "
             f"over {plan.n_positions} windows [{status}]"
         )
         if not ok:
@@ -233,7 +182,7 @@ def run_verify(args) -> int:
     if failed:
         for family, at, dev in failed:
             print(
-                f"tolerance breach: family={family} window_t_center={at:g} "
+                f"tolerance breach: family={family} window_t_center={at!r} "
                 f"deviation={dev:.6e} > tol={args.tol:g}",
                 file=sys.stderr,
             )
@@ -267,14 +216,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--asset-id", default=None)
     gen.set_defaults(handler=run_generate)
 
-    def add_pair_flags(p, with_stride_default=1):
+    def add_pair_flags(p):
         p.add_argument("--asset1-path", required=True)
         p.add_argument("--asset2-path", required=True)
         p.add_argument("--alpha", type=int, default=1, help="leg-1 return horizon (grid steps)")
         p.add_argument("--beta", type=int, default=1,
                        help="leg-2 lag / return horizon (grid steps)")
         p.add_argument("--window", type=int, required=True, help="ticks per window")
-        p.add_argument("--stride", type=int, default=with_stride_default,
+        p.add_argument("--stride", type=int, default=1,
                        help="grid steps between window positions")
 
     ana = sub.add_parser("analyze", help="rolling-window statistics of an asset pair")
@@ -283,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset of: " + ", ".join(sorted(_STAT_CHOICES)))
     ana.add_argument("--output", default="-", help="report path, '-' for stdout")
     ana.add_argument("--format", default="json", choices=["json", "csv"])
-    ana.set_defaults(handler=_handle_analyze)
+    ana.set_defaults(handler=run_analyze)
 
     ver = sub.add_parser(
         "verify", help="check analyze's numbers against the brute-force oracle per window"
@@ -295,21 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="max allowed relative deviation")
     ver.set_defaults(handler=run_verify)
     return parser
-
-
-def _handle_analyze(args) -> int:
-    request = AnalyzeRequest(
-        asset1_path=args.asset1_path,
-        asset2_path=args.asset2_path,
-        beta=args.beta,
-        alpha=args.alpha,
-        window=args.window,
-        stride=args.stride,
-        stats=_parse_stats(args.stats),
-        output=args.output,
-        format=args.format,
-    )
-    return run_analyze(request)
 
 
 def main(argv=None) -> int:

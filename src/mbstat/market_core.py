@@ -83,6 +83,9 @@ FAMILY_LEGS = {
 #: Canonical emission order; reports iterate families in this order.
 FAMILIES = tuple(FAMILY_LEGS)
 
+#: The joint moments ``g1*g2 + corr``, each over its correlation's legs.
+JOINT_FAMILIES = (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY)
+
 
 def average_slots(family: str) -> tuple[str, str]:
     """The :class:`MarketAverages` slots a family's two averages fill: ``a``

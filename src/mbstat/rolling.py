@@ -33,6 +33,7 @@ from .errors import InvalidConfig, MissingHistory, NonUniformSpacing
 from .market_core import (  # the family names stay importable from here
     FAMILIES,
     FAMILY_LEGS,
+    JOINT_FAMILIES,
     JOINT_PRICE_FAMILY,
     JOINT_RETURN_FAMILY,
     PRICE_FAMILY,
@@ -262,7 +263,7 @@ def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.n
 def _family_records(family: str, m: dict[str, np.ndarray], form: tuple) -> dict[str, np.ndarray]:
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
     freq = m["xx"] - m["x1"] * m["x2"]
-    if family in (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY):
+    if family in JOINT_FAMILIES:
         market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
                                       m["ww"])
         freq = m["xx"]  # raw frequency joint moment

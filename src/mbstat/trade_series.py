@@ -193,12 +193,8 @@ def serialize(series: TradeSeries) -> str:
     """Render the canonical CSV form: three columns, LF endings, shortest
     round-trip-exact decimal for each float.  ``parse_trades(serialize(s))``
     reproduces ``s`` bit-exactly."""
-    rows = [CSV_HEADER]
-    t, price, volume = series.t, series.price, series.volume
-    for i in range(len(series)):
-        rows.append(f"{int(t[i])},{float(price[i])!r},{float(volume[i])!r}")
-    rows.append("")
-    return "\n".join(rows)
+    columns = zip(series.t.tolist(), series.price.tolist(), series.volume.tolist())
+    return "\n".join([CSV_HEADER, *(f"{t},{p!r},{v!r}" for t, p, v in columns), ""])
 
 
 @dataclass(frozen=True)

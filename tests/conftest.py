@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from direct import returns_of
 from mbstat import Window, compute_returns, make_series
 
 # Bounded positive floats keep every statistic's natural scale near 1, so the
@@ -46,9 +47,7 @@ def return_view_pairs(draw, min_n=2, max_n=32):
     ]
     s1 = make_series("hyp1", np.arange(total), cols[0], cols[1])
     s2 = make_series("hyp2", np.arange(total), cols[2], cols[3])
-    rv1 = compute_returns(Window(s1, hist, n), alpha)
-    rv2 = compute_returns(Window(s2, hist, n), beta)
-    return rv1, rv2
+    return returns_of(s1, hist, n, alpha), returns_of(s2, hist, n, beta)
 
 
 @pytest.fixture

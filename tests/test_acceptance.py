@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from direct import direct_values, legs, returns_of
 from mbstat import (
     SynthConfig,
     Window,
@@ -100,10 +101,7 @@ def test_criterion_1_oracle_equivalence():
         beta = int(rng.integers(1, 4))
         hist = max(alpha, beta)
         s1, s2 = free_pair(seed, n + hist, rng)
-        w1 = Window(s1, hist, n)
-        w2_lagged = Window(s2, hist, n, lag=beta)
-        rv1 = compute_returns(w1, alpha)
-        rv2 = compute_returns(Window(s2, hist, n), beta)
+        w1, w2_lagged, rv1, rv2 = legs(s1, s2, hist, hist, n, alpha, beta)
         for family, (closed, direct, floor) in three_family_deviation(
             w1, w2_lagged, rv1, rv2
         ).items():
@@ -153,8 +151,8 @@ def test_criterion_2_degenerate_reductions():
         )
         s1 = gen_trades(mk(4000 + 2 * seed, alpha))
         s2 = gen_trades(mk(4001 + 2 * seed, beta))
-        rv1 = compute_returns(Window(s1, hist, n), alpha)
-        rv2 = compute_returns(Window(s2, hist, n), beta)
+        rv1 = returns_of(s1, hist, n, alpha)
+        rv2 = returns_of(s2, hist, n, beta)
         rep = mb_corr_returns(rv1, rv2)
         gaps["return"] = max(gaps["return"], bound(rep.market_value, rep.frequency_value))
 
@@ -171,7 +169,7 @@ def test_criterion_2_degenerate_reductions():
             log_price_step_sd=step, mode="constant_past_value", alpha=beta,
         ))
         w1 = Window(s1, beta, n)
-        rv2 = compute_returns(Window(s2, beta, n), beta)
+        rv2 = returns_of(s2, beta, n, beta)
         rep = mb_corr_price_return(w1, rv2)
         gaps["price_return"] = max(
             gaps["price_return"], bound(rep.market_value, rep.frequency_value)
@@ -250,10 +248,7 @@ def test_criterion_4_identity_suite():
         beta = int(rng.integers(1, 3))
         hist = max(alpha, beta)
         s1, s2 = free_pair(40000 + seed, n + hist, rng)
-        w1 = Window(s1, hist, n)
-        w2_lagged = Window(s2, hist, n, lag=beta)
-        rv1 = compute_returns(w1, alpha)
-        rv2 = compute_returns(Window(s2, hist, n), beta)
+        w1, w2_lagged, rv1, rv2 = legs(s1, s2, hist, hist, n, alpha, beta)
 
         # combined vs expanded arrangements of the joint moments
         from mbstat import joint_moment
@@ -374,21 +369,8 @@ def test_criterion_6_performance():
 
     worst = 0.0
     for j, pos in enumerate(sampled.tolist()):
-        i1 = plan.start_index1(pos)
-        i2 = plan.start_index2(pos)
-        w1 = Window(s1, i1, window)
-        w2_lagged = Window(s2, i2, window, lag=1)
-        rv1 = compute_returns(w1, 1)
-        rv2 = compute_returns(Window(s2, i2, window), 1)
-        direct = {
-            "price_corr": mb_corr_prices(w1, w2_lagged).market_value,
-            "return_corr": mb_corr_returns(rv1, rv2).market_value,
-            "price_return_corr": mb_corr_price_return(w1, rv2).market_value,
-            "price_vol": mb_price_volatility(w1),
-            "return_vol": mb_return_volatility(rv1),
-            "joint_price_moment": mb_joint_price_moment(w1, w2_lagged),
-            "joint_return_moment": mb_joint_return_moment(rv1, rv2),
-        }
+        direct = {family: market for family, (market, _) in
+                  direct_values(s1, s2, plan, pos).items()}
         for family in FAMILIES:
             got = float(kept[family]["market_value"][j])
             a1 = float(kept[family]["a1"][j])

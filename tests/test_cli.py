@@ -232,6 +232,21 @@ class TestAnalyze:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("stat", ["price_corr", "return_corr", "price_return_corr",
+                                      "price_vol", "return_vol", "joint_moments"])
+    def test_each_stat_name_reports_its_families(self, tmp_path, stat):
+        p1, p2 = generate_pair(tmp_path, n=60)
+        out = tmp_path / "report.json"
+        assert main([
+            "analyze", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "8", "--stats", stat, "--output", str(out),
+        ]) == 0
+        families = {r["stat_family"] for r in json.loads(out.read_text())["records"]}
+        if stat == "joint_moments":
+            assert families == {"joint_price_moment", "joint_return_moment"}
+        else:
+            assert families == {stat}
+
     def test_bad_window_exit_2(self, tmp_path):
         p1, p2 = write_pair(tmp_path)
         assert main([
@@ -358,6 +373,31 @@ class TestVerify:
         assert "[FAIL]" in captured.out
         assert "deviation=nan" in captured.err
 
+    def test_failing_window_t_center_is_exact(self, tmp_path, capsys, monkeypatch):
+        # On an epoch-second grid, six significant digits printed every
+        # window's center as 1.7e+09.  The lag (beta=1) reserves the first
+        # tick, so window 42 spans t = 1700000337 .. 1700000368.
+        text = "t,price,volume\n" + "".join(
+            f"{t},2,1\n" for t in range(1_700_000_000, 1_700_000_393)
+        )
+        p1, p2 = write_pair(tmp_path, text, text)
+        calls = []
+        oracle_corr = cli.oracle_corr
+
+        def nan_at_window_42(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 43 else oracle_corr(*args)
+
+        monkeypatch.setattr(cli, "oracle_corr", nan_at_window_42)
+        code = main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "32", "--stride", "8", "--stats", "price_corr", "--tol", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "at t_center=1700000352.5 over 46 windows [FAIL]" in captured.out
+        assert "window_t_center=1700000352.5 deviation=nan" in captured.err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_compensated_sum_exit_4_like_analyze(self, tmp_path, capsys):
         # Trade values near 6e153: eight squares sum past the float range.
@@ -446,6 +486,7 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
         ["--window", "2", "--beta", "-1", "--stats", "price_corr"],
         ["--window", "2", "--alpha", "0", "--stats", "return_corr"],
         ["--window", "2", "--beta", "0", "--stats", "price_return_corr"],
+        ["--window", "2", "--stats", "nope"],
     ],
 )
 @pytest.mark.parametrize("asset1", ["present", "absent"])

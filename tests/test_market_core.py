@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import return_view_pairs, trade_windows, window_pairs
+from direct import legs, returns_of
 from mbstat import (
     CorrelationReport,
     MarketAverages,
@@ -230,14 +231,14 @@ class TestReturnCorrelation:
     def test_constant_returns_give_zero(self):
         s1 = make_series("a", np.arange(4), [1, 2, 4, 8], [1, 3, 2, 1])
         s2 = make_series("b", np.arange(4), [1, 2, 1, 3], [2, 1, 1, 2])
-        rv1 = compute_returns(Window(s1, 1, 3), 1)
-        rv2 = compute_returns(Window(s2, 1, 3), 1)
+        rv1 = returns_of(s1, 1, 3, 1)
+        rv2 = returns_of(s2, 1, 3, 1)
         rep = mb_corr_returns(rv1, rv2)
         assert abs(rep.market_value) <= 1e-14
 
     def test_length_mismatch(self, worked_returns):
         s2 = make_series("b", np.arange(3), [1, 2, 1], [2, 1, 1])
-        rv2 = compute_returns(Window(s2, 1, 2), 1)
+        rv2 = returns_of(s2, 1, 2, 1)
         with pytest.raises(LengthMismatch):
             mb_corr_returns(worked_returns, rv2)
 
@@ -291,14 +292,14 @@ class TestPriceReturnCorrelation:
     def test_constant_price_gives_zero(self):
         s1 = make_series("a", np.arange(3), [2, 2, 2], [1, 3, 2])
         s2 = make_series("b", np.arange(4), [1, 2, 1, 3], [2, 1, 1, 2])
-        rv2 = compute_returns(Window(s2, 1, 3), 1)
+        rv2 = returns_of(s2, 1, 3, 1)
         rep = mb_corr_price_return(Window(s1, 0, 3), rv2)
         assert abs(rep.market_value) <= 1e-14
 
     def test_constant_return_gives_zero(self):
         s1 = make_series("a", np.arange(3), [2, 5, 3], [1, 3, 2])
         s2 = make_series("b", np.arange(4), [1, 2, 4, 8], [2, 1, 1, 2])
-        rv2 = compute_returns(Window(s2, 1, 3), 1)
+        rv2 = returns_of(s2, 1, 3, 1)
         rep = mb_corr_price_return(Window(s1, 0, 3), rv2)
         assert abs(rep.market_value) <= 1e-14
 
@@ -632,13 +633,6 @@ def assert_matches_reference(w1, w2, rv1, rv2):
     )
 
 
-def legs_of(s1, s2, start, n, beta):
-    """Price windows and return views of one window position of a pair."""
-    w1 = Window(s1, start, n)
-    w2 = Window(s2, start, n, lag=beta)
-    return w1, w2, compute_returns(w1, 1), compute_returns(Window(s2, start, n), beta)
-
-
 def lognormal_series(name, rng, n, price, step_sd, volumes="lognormal"):
     prices = price * np.exp(np.cumsum(rng.normal(0.0, step_sd, n)))
     if volumes == "constant":
@@ -681,12 +675,12 @@ class TestBitIdentityWithReference:
         s1 = lognormal_series("a", rng, 320, price, step_sd, volumes)
         s2 = lognormal_series("b", rng, 320, price, step_sd, volumes)
         for start, n in [(3, 1), (3, 2), (5, 7), (10, 64), (3, 300)]:
-            assert_matches_reference(*legs_of(s1, s2, start, n, 3))
+            assert_matches_reference(*legs(s1, s2, start, start, n, 1, 3))
 
     def test_single_tick_window(self):
         s1 = make_series("a", np.arange(3), [2.5, 3.0, 1.5], [1.5, 2.0, 4.0])
         s2 = make_series("b", np.arange(3), [1.5, 4.0, 0.5], [4.0, 1.0, 2.0])
-        assert_matches_reference(*legs_of(s1, s2, 2, 1, 2))
+        assert_matches_reference(*legs(s1, s2, 2, 2, 1, 1, 2))
 
     @pytest.mark.parametrize(
         "vols1,vols2",
@@ -703,7 +697,7 @@ class TestBitIdentityWithReference:
         w1, w2 = Window(s1, 0, 3), Window(s2, 0, 3)
         assert _outcome(mb_corr_prices, w1, w2) == "DegenerateDenominator"
         assert _outcome(ref_corr_prices, w1, w2) == "DegenerateDenominator"
-        assert_matches_reference(*legs_of(s1, s2, 1, 2, 1))
+        assert_matches_reference(*legs(s1, s2, 1, 1, 2, 1, 1))
 
 
 def test_each_compensated_sum_once_per_report(monkeypatch):
@@ -713,7 +707,7 @@ def test_each_compensated_sum_once_per_report(monkeypatch):
     rng = np.random.default_rng(3)
     s1 = lognormal_series("a", rng, 40, 100.0, 3e-3)
     s2 = lognormal_series("b", rng, 40, 100.0, 3e-3)
-    w1, w2, rv1, rv2 = legs_of(s1, s2, 5, 30, 2)
+    w1, w2, rv1, rv2 = legs(s1, s2, 5, 5, 30, 1, 2)
     calls = 0
     fsum = math.fsum
 
@@ -739,8 +733,8 @@ def test_volatility_reads_one_moment_table(monkeypatch):
     pair report of the leg with itself took 19.  A joint moment reads the
     cross moment C1*C2 of its report instead of summing it again: 19, not 20."""
     rng = np.random.default_rng(3)
-    w1, w2, rv1, rv2 = legs_of(*(lognormal_series(k, rng, 40, 100.0, 3e-3) for k in "ab"),
-                               5, 30, 2)
+    w1, w2, rv1, rv2 = legs(*(lognormal_series(k, rng, 40, 100.0, 3e-3) for k in "ab"),
+                            5, 5, 30, 1, 2)
     calls = 0
     fsum = math.fsum
 

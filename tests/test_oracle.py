@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import return_view_pairs, trade_windows, window_pairs
+from direct import returns_of
 from mbstat import (
     WeightVector,
     em_expectation,
@@ -140,7 +141,7 @@ class TestIntermediateMeans:
 
     @given(window_pairs(min_n=2, max_n=24), st.data())
     def test_mixed_pair_means(self, pair, data):
-        from mbstat import Window, compute_returns, make_series
+        from mbstat import make_series
         import numpy as np
 
         w1, w2 = pair
@@ -162,7 +163,7 @@ class TestIntermediateMeans:
             )
         )
         s2 = make_series("hyp2", np.arange(total), prices, volumes)
-        rv2 = compute_returns(Window(s2, beta, n), beta)
+        rv2 = returns_of(s2, beta, n, beta)
 
         psi = make_weights("volume_past_value", w1.volume, rv2.c_past)
         uco = joint_moment(w1.volume, rv2.c_past)

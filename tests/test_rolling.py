@@ -3,22 +3,14 @@ import functools
 import numpy as np
 import pytest
 
+from direct import direct_values
 from mbstat import (
     SynthConfig,
-    Window,
     collect_rolling_stats,
-    compute_returns,
     gen_trades,
     iter_rolling_stats,
     make_plan,
     make_series,
-    mb_corr_price_return,
-    mb_corr_prices,
-    mb_corr_returns,
-    mb_joint_price_moment,
-    mb_joint_return_moment,
-    mb_price_volatility,
-    mb_return_volatility,
 )
 from mbstat import rolling
 from mbstat.errors import DegenerateDenominator, InvalidConfig, MissingHistory, NonUniformSpacing
@@ -31,41 +23,6 @@ def synth_pair(n, seed=100, **kw):
     s1 = gen_trades(SynthConfig(n_ticks=n, seed=seed, **kw), asset_id="one")
     s2 = gen_trades(SynthConfig(n_ticks=n, seed=seed + 1, **kw), asset_id="two")
     return s1, s2
-
-
-def direct_values(s1, s2, plan, position):
-    """Per-window recomputation of every family via the closed-form layer."""
-    n = plan.window
-    i1 = plan.start_index1(position)
-    i2 = plan.start_index2(position)
-    w1 = Window(s1, i1, n)
-    w2_lagged = Window(s2, i2, n, lag=plan.beta)
-    rv1 = compute_returns(w1, plan.alpha)
-    rv2 = compute_returns(Window(s2, i2, n), plan.beta)
-    price = mb_corr_prices(w1, w2_lagged)
-    ret = mb_corr_returns(rv1, rv2)
-    mixed = mb_corr_price_return(w1, rv2)
-    return {
-        "price_corr": (price.market_value, price.frequency_value),
-        "return_corr": (ret.market_value, ret.frequency_value),
-        "price_return_corr": (mixed.market_value, mixed.frequency_value),
-        "price_vol": (
-            mb_price_volatility(w1),
-            np.var(np.asarray(w1.price)),
-        ),
-        "return_vol": (
-            mb_return_volatility(rv1),
-            np.var(np.asarray(rv1.r)),
-        ),
-        "joint_price_moment": (
-            mb_joint_price_moment(w1, w2_lagged),
-            float(np.mean(np.asarray(w1.price) * np.asarray(w2_lagged.price))),
-        ),
-        "joint_return_moment": (
-            mb_joint_return_moment(rv1, rv2),
-            float(np.mean(np.asarray(rv1.r) * np.asarray(rv2.r))),
-        ),
-    }
 
 
 class TestPlan:
