@@ -11,23 +11,18 @@ market-based average (VWAP or value-weighted average return):
            / joint_moment(W1, W2)
 
 :func:`closed_form` is that shape, written once for one window (Python
-floats) and for many (arrays over window positions, as :mod:`mbstat.rolling`
-calls it); :func:`checked_joint_moment` is the joint moment ``g1*g2 + corr``
-checked against its expanded form.  ``FAMILY_LEGS`` names the two legs of
-each statistic family; the rolling engine derives its arrays, window sums,
-averages slots and lag rules from it.  Volatilities are the same-leg
-specialization of the same closed form, so the specialization-chain
-identities hold bit-exactly.
+floats) and for many (arrays over window positions).  Both kernels, the
+per-window functions here and :mod:`mbstat.rolling`, read one moment table:
+``FAMILY_LEGS`` names each family's two legs, ``LEG_ARRAYS`` each leg's
+value, carrier and per-tick arrays, :func:`sum_specs` the means a leg pair's
+closed form reads, and :func:`family_values` turns a closed form into the
+family's checked values.  They differ only in how a mean is summed:
+``math.fsum`` per window, anchored window sums per block.
 
-Each compensated sum is taken once.  A leg's moment table holds the means of
-``C``, ``W`` and its per-tick prices or returns ``x`` and the joint moments
-``W*W``, ``W*C``, ``C*C`` and ``x*x``, from which its market and frequency
-variances follow: a volatility reads that table alone (7 sums), and a
-correlation report or joint moment adds the five cross joint moments
-``C1*C2``, ``W1*C2``, ``C1*W2``, ``W1*W2`` and ``x1*x2`` (19 sums, where
-summing every covariance from scratch took 60).  The results are
-bit-identical: ``x*y == y*x`` holds bit for bit, so ``cov(W,C)`` and
-``cov(C,W)`` are one number, and every expression keeps its operand order.
+Per window, each distinct mean is summed once: 19 for a correlation report or
+joint moment, 7 for a volatility, the same-leg specialization of the closed
+form.  ``x*y == y*x`` bit for bit, so mirrored products are one sum and the
+specialization-chain identities hold bit-exactly.
 
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
 of means).  A Pearson-style normalization is available only on the report
@@ -36,8 +31,10 @@ objects, clearly named, and never feeds back into any closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -47,7 +44,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import joint_moment, mean
+from .freq_stats import mean, spec_means
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -209,101 +206,107 @@ def checked_joint_moment(family: str, g1, g2, market, jm_cc, cov_wc, cov_cw, cov
     return combined
 
 
-class _Leg:
-    """Moment table of one leg: its values ``C``, weight carrier ``W``,
-    per-tick prices or returns ``x``, and its lag or return horizon."""
-
-    __slots__ = ("values", "carrier", "x", "lag", "m_c", "m_w", "m_x",
-                 "jm_ww", "jm_wc", "jm_cc", "freq_var")
-
-    def __init__(self, values, carrier, x, lag: int):
-        self.values, self.carrier, self.x, self.lag = values, carrier, x, lag
-        self.m_c = mean(values)
-        self.m_w = mean(carrier)
-        self.m_x = mean(x)
-        self.jm_ww = joint_moment(carrier, carrier)
-        self.jm_wc = joint_moment(carrier, values)
-        self.jm_cc = joint_moment(values, values)
-        self.freq_var = joint_moment(x, x) - self.m_x * self.m_x
-
-    def market_var(self, family: str) -> float:
-        """The closed form of the leg against itself (its volatility); ``jm_wc``
-        stands for ``jm(C, W)`` too, which is the same number bit for bit."""
-        return closed_form(family, self.m_c, self.m_w, self.m_c, self.m_w,
-                           self.jm_cc, self.jm_wc, self.jm_wc, self.jm_ww)[-1]
+#: Per leg of ``FAMILY_LEGS``: the names of its value, carrier and per-tick
+#: arrays.  Asset 1's trade values ``C1`` serve both its legs.
+LEG_ARRAYS = {
+    "p1": ("C1", "U1", "p1"),
+    "r1": ("C1", "Co1", "r1"),
+    "p2": ("C2b", "U2b", "p2b"),
+    "r2": ("C2", "Co2", "r2"),
+}
 
 
-def _price_leg(w: Window) -> _Leg:
-    return _Leg(w.value, w.volume, w.price, w.lag)
+@functools.cache
+def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
+    """The means the closed form of a leg pair reads, as ``(x, y)`` names of
+    ``LEG_ARRAYS`` arrays (``y=None`` is a plain mean).  A product's names are
+    sorted: ``x*y == y*x`` bit for bit, so mirrored products are one sum.
+    Built once per pair and shared, so callers must not change it."""
+    (c1, w1, x1), (c2, w2, x2) = LEG_ARRAYS[leg1], LEG_ARRAYS[leg2]
+    plain = {"c1": c1, "w1": w1, "c2": c2, "w2": w2, "x1": x1, "x2": x2}
+    products = {"cc": (c1, c2), "wc": (w1, c2), "cw": (c1, w2), "ww": (w1, w2), "xx": (x1, x2)}
+    return {**{k: (name, None) for k, name in plain.items()},
+            **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
-def _return_leg(rv: ReturnView) -> _Leg:
-    return _Leg(rv.value, rv.c_past, rv.r, rv.alpha)
+def family_values(family: str, m, form) -> tuple:
+    """A family's market and frequency values from its pair's means ``m``
+    (keyed as in :func:`sum_specs`) and closed form ``form``: for a joint
+    family the checked joint moment and the raw frequency joint moment.  Both
+    values and the denominator must be finite."""
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
+    frequency = m["xx"] - m["x1"] * m["x2"]
+    if family in JOINT_FAMILIES:
+        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
+                                      m["ww"])
+        frequency = m["xx"]
+    require_finite(family, market_value=market, frequency_value=frequency, denominator=m["ww"])
+    return market, frequency
 
 
-_LEG_READERS = {"p": _price_leg, "r": _return_leg}
+#: The arrays of a price leg's Window and a return leg's ReturnView, in
+#: ``LEG_ARRAYS`` order.
+_SOURCE_ARRAYS = {"p": attrgetter("value", "volume", "price"),
+                  "r": attrgetter("value", "c_past", "r")}
 
 
-def _report(family: str, src1, src2) -> tuple[CorrelationReport, float]:
-    """The closed form of a pair, the figures reported beside it, and the
-    cross joint moment ``jm(C1, C2)`` the joint moments read.  Past the two
-    legs' tables, only the five cross joint moments are summed."""
+@functools.cache
+def _window_specs(leg1: str, leg2: str) -> tuple[list, list]:
+    """The distinct sum specs of a pair and of each leg against itself (one
+    table when the legs are one), and per table its keys and a getter of
+    their means from the sums of those specs."""
+    pairs = dict.fromkeys([(leg1, leg2), (leg1, leg1), (leg2, leg2)])
+    tables = [sum_specs(*pair) for pair in pairs]
+    distinct = list(dict.fromkeys(spec for table in tables for spec in table.values()))
+    return distinct, [(tuple(table), itemgetter(*map(distinct.index, table.values())))
+                      for table in tables]
+
+
+def _closed_forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
+    """The means and closed form of a family's pair, then of each of its legs
+    against itself, means keyed as in :func:`sum_specs`.  Each distinct mean
+    is summed once: 19 for two legs, 7 for a leg against itself."""
     if len(src1) != len(src2):
         raise LengthMismatch(f"window lengths differ: {len(src1)} vs {len(src2)}")
-    kind1, kind2 = (leg[0] for leg in FAMILY_LEGS[family])
-    leg1, leg2 = _LEG_READERS[kind1](src1), _LEG_READERS[kind2](src2)
-    denominator = joint_moment(leg1.carrier, leg2.carrier)
-    jm_cc = joint_moment(leg1.values, leg2.values)
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = closed_form(
-        family, leg1.m_c, leg1.m_w, leg2.m_c, leg2.m_w, jm_cc,
-        joint_moment(leg1.carrier, leg2.values), joint_moment(leg1.values, leg2.carrier),
-        denominator,
-    )
-    frequency = joint_moment(leg1.x, leg2.x) - leg1.m_x * leg2.m_x
-    # After the pair's denominator, so a degenerate cross moment is reported first.
-    market_var1, market_var2 = leg1.market_var(family), leg2.market_var(family)
-    require_finite(family, market_value=market, frequency_value=frequency,
-                   denominator=denominator)
+    arrays = {}
+    for leg, src in dict(zip(FAMILY_LEGS[family], (src1, src2))).items():
+        arrays.update(zip(LEG_ARRAYS[leg], _SOURCE_ARRAYS[leg[0]](src)))
+    distinct, tables = _window_specs(*FAMILY_LEGS[family])
+    sums = spec_means(arrays, distinct)
+    forms = []
+    for keys, get in tables:  # the pair's first: its degenerate moment is reported first
+        m = dict(zip(keys, get(sums)))
+        forms.append((m, closed_form(family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"],
+                                     m["wc"], m["cw"], m["ww"])))
+    return forms
+
+
+def _volatility(family: str, src) -> float:
+    """A leg's closed form against itself, from its one table of 7 means."""
+    [(m, form)] = _closed_forms(family, src, src)
+    return family_values(family, m, form)[0]
+
+
+def _report(family: str, src1, src2) -> CorrelationReport:
+    """The closed form of a pair, the figures reported beside it, and the
+    family's values (a joint family's market value is its joint moment)."""
+    (m, form), (m1, form1), (m2, form2) = _closed_forms(family, src1, src2)
+    market, frequency = family_values(family, m, form)
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
     slot1, slot2 = average_slots(family)
-    report = CorrelationReport(
-        stat_family=family,
-        market_value=market,
-        frequency_value=frequency,
+    leg1, leg2 = FAMILY_LEGS[family]
+    return CorrelationReport(
+        stat_family=family, market_value=market, frequency_value=frequency,
         averages=MarketAverages(**{slot1: g1, slot2: g2}),
-        freq_avg1=leg1.m_x,
-        freq_avg2=leg2.m_x,
-        denominator=denominator,
-        cov_cc=cov_cc,
-        cov_wc=cov_wc,
-        cov_cw=cov_cw,
-        cov_ww=cov_ww,
-        market_var1=market_var1,
-        market_var2=market_var2,
-        freq_var1=leg1.freq_var,
-        freq_var2=leg2.freq_var,
+        freq_avg1=m["x1"], freq_avg2=m["x2"], denominator=m["ww"],
+        cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww,
+        market_var1=form1[-1], market_var2=form2[-1],
+        freq_var1=m1["xx"] - m1["x1"] * m1["x2"], freq_var2=m2["xx"] - m2["x1"] * m2["x2"],
         n=len(src1),
-        alpha=leg1.lag,
-        beta=leg2.lag,
-        asset1=src1.asset_id,
-        asset2=src2.asset_id,
-        t_center=src1.t_center,
+        alpha=src1.lag if leg1[0] == "p" else src1.alpha,
+        beta=src2.lag if leg2[0] == "p" else src2.alpha,
+        asset1=src1.asset_id, asset2=src2.asset_id, t_center=src1.t_center,
     )
-    return report, jm_cc
-
-
-def _volatility(family: str, leg: _Leg) -> float:
-    """A leg's closed form against itself, read from its one moment table."""
-    market = leg.market_var(family)
-    require_finite(family, market_value=market, frequency_value=leg.freq_var,
-                   denominator=leg.jm_ww)
-    return market
-
-
-def _joint_moment(family: str, src1, src2) -> float:
-    report, jm_cc = _report(family, src1, src2)
-    g1, g2 = (getattr(report.averages, slot) for slot in average_slots(family))
-    return checked_joint_moment(family, g1, g2, report.market_value, jm_cc, report.cov_wc,
-                                report.cov_cw, report.cov_ww, report.denominator)
 
 
 def vwap(window: Window) -> float:
@@ -344,12 +347,12 @@ def mb_corr_prices(w1: Window, w2: Window) -> CorrelationReport:
     autocorrelation; ``w2 = w1`` gives the price volatility.  The
     frequency-based price covariance is reported alongside.
     """
-    return _report(PRICE_FAMILY, w1, w2)[0]
+    return _report(PRICE_FAMILY, w1, w2)
 
 
 def mb_price_volatility(window: Window) -> float:
     """Market-based price volatility: the zero-lag same-asset correlation."""
-    return _volatility(PRICE_VOL_FAMILY, _price_leg(window))
+    return _volatility(PRICE_VOL_FAMILY, window)
 
 
 def mb_corr_returns(rv1: ReturnView, rv2: ReturnView) -> CorrelationReport:
@@ -360,17 +363,17 @@ def mb_corr_returns(rv1: ReturnView, rv2: ReturnView) -> CorrelationReport:
     and identical views the return volatility.  The frequency-based return
     covariance is reported alongside.
     """
-    return _report(RETURN_FAMILY, rv1, rv2)[0]
+    return _report(RETURN_FAMILY, rv1, rv2)
 
 
 def mb_return_volatility(returns: ReturnView) -> float:
     """Market-based return volatility: the equal-horizon same-asset case."""
-    return _volatility(RETURN_VOL_FAMILY, _return_leg(returns))
+    return _volatility(RETURN_VOL_FAMILY, returns)
 
 
 def mb_corr_price_return(w1: Window, rv2: ReturnView) -> CorrelationReport:
     """Market-based correlation between leg-1 prices and leg-2 returns."""
-    return _report(PRICE_RETURN_FAMILY, w1, rv2)[0]
+    return _report(PRICE_RETURN_FAMILY, w1, rv2)
 
 
 def mb_joint_price_moment(w1: Window, w2: Window) -> float:
@@ -379,9 +382,9 @@ def mb_joint_price_moment(w1: Window, w2: Window) -> float:
     Defined as ``a1*a2 + market correlation``; the expanded evaluation over
     the raw value/volume moments is asserted to agree before returning.
     """
-    return _joint_moment(JOINT_PRICE_FAMILY, w1, w2)
+    return _report(JOINT_PRICE_FAMILY, w1, w2).market_value
 
 
 def mb_joint_return_moment(rv1: ReturnView, rv2: ReturnView) -> float:
     """Market-based second joint moment of the two legs' returns."""
-    return _joint_moment(JOINT_RETURN_FAMILY, rv1, rv2)
+    return _report(JOINT_RETURN_FAMILY, rv1, rv2).market_value

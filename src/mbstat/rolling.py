@@ -9,17 +9,14 @@ anchor interval is 4096 strides, shrunk only when ``stride`` or a tiny window
 would let the in-block span grow past what keeps the incremental results
 within 1e-9 of full recomputation.
 
-Everything per family comes from :data:`mbstat.market_core.FAMILY_LEGS`: the
-per-tick arrays of each leg, the window sums a family reads (a product's
-operands in sorted order, so that mirrored products such as ``U1*C1`` and
-``C1*U1`` are one pass: 31 per anchor block for all seven families), the
-averages slots and the lag rules.  Per block, each distinct sum is scaled to
-a mean once, and :func:`mbstat.market_core.closed_form` runs once per leg
-pair (5 for all seven families), under the first family in plan order that
-needs it; the joint moments reuse their correlation's closed form and each
-family keeps its own :func:`~mbstat.market_core.checked_joint_moment` and
-finiteness check.  Results stream out chunk by chunk (one chunk per anchor
-block), so a million-position run never holds more than one block of records.
+The moment table is :mod:`mbstat.market_core`'s: this module arranges each
+leg's per-tick arrays as its ``LEG_ARRAYS`` name, takes the window sums
+``sum_specs`` asks for (31 per anchor block for all seven families), scales
+each distinct sum to a mean once and runs ``closed_form`` once per leg pair
+(5 for all seven families), under the first family in plan order that needs
+it; each family's values and checks come from ``family_values``.  Results
+stream out chunk by chunk (one chunk per anchor block), so a million-position
+run never holds more than one block of records.
 """
 
 from __future__ import annotations
@@ -36,25 +33,18 @@ from .market_core import (  # the family names stay importable from here
     JOINT_FAMILIES,
     JOINT_PRICE_FAMILY,
     JOINT_RETURN_FAMILY,
+    LEG_ARRAYS,
     PRICE_FAMILY,
     PRICE_RETURN_FAMILY,
     PRICE_VOL_FAMILY,
     RETURN_FAMILY,
     RETURN_VOL_FAMILY,
     average_slots,
-    checked_joint_moment,
     closed_form,
-    require_finite,
+    family_values,
+    sum_specs,
 )
 from .trade_series import TradeSeries
-
-# Per leg of FAMILY_LEGS: the names of its value, carrier and per-tick arrays.
-_LEG_ARRAYS = {
-    "p1": ("C1", "U1", "p1"),
-    "r1": ("C1", "Co1", "r1"),
-    "p2": ("C2b", "U2b", "p2b"),
-    "r2": ("C2", "Co2", "r2"),
-}
 
 _ANCHOR_INTERVAL = 4096
 
@@ -201,28 +191,21 @@ def make_plan(
 
 
 def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[str, np.ndarray]:
-    """The per-tick arrays of the plan's legs, named as in ``_LEG_ARRAYS``."""
-    off1, off2, length = plan.off1, plan.off2, plan.length
-    legs = _legs(plan.families)
-    arrays = {
-        "p1": s1.price[off1 : off1 + length],
-        "C1": s1.value[off1 : off1 + length],
-        "U1": s1.volume[off1 : off1 + length],
-    }
-    if "r1" in legs:
-        lagged = s1.price[off1 - plan.alpha : off1 - plan.alpha + length]
-        arrays["r1"] = arrays["p1"] / lagged
-        arrays["Co1"] = lagged * arrays["U1"]
-    if "p2" in legs:
-        lo = off2 - plan.beta
-        arrays["p2b"] = s2.price[lo : lo + length]
-        arrays["C2b"] = s2.value[lo : lo + length]
-        arrays["U2b"] = s2.volume[lo : lo + length]
-    if "r2" in legs:
-        arrays["C2"] = s2.value[off2 : off2 + length]
-        lagged = s2.price[off2 - plan.beta : off2 - plan.beta + length]
-        arrays["r2"] = s2.price[off2 : off2 + length] / lagged
-        arrays["Co2"] = lagged * s2.volume[off2 : off2 + length]
+    """The per-tick arrays of the plan's legs, named as in ``LEG_ARRAYS``: a
+    leg reads its own asset, ``p2`` lagged by ``beta``, and a return leg over
+    its asset's horizon, ``alpha`` or ``beta``."""
+    arrays = {}
+    for leg in _legs(plan.families):
+        series, lo, horizon = (s1, plan.off1, plan.alpha) if leg[1] == "1" else (
+            s2, plan.off2, plan.beta)
+        if leg == "p2":
+            lo -= plan.beta
+        span = slice(lo, lo + plan.length)
+        carrier, x = series.volume[span], series.price[span]
+        if leg[0] == "r":
+            lagged = series.price[lo - horizon : lo - horizon + plan.length]
+            carrier, x = lagged * carrier, x / lagged
+        arrays.update(zip(LEG_ARRAYS[leg], (series.value[span], carrier, x)))
     return arrays
 
 
@@ -231,19 +214,8 @@ def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     carrier (volumes or past values) the engine reads.  Position ``i``'s
     window is ``[i*stride, i*stride + window)`` of each array."""
     arrays = _base_arrays(s1, s2, plan)
-    return {leg: (arrays[_LEG_ARRAYS[leg][2]], arrays[_LEG_ARRAYS[leg][1]])
+    return {leg: (arrays[LEG_ARRAYS[leg][2]], arrays[LEG_ARRAYS[leg][1]])
             for leg in _legs(plan.families)}
-
-
-def _sum_specs(family: str) -> dict[str, tuple[str, str | None]]:
-    """The window sums a family reads, as ``(x, y)`` array names (``y=None``
-    is a plain sum).  A product's names are sorted: ``x*y == y*x`` bit for
-    bit, so mirrored products are one sum."""
-    (c1, w1, x1), (c2, w2, x2) = (_LEG_ARRAYS[leg] for leg in FAMILY_LEGS[family])
-    plain = {"c1": c1, "w1": w1, "c2": c2, "w2": w2, "x1": x1, "x2": x2}
-    products = {"cc": (c1, c2), "wc": (w1, c2), "cw": (c1, w2), "ww": (w1, w2), "xx": (x1, x2)}
-    return {**{k: (name, None) for k, name in plain.items()},
-            **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
 def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.ndarray:
@@ -261,14 +233,8 @@ def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.n
 
 
 def _family_records(family: str, m: dict[str, np.ndarray], form: tuple) -> dict[str, np.ndarray]:
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
-    freq = m["xx"] - m["x1"] * m["x2"]
-    if family in JOINT_FAMILIES:
-        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
-                                      m["ww"])
-        freq = m["xx"]  # raw frequency joint moment
-    require_finite(family, market_value=market, frequency_value=freq, denominator=m["ww"])
-
+    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
+    market, freq = family_values(family, m, form)
     averages = dict.fromkeys(("a1", "a2", "h1", "h2"), np.zeros_like(market))
     averages.update(zip(average_slots(family), (g1, g2)))
     return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
@@ -280,8 +246,8 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     arrays = _base_arrays(s1, s2, plan)
     n, stride = plan.window, plan.stride
     inv_n, half = 1.0 / n, (n - 1) / 2.0
-    family_specs = {family: _sum_specs(family) for family in plan.families}
-    sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
+    family_specs = {family: sum_specs(*FAMILY_LEGS[family]) for family in plan.families}
+    distinct = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
 
     for c0 in range(0, plan.n_positions, plan.anchor):
         k = min(plan.anchor, plan.n_positions - c0)
@@ -290,7 +256,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
             (xn, yn): _chunk_window_sums(
                 arrays[xn], None if yn is None else arrays[yn], s_anchor, k, stride, n
             ) * inv_n
-            for (xn, yn) in sum_specs
+            for (xn, yn) in distinct
         }
         starts = s_anchor + np.arange(k, dtype=np.int64) * stride
         t_center = plan.t_origin + (starts + half) * plan.epsilon

@@ -52,6 +52,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_ticks < 2:
             raise InvalidConfig(f"n_ticks must be >= 2, got {self.n_ticks}")
+        for name in ("price_start", "log_price_step_sd", "volume_log_mean", "volume_log_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.price_start > 0.0:
             raise InvalidConfig(f"price_start must be > 0, got {self.price_start}")
         if self.log_price_step_sd < 0.0 or self.volume_log_sd < 0.0:

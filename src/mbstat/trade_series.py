@@ -88,6 +88,11 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     t_raw = np.asarray(times)
     if t_raw.dtype.kind == "f" and not np.all(t_raw == np.floor(t_raw)):
         raise ParseError("tick times must be integers on the grid")
+    if t_raw.dtype.kind in "fuO":  # the kinds that can hold a time past int64
+        inside = (t_raw >= -(2**63)) & (t_raw < 2**63)
+        if not np.all(inside):
+            bad = t_raw.tolist()[int(np.argmin(inside))]
+            raise ParseError(f"tick time {bad!r} is outside the 64-bit integer range")
     t = t_raw.astype(np.int64, copy=False)
     price = np.ascontiguousarray(prices, dtype=np.float64)
     volume = np.ascontiguousarray(volumes, dtype=np.float64)
@@ -186,6 +191,9 @@ def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
                 declared[i] = float(cells[3])
         except ValueError as exc:
             raise ParseError(f"row {i + 1}: {exc}") from None
+        except OverflowError:
+            raise ParseError(f"row {i + 1}: tick time {cells[0]} is outside the 64-bit "
+                             "integer range") from None
     return make_series(asset_id, times, prices, volumes, declared)
 
 

@@ -48,6 +48,10 @@ class TestGenerate:
         assert main(["generate", "--n", "1"]) == 2
         assert "n_ticks" in capsys.readouterr().err
 
+    def test_non_finite_float_is_usage_error(self, capsys):
+        assert main(["generate", "--n", "10", "--log-price-step-sd", "nan"]) == 2
+        assert "log_price_step_sd must be finite" in capsys.readouterr().err
+
     def test_constant_volume_cells_identical(self, tmp_path):
         out = tmp_path / "cv.csv"
         assert main([
@@ -213,6 +217,13 @@ class TestAnalyze:
         ])
         assert code == 4
         assert "NonUniformSpacing" in capsys.readouterr().err
+
+    def test_tick_time_outside_int64_exit_4(self, tmp_path, capsys):
+        p1, p2 = write_pair(tmp_path, "t,price,volume\n0,2,1\n99999999999999999999,1.0,1.0\n")
+        out = str(tmp_path / "out.json")
+        assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "1",
+                     "--stats", "price_vol", "--output", out]) == 4
+        assert "error[ParseError]: row 2: tick time 99999999999999999999" in capsys.readouterr().err
 
     def test_overflowing_trade_value_is_a_parse_error(self, tmp_path, capsys):
         rows = "".join(f"{t},{1e300 if t == 5 else 2.0!r},{1e9 if t == 5 else 1.0!r}\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import positive_floats
 from mbstat import cov, joint_moment, mean, moments
+from mbstat.freq_stats import spec_means
 from mbstat.errors import EmptyInput, LengthMismatch
 
 seqs = st.lists(positive_floats, min_size=1, max_size=50)
@@ -121,3 +122,15 @@ def test_mean_handles_numpy_input():
 
     assert mean(np.array([2.0, 8.0, 3.0])) == 13 / 3
     assert math.isfinite(cov(np.arange(1.0, 5.0), np.arange(2.0, 6.0)))
+
+
+@given(st.lists(st.tuples(positive_floats, positive_floats), min_size=1, max_size=50))
+def test_spec_means_match_mean_and_joint_moment_bits(pairs):
+    xs, ys = (list(col) for col in zip(*pairs))
+    got = spec_means({"x": xs, "y": ys}, [("x", None), ("y", None), ("x", "y"), ("y", "y")])
+    assert got == [mean(xs), mean(ys), joint_moment(xs, ys), joint_moment(ys, ys)]
+
+
+def test_spec_means_refuse_unequal_lengths():
+    with pytest.raises(LengthMismatch, match="differ in length"):
+        spec_means({"x": [1.0, 2.0], "y": [1.0]}, [("x", None)])

@@ -10,6 +10,7 @@ from conftest import return_view_pairs, trade_windows, window_pairs
 from direct import legs, returns_of
 from mbstat import (
     CorrelationReport,
+    FAMILIES,
     MarketAverages,
     Window,
     compute_returns,
@@ -767,3 +768,45 @@ def test_volatility_refuses_degenerate_and_non_finite_legs(fn):
         fn(leg([1e-200] * 4, 1.0))
     with pytest.raises(ConsistencyError, match="non-finite market_value"):
         fn(leg([1.0] * 4, 1e160))  # values square to inf
+
+
+_ERROR_PRICES = ([1.0, 2.0, 1.5, 2.5], [1.0, 3.0, 2.0, 1.5])
+_DEGENERATE = "DegenerateDenominator: {}: carrier joint moment {} is too small to divide by"
+_NON_FINITE = "ConsistencyError: {}: non-finite market_value nan"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, vols1, vols2, outcomes", [
+    pytest.param(1.0, [1.0, 1e-300, 1e-300, 1.0], [1.0, 1.0, 1e-300, 1e-300], (
+        _DEGENERATE.format("price_corr", "1e-300"),
+        "8.326672684688674e+283",
+        _DEGENERATE.format("price_return_corr", "1e-300"),
+        "-6.661338147750939e-16",
+        "2.9605947323337506e-16",
+        _DEGENERATE.format("joint_price_moment", "1e-300"),
+        "ConsistencyError: joint_return_moment: joint-moment evaluations disagree",
+    ), id="cross-only-degenerate"),
+    pytest.param(1.0, [1e-200] * 4, [1e200] * 4,
+                 tuple(_DEGENERATE.format(family, "0.0") for family in FAMILIES),
+                 id="leg-1-only-degenerate"),
+    pytest.param(1e160, [1.0, 2.0, 3.0, 1.0], [2.0, 1.0, 4.0, 1.0],
+                 tuple(_NON_FINITE.format(family) for family in FAMILIES), id="prices-near-1e160"),
+])
+def test_per_window_outcomes_keep_their_messages(scale, vols1, vols2, outcomes):
+    """Each ``mb_*`` function's error, message included, or its market value."""
+    s1, s2 = (make_series(name, np.arange(4), np.array(prices) * scale, vols)
+              for name, prices, vols in zip("ab", _ERROR_PRICES, (vols1, vols2)))
+    w1, w2, rv1, rv2 = legs(s1, s2, 1, 1, 3, 1, 1)
+    calls = [(mb_corr_prices, w1, w2), (mb_corr_returns, rv1, rv2),
+             (mb_corr_price_return, w1, rv2), (mb_price_volatility, w1),
+             (mb_return_volatility, rv1), (mb_joint_price_moment, w1, w2),
+             (mb_joint_return_moment, rv1, rv2)]
+    got = []
+    for fn, *args in calls:
+        try:
+            result = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the outcome is compared as is
+            got.append(f"{type(exc).__name__}: {exc}")
+        else:
+            got.append(repr(getattr(result, "market_value", result)))
+    assert tuple(got) == outcomes

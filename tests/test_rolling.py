@@ -3,9 +3,10 @@ import functools
 import numpy as np
 import pytest
 
-from direct import direct_values
+from direct import direct_values, returns_of
 from mbstat import (
     SynthConfig,
+    Window,
     collect_rolling_stats,
     gen_trades,
     iter_rolling_stats,
@@ -210,6 +211,36 @@ class TestChunking:
         assert passes == 31 * blocks
 
 
+class TestLegSequences:
+    """The arrays the engine reads, windowed, are the per-window legs bit for bit."""
+
+    @pytest.mark.parametrize("families", [("price_corr",), ("return_corr",),
+                                          ("price_return_corr",), ("return_vol",), FAMILIES],
+                             ids=lambda fs: ",".join(fs) if len(fs) == 1 else "all")
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2)])
+    def test_windows_match_direct_legs(self, alpha, beta, families):
+        s1, s2 = synth_pair(90)
+        s2 = make_series("two", s2.t + 4, s2.price, s2.volume)  # the grids start apart
+        plan = make_plan(s1, s2, window=16, stride=5, alpha=alpha, beta=beta, families=families)
+        sequences = rolling.leg_sequences(s1, s2, plan)
+        assert set(sequences) == {leg for f in families for leg in rolling.FAMILY_LEGS[f]}
+        n = plan.window
+        for position in (0, plan.n_positions // 2, plan.n_positions - 1):
+            i1, i2 = plan.start_index1(position), plan.start_index2(position)
+            direct = {
+                "p1": lambda: Window(s1, i1, n),
+                "p2": lambda: Window(s2, i2, n, lag=beta),
+                "r1": lambda: returns_of(s1, i1, n, alpha),
+                "r2": lambda: returns_of(s2, i2, n, beta),
+            }
+            lo = position * plan.stride
+            for leg, (x, w) in sequences.items():
+                src = direct[leg]()
+                want = (src.price, src.volume) if leg[0] == "p" else (src.r, src.c_past)
+                assert x[lo : lo + n].tobytes() == want[0].tobytes(), (leg, position)
+                assert w[lo : lo + n].tobytes() == want[1].tobytes(), (leg, position)
+
+
 # Test-only reference: the engine as it stood before strided window sums, one
 # mean per distinct sum and one closed form per leg pair; every array it
 # yields must be bit-identical to the engine's.
@@ -247,7 +278,7 @@ def ref_iter_rolling_stats(s1, s2, plan):
     arrays = rolling._base_arrays(s1, s2, plan)
     n = plan.window
     half = (n - 1) / 2.0
-    family_specs = {family: rolling._sum_specs(family) for family in plan.families}
+    family_specs = {f: rolling.sum_specs(*rolling.FAMILY_LEGS[f]) for f in plan.families}
     sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
     for c0 in range(0, plan.n_positions, plan.anchor):
         c1 = min(c0 + plan.anchor, plan.n_positions)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ class TestConfigValidation:
     def test_negative_sd(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(n_ticks=10, seed=0, log_price_step_sd=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("log_price_step_sd", math.nan),
+        ("price_start", math.inf),
+        ("volume_log_mean", math.nan),
+        ("volume_log_mean", -math.inf),
+        ("volume_log_sd", math.inf),
+        ("volume_log_sd", math.nan),
+    ])
+    def test_non_finite_float(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            SynthConfig(n_ticks=10, seed=0, **{field: value})
 
     def test_nonpositive_price_start(self):
         with pytest.raises(InvalidConfig):

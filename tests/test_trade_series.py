@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -97,6 +98,21 @@ class TestParse:
                 parse_trades(text)
             with pytest.raises(ParseError, match="at t=5 is not finite"):
                 make_series("a", [4, 5], [2.0, 1e200], [1.0, 1e200])
+
+    @pytest.mark.parametrize("row", ["99999999999999999999,1.0,1.0", "-9223372036854775809,2,1"])
+    def test_tick_time_outside_int64_rejected(self, row):
+        with pytest.raises(ParseError, match=r"row 2: tick time .* outside the 64-bit"):
+            parse_trades(f"t,price,volume\n0,1,1\n{row}")
+
+    @pytest.mark.parametrize("times, named", [
+        ([1e19], "1e+19"), ([-1e19], "-1e+19"), ([float("inf")], "inf"),
+        ([2**63], "9223372036854775808"), ([10**20], "100000000000000000000"),
+    ])
+    def test_make_series_refuses_tick_times_outside_int64(self, times, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the rule, not after a cast warning
+            with pytest.raises(ParseError, match=f"tick time {re.escape(named)} is outside"):
+                make_series("a", times, [1.0], [1.0])
 
 
 class TestRoundTrip:
