@@ -151,7 +151,7 @@ def run_verify(args) -> int:
     worst = {}  # family -> (dev, position) of its first worst window
     n = plan.window
     for chunk in iter_rolling_stats(s1, s2, plan):
-        for family, kind, joint, (x1, w1), (x2, w2), keys in checks:
+        for family, kind, joint, (_, w1, x1), (_, w2, x2), keys in checks:
             records = chunk.families[family]
             columns = (records[key].tolist() for key in keys)
             for j, (market, g1, g2) in enumerate(zip(*columns)):

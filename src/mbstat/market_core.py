@@ -180,6 +180,7 @@ def closed_form(family: str, m_c1, m_w1, m_c2, m_w2, jm_cc, jm_wc, jm_cw, jm_ww)
     g1 = m_c1 / m_w1
     g2 = m_c2 / m_w2
     if not _everywhere(jm_ww > DENOM_FLOOR):
+        require_finite(family, denominator=jm_ww)  # a NaN is not "too small"
         raise DegenerateDenominator(
             f"{family}: carrier joint moment {float(np.min(jm_ww))!r} is too small to divide by"
         )

@@ -44,7 +44,7 @@ from .market_core import (  # the family names stay importable from here
     family_values,
     sum_specs,
 )
-from .trade_series import TradeSeries
+from .trade_series import TradeSeries, build_leg
 
 _ANCHOR_INTERVAL = 4096
 
@@ -190,32 +190,25 @@ def make_plan(
     )
 
 
-def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[str, np.ndarray]:
-    """The per-tick arrays of the plan's legs, named as in ``LEG_ARRAYS``: a
-    leg reads its own asset, ``p2`` lagged by ``beta``, and a return leg over
-    its asset's horizon, ``alpha`` or ``beta``."""
-    arrays = {}
-    for leg in _legs(plan.families):
+def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
+    """Per leg of the plan, its ``(value, carrier, x)`` from ``build_leg``: a leg
+    reads its own asset, ``p2`` lagged by ``beta``, a return leg over its
+    asset's horizon, ``alpha`` or ``beta``.  Position ``i``'s window is
+    ``[i*stride, i*stride + window)`` of each array."""
+    sequences = {}
+    for leg in sorted(_legs(plan.families)):  # a fixed order: the first bad leg is named
         series, lo, horizon = (s1, plan.off1, plan.alpha) if leg[1] == "1" else (
             s2, plan.off2, plan.beta)
         if leg == "p2":
             lo -= plan.beta
-        span = slice(lo, lo + plan.length)
-        carrier, x = series.volume[span], series.price[span]
-        if leg[0] == "r":
-            lagged = series.price[lo - horizon : lo - horizon + plan.length]
-            carrier, x = lagged * carrier, x / lagged
-        arrays.update(zip(LEG_ARRAYS[leg], (series.value[span], carrier, x)))
-    return arrays
+        sequences[leg] = build_leg(series, lo, plan.length, horizon if leg[0] == "r" else 0)
+    return sequences
 
 
-def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
-    """Per leg of the plan: the per-tick values (prices or returns) and weight
-    carrier (volumes or past values) the engine reads.  Position ``i``'s
-    window is ``[i*stride, i*stride + window)`` of each array."""
-    arrays = _base_arrays(s1, s2, plan)
-    return {leg: (arrays[LEG_ARRAYS[leg][2]], arrays[LEG_ARRAYS[leg][1]])
-            for leg in _legs(plan.families)}
+def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[str, np.ndarray]:
+    """The per-tick arrays of the plan's legs, named as in ``LEG_ARRAYS``."""
+    return {name: arr for leg, arrays in leg_sequences(s1, s2, plan).items()
+            for name, arr in zip(LEG_ARRAYS[leg], arrays)}
 
 
 def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.ndarray:
@@ -245,7 +238,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     """Yield one :class:`RollingChunk` per anchor block, in position order."""
     arrays = _base_arrays(s1, s2, plan)
     n, stride = plan.window, plan.stride
-    inv_n, half = 1.0 / n, (n - 1) / 2.0
+    inv_n = 1.0 / n
     family_specs = {family: sum_specs(*FAMILY_LEGS[family]) for family in plan.families}
     distinct = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
 
@@ -258,8 +251,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
             ) * inv_n
             for (xn, yn) in distinct
         }
-        starts = s_anchor + np.arange(k, dtype=np.int64) * stride
-        t_center = plan.t_origin + (starts + half) * plan.epsilon
+        t_center = plan.t_center(c0 + np.arange(k, dtype=np.int64))
         forms, families = {}, {}
         for family in plan.families:
             m = {key: means[spec] for key, spec in family_specs[family].items()}
@@ -283,8 +275,5 @@ def collect_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -
         }
         for family in plan.families
     }
-    return RollingChunk(
-        first_position=0,
-        t_center=np.concatenate([c.t_center for c in chunks]),
-        families=families,
-    )
+    return RollingChunk(first_position=0, t_center=np.concatenate([c.t_center for c in chunks]),
+                        families=families)

@@ -37,6 +37,8 @@ RETURN_IDENTITY_REL_TOL = 1e-12
 
 CSV_HEADER = "t,price,volume"
 
+_TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at least this
+
 
 @dataclass(frozen=True)
 class TradeSeries:
@@ -74,6 +76,14 @@ class TradeSeries:
             and np.array_equal(self.price, other.price)
             and np.array_equal(self.volume, other.volume)
         )
+
+
+def _first_outside_range(arr: np.ndarray) -> int | None:
+    """The first index of ``arr`` that is not a positive normal float (finite
+    and at least ``np.finfo(float).tiny``), or None when there is none."""
+    if arr.min() >= _TINY and arr.max() < math.inf:  # False for a NaN
+        return None
+    return int(np.argmax(~((arr >= _TINY) & (arr < math.inf))))
 
 
 def make_series(asset_id, times, prices, volumes, declared_values=None) -> TradeSeries:
@@ -128,12 +138,13 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     else:
         epsilon = 1  # single tick: spacing is vacuous
 
-    with np.errstate(over="ignore"):  # refused just below, naming the row
+    with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the row
         value = price * volume
-    if not np.all(np.isfinite(value)):
-        i = int(np.argmax(~np.isfinite(value)))
+    i = _first_outside_range(value)
+    if i is not None:
         raise ParseError(f"trade value price*volume = {float(price[i])!r}*{float(volume[i])!r} "
-                         f"at t={t[i]} is not finite")
+                         f"at t={t[i]} " + ("is not finite" if value[i] == math.inf else
+                                            f"underflows to {float(value[i])!r}"))
     if declared_values is not None:
         declared = np.asarray(declared_values, dtype=np.float64)
         if declared.size != t.size:
@@ -224,10 +235,8 @@ class Window:
         if self.start + self.count > len(self.series):
             raise EmptyWindow("window extends past the end of the series")
         if self.start - self.lag < 0:
-            raise MissingHistory(
-                f"lag {self.lag} reaches before the series start "
-                f"(window starts at index {self.start})"
-            )
+            raise MissingHistory(f"lag {self.lag} reaches before the series start "
+                                 f"(window starts at index {self.start})")
 
     def __len__(self) -> int:
         return self.count
@@ -259,8 +268,7 @@ class Window:
 
     @property
     def t_center(self) -> float:
-        ts = self.times
-        return (float(ts[0]) + float(ts[-1])) / 2.0
+        return (float(self.times[0]) + float(self.times[-1])) / 2.0
 
 
 def _check_steps(lag, minimum: int, what: str) -> int:
@@ -289,21 +297,15 @@ def slice_window(series: TradeSeries, center, half_width) -> Window:
     i_lo = max(0, math.ceil((lo_t - t0) / eps))
     i_hi = min(len(series) - 1, math.floor((hi_t - t0) / eps))
     if i_lo > i_hi or series.t[i_lo] < lo_t or series.t[i_hi] > hi_t:
-        raise EmptyWindow(
-            f"no ticks of {series.asset_id!r} inside [{lo_t}, {hi_t}]"
-        )
+        raise EmptyWindow(f"no ticks of {series.asset_id!r} inside [{lo_t}, {hi_t}]")
     return Window(series=series, start=i_lo, count=i_hi - i_lo + 1, lag=0)
 
 
 def lag_view(window: Window, lag) -> Window:
     """The same window read ``lag`` grid steps into the past."""
     steps = _check_steps(lag, 0, "lag")
-    return Window(
-        series=window.series,
-        start=window.start,
-        count=window.count,
-        lag=window.lag + steps,
-    )
+    return Window(series=window.series, start=window.start, count=window.count,
+                  lag=window.lag + steps)
 
 
 @dataclass(frozen=True)
@@ -326,10 +328,8 @@ class ReturnView:
         for arr in (self.r, self.c_past, self.value, self.times):
             arr.setflags(write=False)
         err = np.max(np.abs(self.value - self.r * self.c_past) / self.value)
-        if err > RETURN_IDENTITY_REL_TOL:
-            raise ConsistencyError(
-                f"value != return * past_value (relative error {err:.3e})"
-            )
+        if not err <= RETURN_IDENTITY_REL_TOL:  # also refuses NaN
+            raise ConsistencyError(f"value != return * past_value (relative error {err:.3e})")
 
     def __len__(self) -> int:
         return len(self.r)
@@ -339,6 +339,29 @@ class ReturnView:
         return (float(self.times[0]) + float(self.times[-1])) / 2.0
 
 
+def build_leg(series: TradeSeries, start: int, count: int, horizon: int = 0):
+    """A leg's ``(value, carrier, x)`` over ``count`` ticks of ``series`` from
+    index ``start``: volumes and prices for a price leg (``horizon`` 0), past
+    values ``p(t - horizon*eps) * volume(t)`` and returns
+    ``p(t) / p(t - horizon*eps)`` for a return leg.  The one place either is
+    derived; each must be a positive normal float, or a ParseError names it."""
+    if start - horizon < 0:
+        raise MissingHistory(f"horizon {horizon} reaches before the start of "
+                             f"{series.asset_id!r}")
+    span = slice(start, start + count)
+    value, carrier, x = series.value[span], series.volume[span], series.price[span]
+    if horizon:
+        then = series.price[start - horizon : start - horizon + count]
+        with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the tick
+            carrier, x = then * carrier, x / then
+        for name, arr in (("past value", carrier), ("return", x)):
+            i = _first_outside_range(arr)
+            if i is not None:
+                raise ParseError(f"{name} {float(arr[i])!r} at t={series.t[start + i]} over "
+                                 f"horizon {horizon} is not a positive normal float")
+    return value, carrier, x
+
+
 def compute_returns(window: Window, alpha) -> ReturnView:
     """Derive per-tick returns and past values for a window.
 
@@ -346,21 +369,6 @@ def compute_returns(window: Window, alpha) -> ReturnView:
     ``alpha`` steps before every windowed tick.
     """
     steps = _check_steps(alpha, 1, "alpha")
-    lo = window._lo
-    if lo - steps < 0:
-        raise MissingHistory(
-            f"horizon {steps} reaches before the start of {window.asset_id!r}"
-        )
-    series = window.series
-    n = window.count
-    p_now = series.price[lo : lo + n]
-    p_then = series.price[lo - steps : lo - steps + n]
-    volume = series.volume[lo : lo + n]
-    return ReturnView(
-        r=p_now / p_then,
-        c_past=p_then * volume,
-        value=series.value[lo : lo + n].copy(),
-        alpha=steps,
-        asset_id=series.asset_id,
-        times=series.t[window.start : window.start + n].copy(),
-    )
+    value, c_past, r = build_leg(window.series, window._lo, window.count, steps)
+    return ReturnView(r=r, c_past=c_past, value=value.copy(), alpha=steps,
+                      asset_id=window.asset_id, times=window.times.copy())

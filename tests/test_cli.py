@@ -235,6 +235,34 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "error[ParseError]" in err and "at t=5 is not finite" in err
 
+    def test_underflowing_trade_value_is_a_parse_error(self, tmp_path, capsys):
+        rows = "".join(f"{t},{1e-200 if t == 5 else 2.0!r},{1e-200 if t == 5 else 1.0!r}\n"
+                       for t in range(20))
+        p1, p2 = write_pair(tmp_path, "t,price,volume\n" + rows)
+        out = str(tmp_path / "out.json")
+        assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "4",
+                     "--stats", "return_vol", "--alpha", "1", "--output", out]) == 4
+        assert ("error[ParseError]: trade value price*volume = 1e-200*1e-200 at t=5 "
+                "underflows to 0.0") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("text, message", [
+        ("t,price,volume\n0,1e-300,1\n1,1e10,1\n",
+         "return inf at t=1 over horizon 1 is not a positive normal float"),
+        ("t,price,volume\n0,1e-200,1\n1,1,1e-200\n",
+         "past value 0.0 at t=1 over horizon 1 is not a positive normal float"),
+    ], ids=["return-overflows", "past-value-underflows"])
+    def test_out_of_range_return_or_past_value_exit_4(self, tmp_path, capsys, command, text,
+                                                      message):
+        p1, p2 = write_pair(tmp_path, text, text)
+        out = str(tmp_path / "out.json")
+        flags = ["--output", out] if command == "analyze" else []
+        assert main([command, "--asset1-path", p1, "--asset2-path", p2, "--window", "1",
+                     "--stats", "return_vol", *flags]) == 4
+        assert capsys.readouterr().err == f"error[ParseError]: {message}\n"
+        assert not os.path.exists(out)
+
     def test_unknown_stat_exit_2(self, tmp_path, capsys):
         p1, p2 = write_pair(tmp_path)
         code = main([
@@ -416,12 +444,13 @@ class TestVerify:
             f"{t},{1.2e154 * (1 + 0.01 * (t % 5))!r},0.5\n" for t in range(40)
         )
         p1, p2 = write_pair(tmp_path, text, text)
-        flags = ["--asset1-path", p1, "--asset2-path", p2, "--window", "8", "--stride", "8",
-                 "--stats", "price_corr"]
-        assert main(["verify", *flags]) == 4
-        assert "error[ConsistencyError]" in capsys.readouterr().err
-        assert main(["analyze", *flags, "--output", str(tmp_path / "out.json")]) == 4
-        assert "error[ConsistencyError]" in capsys.readouterr().err
+        for stats in ("price_corr", "return_corr", "return_vol"):
+            flags = ["--asset1-path", p1, "--asset2-path", p2, "--window", "8", "--stride", "8",
+                     "--stats", stats]
+            assert main(["verify", *flags]) == 4
+            assert "error[ConsistencyError]" in capsys.readouterr().err
+            assert main(["analyze", *flags, "--output", str(tmp_path / "out.json")]) == 4
+            assert "error[ConsistencyError]" in capsys.readouterr().err
 
 
     def test_tol_nan_is_refused_before_any_file_is_read(self, tmp_path, capsys):

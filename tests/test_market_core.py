@@ -38,7 +38,7 @@ from mbstat.errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from mbstat.market_core import DENOM_FLOOR, JOINT_MOMENT_REL_TOL
+from mbstat.market_core import DENOM_FLOOR, JOINT_MOMENT_REL_TOL, closed_form
 from mbstat.oracle import relative_deviation
 
 
@@ -468,6 +468,15 @@ def test_degenerate_denominator_guard():
     s2 = make_series("b", np.arange(2), [1.0, 2.0], [tiny, tiny])
     with pytest.raises(DegenerateDenominator):
         mb_corr_prices(Window(s1, 0, 2), Window(s2, 0, 2))
+
+
+@pytest.mark.parametrize("jm_ww", [math.nan, np.array([1.0, math.nan, 1e-310])],
+                         ids=["float", "array"])
+def test_nan_denominator_is_non_finite_not_too_small(jm_ww):
+    # A NaN from overflowed sums (inf - inf) fails the floor check too; it
+    # is named as non-finite, not as a degenerate denominator.
+    with pytest.raises(ConsistencyError, match=r"^price_corr: non-finite denominator nan$"):
+        closed_form("price_corr", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, jm_ww)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import functools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from mbstat import (
     make_series,
 )
 from mbstat import rolling
-from mbstat.errors import DegenerateDenominator, InvalidConfig, MissingHistory, NonUniformSpacing
+from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
+                           NonUniformSpacing, ParseError)
 from mbstat.market_core import average_slots, checked_joint_moment, closed_form, require_finite
 from mbstat.oracle import relative_deviation
 from mbstat.rolling import FAMILIES, _anchor_interval
@@ -234,11 +237,35 @@ class TestLegSequences:
                 "r2": lambda: returns_of(s2, i2, n, beta),
             }
             lo = position * plan.stride
-            for leg, (x, w) in sequences.items():
+            for leg, (_, w, x) in sequences.items():
                 src = direct[leg]()
                 want = (src.price, src.volume) if leg[0] == "p" else (src.r, src.c_past)
                 assert x[lo : lo + n].tobytes() == want[0].tobytes(), (leg, position)
                 assert w[lo : lo + n].tobytes() == want[1].tobytes(), (leg, position)
+
+
+    @pytest.mark.parametrize("prices, volumes, message", [
+        ([1e-300, 1e10], [1.0, 1.0],
+         "return inf at t=1 over horizon 1 is not a positive normal float"),
+        ([1e-200, 1.0], [1.0, 1e-200],
+         "past value 0.0 at t=1 over horizon 1 is not a positive normal float"),
+    ], ids=["return-overflows", "past-value-underflows"])
+    def test_out_of_range_leg_is_refused_by_name(self, prices, volumes, message):
+        s = make_series("a", [0, 1], prices, volumes)
+        plan = make_plan(s, s, window=1, alpha=1, families=("return_vol",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the rule, not a numpy warning
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                collect_rolling_stats(s, s, plan)
+
+    def test_first_bad_leg_in_leg_order_is_named(self):
+        bad = make_series("b", [0, 1], [1e-300, 1e10], [1.0, 1.0])  # return inf
+        worse = make_series("w", [0, 1], [1e-200, 1.0], [1.0, 1e-200])  # past value 0.0
+        plan = make_plan(worse, bad, window=1, alpha=1, beta=1, families=("return_corr",))
+        with pytest.raises(ParseError, match="^past value 0.0 at t=1"):
+            rolling.leg_sequences(worse, bad, plan)
+        with pytest.raises(ParseError, match="^return inf at t=1"):
+            rolling.leg_sequences(bad, worse, plan)
 
 
 # Test-only reference: the engine as it stood before strided window sums, one

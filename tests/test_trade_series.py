@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import positive_floats, trade_windows
 from mbstat import (
+    ReturnView,
     Window,
     compute_returns,
     lag_view,
@@ -16,7 +17,9 @@ from mbstat import (
     serialize,
     slice_window,
 )
+from mbstat.trade_series import build_leg
 from mbstat.errors import (
+    ConsistencyError,
     EmptyInput,
     EmptyWindow,
     LagNotOnGrid,
@@ -98,6 +101,16 @@ class TestParse:
                 parse_trades(text)
             with pytest.raises(ParseError, match="at t=5 is not finite"):
                 make_series("a", [4, 5], [2.0, 1e200], [1.0, 1e200])
+
+    def test_underflowing_trade_value_rejected(self):
+        # price and volume are positive, their product is not a normal float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=re.escape(
+                    "trade value price*volume = 1e-200*1e-200 at t=0 underflows to 0.0")):
+                make_series("a", [0, 1, 2], [1e-200, 2e-200, 3e-200], [1e-200] * 3)
+            with pytest.raises(ParseError, match=r"= 1e-160\*1e-160 at t=1 underflows to 1e-320"):
+                make_series("a", [0, 1], [2.0, 1e-160], [1.0, 1e-160])  # subnormal
 
     @pytest.mark.parametrize("row", ["99999999999999999999,1.0,1.0", "-9223372036854775809,2,1"])
     def test_tick_time_outside_int64_rejected(self, row):
@@ -231,3 +244,50 @@ class TestComputeReturns:
         rv = compute_returns(window, alpha)
         err = np.max(np.abs(rv.value - rv.r * rv.c_past) / rv.value)
         assert err <= 1e-12
+
+    def test_identity_check_refuses_nan(self):
+        with pytest.raises(ConsistencyError, match=r"relative error nan"):
+            with np.errstate(invalid="ignore"):
+                ReturnView(r=np.array([np.inf, 1.0]), c_past=np.array([0.0, 1.0]),
+                           value=np.array([1.0, 1.0]), alpha=1, asset_id="x",
+                           times=np.array([0, 1]))
+
+    @pytest.mark.parametrize("prices, volumes, message", [
+        ([1e-300, 1e10], [1.0, 1.0],
+         "return inf at t=1 over horizon 1 is not a positive normal float"),
+        ([1e-200, 1.0], [1.0, 1e-200],
+         "past value 0.0 at t=1 over horizon 1 is not a positive normal float"),
+    ], ids=["return-overflows", "past-value-underflows"])
+    def test_out_of_range_return_or_past_value(self, prices, volumes, message):
+        s = make_series("a", [0, 1], prices, volumes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the rule, not a numpy warning
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                compute_returns(Window(s, 1, 1), 1)
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                build_leg(s, 1, 1, 1)
+
+    def test_leg_builder_refuses_missing_history(self):
+        s = make_series("a", np.arange(3), [1.0, 2.0, 4.0], np.ones(3))
+        with pytest.raises(MissingHistory, match="horizon 2 reaches before the start of 'a'"):
+            build_leg(s, 1, 2, 2)
+
+    def test_fuzz_over_the_float_range_never_fails_the_identity(self):
+        # Prices and volumes log-uniform in [1e-300, 1e300]: a return or past
+        # value outside the float range is refused by name, never by the
+        # value == return * past_value check.
+        rng = np.random.default_rng(9)
+        refused = accepted = 0
+        for _ in range(3000):
+            for prices, volumes in 10.0 ** rng.uniform(-300.0, 300.0, (2, 2, 5)):
+                try:
+                    s = make_series("a", np.arange(5), prices, volumes)
+                except ParseError:
+                    continue
+                try:
+                    compute_returns(Window(s, 1, 4), 1)
+                except ParseError:
+                    refused += 1
+                else:
+                    accepted += 1
+        assert refused > 0 and accepted > 0
