@@ -42,8 +42,10 @@ _ORACLE_LEG_KIND = {"p": "price", "r": "return"}
 
 def _read_series(path: str, label: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()  # one decode of the whole file: offsets are file offsets
+        # One decode of the whole file, so offsets are file offsets; no newline
+        # translation, so a CR reaches the parser and is refused there.
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     return parse_trades(text, asset_id=label)
@@ -142,30 +144,38 @@ def run_verify(args) -> int:
         raise InvalidConfig(f"--tol must be >= 0, got {args.tol!r}")
     s1, s2, plan = _plan(args)
     sequences = leg_sequences(s1, s2, plan)
-    checks = []  # per family: its oracle kind, joint flag, legs' arrays and columns read
+    pairs = {}  # per leg pair: its oracle kind, legs' arrays and families
     for family in plan.families:
-        leg1, leg2 = FAMILY_LEGS[family]
-        kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
-        checks.append((family, kind, family in JOINT_FAMILIES, sequences[leg1], sequences[leg2],
-                       ("market_value", *average_slots(family))))
+        legs = leg1, leg2 = FAMILY_LEGS[family]
+        if legs not in pairs:
+            kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
+            pairs[legs] = (kind, sequences[leg1], sequences[leg2], [])
+        pairs[legs][3].append((family, family in JOINT_FAMILIES,
+                               ("market_value", *average_slots(family))))
     worst = {}  # family -> (dev, position) of its first worst window
     n = plan.window
     for chunk in iter_rolling_stats(s1, s2, plan):
-        for family, kind, joint, (_, w1, x1), (_, w2, x2), keys in checks:
-            records = chunk.families[family]
-            columns = (records[key].tolist() for key in keys)
-            for j, (market, g1, g2) in enumerate(zip(*columns)):
+        for kind, (_, w1, x1), (_, w2, x2), families in pairs.values():
+            columns = [(family, joint, *(chunk.families[family][key].tolist() for key in keys))
+                       for family, joint, keys in families]
+            for j in range(len(chunk)):
                 position = chunk.first_position + j
                 lo = position * plan.stride
-                direct = oracle_corr(kind, x1[lo : lo + n], x2[lo : lo + n],
-                                     w1[lo : lo + n], w2[lo : lo + n], g1, g2)
-                if joint:
-                    direct += g1 * g2
-                dev = relative_deviation(market, direct, abs(g1 * g2))
-                prev = worst.get(family)
-                # A NaN deviation (a non-finite oracle sum) ranks above every number.
-                if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
-                    worst[family] = (dev, position)
+                averages = None
+                for family, joint, markets, g1s, g2s in columns:
+                    market, g1, g2 = markets[j], g1s[j], g2s[j]
+                    # The families of a leg pair share their averages, so the
+                    # oracle runs once per pair and window.
+                    if (g1, g2) != averages:
+                        averages = g1, g2
+                        corr = oracle_corr(kind, x1[lo : lo + n], x2[lo : lo + n],
+                                           w1[lo : lo + n], w2[lo : lo + n], g1, g2)
+                    direct = corr + g1 * g2 if joint else corr
+                    dev = relative_deviation(market, direct, abs(g1 * g2))
+                    prev = worst.get(family)
+                    # A NaN deviation (a non-finite oracle sum) ranks above every number.
+                    if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
+                        worst[family] = (dev, position)
 
     failed = []
     for family in plan.families:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,6 +39,18 @@ RETURN_IDENTITY_REL_TOL = 1e-12
 CSV_HEADER = "t,price,volume"
 
 _TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at least this
+
+# The body is parsed in chunks of at most this many characters (more only for
+# a row longer than that), each ending at an LF, so the per-chunk copies stay
+# small next to the columns.
+_CHUNK_CHARS = 1 << 16
+
+# A cell's bytes; a '+' must also follow an 'e'.
+_CELL_BYTES = b"0123456789.-e+"
+_BODY_BYTES = _CELL_BYTES + b",\n"
+_COMMA, _LF = ord(","), ord("\n")
+_COLUMNS = (("t", int, np.int64), ("price", float, np.float64),
+            ("volume", float, np.float64), ("value", float, np.float64))
 
 
 @dataclass(frozen=True)
@@ -165,47 +178,118 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
 def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
 
-    Expected header ``t,price,volume`` with an optional fourth ``value``
-    column; rows sorted by ``t``.  The grid spacing is inferred from the
-    first two rows.
+    The header is exactly ``t,price,volume``, or ``t,price,volume,value``
+    with a declared trade value; rows end in LF (the last row may omit it)
+    and are sorted by ``t``.  A cell is a non-empty run of ASCII digits,
+    ``.``, ``e``, ``-`` and ``+``, with ``+`` only right after ``e``, that
+    ``int()`` (the ``t`` column, in the 64-bit range) or ``float()`` reads.
+    The first row that breaks a rule is named in the ``ParseError``.  The
+    grid spacing is inferred from the first two rows.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise EmptyInput("empty CSV input")
-    header = lines[0].strip()
+    start = text.find("\n") + 1 or len(text)  # of the body
+    header = text[:start].removesuffix("\n")
     if header == CSV_HEADER:
-        has_value = False
+        ncols = 3
     elif header == CSV_HEADER + ",value":
-        has_value = True
+        ncols = 4
     else:
         raise ParseError(f"unexpected header {header!r}, want '{CSV_HEADER}[,value]'")
-    if len(lines) == 1:
+    if start == len(text):
         raise EmptyInput("CSV has a header but no rows")
 
-    n = len(lines) - 1
-    times = np.empty(n, dtype=np.int64)
-    prices = np.empty(n, dtype=np.float64)
-    volumes = np.empty(n, dtype=np.float64)
-    declared = np.empty(n, dtype=np.float64) if has_value else None
-    want_cols = 4 if has_value else 3
-    for i, line in enumerate(lines[1:]):
+    columns = [[] for _ in range(ncols)]
+    rows = 0
+    while start < len(text):
+        end = _chunk_end(text, start)
+        chunk = text[start:end]
+        arrays = _convert_chunk(chunk, ncols)
+        if arrays is None:
+            _raise_first_bad_row(chunk, ncols, rows)
+        for column, arr in zip(columns, arrays):
+            column.append(arr)
+        rows += len(arrays[0])
+        start = end
+    times, prices, volumes, *declared = (np.concatenate(column) for column in columns)
+    return make_series(asset_id, times, prices, volumes, *declared)
+
+
+def _chunk_end(text: str, start: int) -> int:
+    """The end of the chunk of ``text`` from ``start``: just past its last LF
+    within the chunk size, or the end of ``text``."""
+    limit = start + _CHUNK_CHARS
+    if limit >= len(text):
+        return len(text)
+    end = text.rfind("\n", start, limit)
+    if end < 0:  # a row longer than a chunk
+        end = text.find("\n", limit)
+    return len(text) if end < 0 else end + 1
+
+
+def _only(raw: bytes, allowed: bytes) -> bool:
+    """Whether ``raw`` holds only ``allowed`` bytes, with every ``+`` right
+    after an ``e``."""
+    return not raw.translate(None, allowed) and (
+        b"+" not in raw or raw.count(b"+") == raw.count(b"e+"))
+
+
+def _convert_chunk(chunk: str, ncols: int):
+    """The column arrays of a chunk of whole rows, or None when a row breaks a
+    rule of the canonical form: one byte check over the chunk, one look at its
+    separators, and one C-level conversion per column."""
+    try:
+        raw = chunk.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if not _only(raw, _BODY_BYTES):
+        return None
+    if raw[-1] != _LF:  # the last row of the body
+        raw += b"\n"
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero((codes == _COMMA) | (codes == _LF))
+    rows, extra = divmod(len(seps), ncols)
+    is_lf = codes[seps] == _LF
+    if (extra or np.count_nonzero(is_lf) != rows
+            or not is_lf[ncols - 1 :: ncols].all()  # every row has ncols cells
+            or seps[0] == 0 or (seps[1:] - seps[:-1]).min(initial=2) < 2):  # no empty cell
+        return None
+    cells = raw.replace(b"\n", b",").split(b",")
+    cells.pop()  # after the last LF
+    try:
+        return [np.fromiter(map(convert, cells[j::ncols]), dtype, rows)
+                for j, (_, convert, dtype) in enumerate(_COLUMNS[:ncols])]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _raise_first_bad_row(chunk: str, ncols: int, rows_before: int) -> NoReturn:
+    """Raise a ParseError naming the first row of ``chunk`` that breaks a rule
+    of the canonical form; rows are numbered from the first body row."""
+    lines = chunk.split("\n")
+    if chunk.endswith("\n"):
+        lines.pop()
+    for row, line in enumerate(lines, rows_before + 1):
         cells = line.split(",")
-        if len(cells) != want_cols:
-            raise ParseError(f"row {i + 1}: expected {want_cols} columns, got {len(cells)}")
-        try:
-            times[i] = int(cells[0])
-            prices[i] = float(cells[1])
-            volumes[i] = float(cells[2])
-            if has_value:
-                declared[i] = float(cells[3])
-        except ValueError as exc:
-            raise ParseError(f"row {i + 1}: {exc}") from None
-        except OverflowError:
-            raise ParseError(f"row {i + 1}: tick time {cells[0]} is outside the 64-bit "
-                             "integer range") from None
-    return make_series(asset_id, times, prices, volumes, declared)
+        if len(cells) != ncols:
+            raise ParseError(f"row {row}: expected {ncols} columns, got {len(cells)}")
+        for cell, (name, convert, _) in zip(cells, _COLUMNS):
+            if not cell:
+                raise ParseError(f"row {row}: {name} cell is empty")
+            number = None
+            if cell.isascii() and _only(cell.encode(), _CELL_BYTES):
+                try:
+                    number = convert(cell)
+                except ValueError:
+                    pass
+            if number is None:
+                kind = "integer" if convert is int else "decimal number"
+                raise ParseError(f"row {row}: {name} {cell!r} is not a canonical {kind}")
+            if convert is int and not -(2**63) <= number < 2**63:
+                raise ParseError(f"row {row}: tick time {cell} is outside the 64-bit "
+                                 "integer range")
+    raise ParseError(f"rows {rows_before + 1} to {rows_before + len(lines)} are not "
+                     "canonical CSV")
 
 
 def serialize(series: TradeSeries) -> str:

@@ -474,6 +474,28 @@ class TestVerify:
         assert [line.split(":")[0] for line in lines] == list(FAMILIES)
         assert all(line.endswith("over 27 windows [ok]") for line in lines)
 
+    def test_oracle_runs_once_per_leg_pair_and_window(self, tmp_path, capsys, monkeypatch):
+        # Seven families read five leg pairs: price_corr and joint_price_moment
+        # share one oracle value, return_corr and joint_return_moment another.
+        p1, p2 = generate_pair(tmp_path, n=240)
+        calls = []
+        oracle_corr = cli.oracle_corr
+
+        def counted(*args):
+            calls.append(args[0])
+            return oracle_corr(*args)
+
+        monkeypatch.setattr(cli, "oracle_corr", counted)
+        assert main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "24", "--stride", "8", "--alpha", "1", "--beta", "2",
+            "--stats", "price_corr,return_corr,price_return_corr,price_vol,return_vol,"
+                       "joint_moments",
+        ]) == 0
+        assert capsys.readouterr().out.count("over 27 windows [ok]") == 7
+        assert len(calls) == 5 * 27
+        assert sorted(set(calls)) == ["price_price", "price_return", "return_return"]
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_catches_a_wrong_engine_number(self, tmp_path, capsys, monkeypatch, family):
         # One volatile series against itself: every family's value is large
@@ -500,6 +522,35 @@ class TestVerify:
                   for line in captured.out.splitlines()}
         assert status == {f: "[FAIL]" if f == family else "[ok]" for f in FAMILIES}
         assert f"tolerance breach: family={family} " in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("cell", ["1_0.5", " 10", "\uff11\uff10", "+0", "10\r"])
+def test_non_canonical_cell_exit_4_naming_its_row(tmp_path, capsys, command, cell):
+    # int() and float() read each of these cells; the canonical form does not.
+    p1, p2 = write_pair(tmp_path, f"t,price,volume\n0,2,1\n1,4,2\n2,{cell},1\n")
+    argv = [command, "--asset1-path", p1, "--asset2-path", p2, "--window", "2",
+            "--stats", "price_corr"]
+    if command == "analyze":
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"error[ParseError]: row 3: price {cell!r} is not a canonical decimal number\n")
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_crlf_file_exit_4(tmp_path, capsys, command):
+    # The file is read without newline translation, so CRLF reaches the parser.
+    p1, p2 = write_pair(tmp_path)
+    with open(p1, "w", newline="\r\n") as fh:
+        fh.write(WORKED_ASSET1)
+    argv = [command, "--asset1-path", p1, "--asset2-path", p2, "--window", "2",
+            "--stats", "price_corr"]
+    if command == "analyze":
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == 4
+    assert "error[ParseError]: unexpected header 't,price,volume\\r'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from conftest import positive_floats, trade_windows
 from mbstat import (
     ReturnView,
+    SynthConfig,
     Window,
     compute_returns,
+    gen_trades,
     lag_view,
     make_series,
     parse_trades,
     serialize,
     slice_window,
 )
+from mbstat import trade_series
 from mbstat.trade_series import build_leg
 from mbstat.errors import (
     ConsistencyError,
@@ -126,6 +129,93 @@ class TestParse:
             warnings.simplefilter("error")  # refused by the rule, not after a cast warning
             with pytest.raises(ParseError, match=f"tick time {re.escape(named)} is outside"):
                 make_series("a", times, [1.0], [1.0])
+
+
+# Cells outside the canonical form; int() or float() reads most of them.
+NON_CANONICAL_CELLS = ["1_0.5", " 10", "\uff11\uff10", "+0", "10\r", "1E5", "inf", "nan", "",
+                       "0x1p3"]
+
+
+def _columns_equal(parsed, reference):
+    """Every column of two series has the same dtype and the same bits."""
+    return parsed.epsilon == reference.epsilon and all(
+        getattr(parsed, name).dtype == getattr(reference, name).dtype
+        and getattr(parsed, name).tobytes() == getattr(reference, name).tobytes()
+        for name in ("t", "price", "volume", "value"))
+
+
+class TestStrictParse:
+    @pytest.mark.parametrize("header", ["t,price,volume\r", " t,price,volume",
+                                        "t,price,volume ", "t,price,volume,value\r"])
+    def test_header_is_exact(self, header):
+        with pytest.raises(ParseError, match="unexpected header"):
+            parse_trades(f"{header}\n0,2,1\n")
+
+    @given(st.lists(positive_floats, min_size=1, max_size=20), st.data())
+    def test_a_non_canonical_cell_is_refused_naming_its_row(self, prices, data):
+        s = make_series("f", np.arange(len(prices)), prices, prices[::-1])
+        lines = serialize(s).split("\n")
+        row = data.draw(st.integers(1, len(prices)), label="row")
+        column = data.draw(st.integers(0, 2), label="column")
+        cells = lines[row].split(",")
+        cells[column] = data.draw(st.sampled_from(NON_CANONICAL_CELLS), label="cell")
+        lines[row] = ",".join(cells)
+        with pytest.raises(ParseError, match=f"^row {row}: "):
+            parse_trades("\n".join(lines))
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,2,1\n1,,2\n", "row 2: price cell is empty"),
+        ("0,2,1\n,4,2\n", "row 2: t cell is empty"),
+        ("0,2,1\n1,4,2,\n", "row 2: expected 3 columns, got 4"),
+        ("0,2,1\n1,4\n", "row 2: expected 3 columns, got 2"),
+        ("0,2,1\n\n1,4,2\n", "row 2: expected 3 columns, got 1"),
+        ("0,2,1\n1,4,2\n\n", "row 3: expected 3 columns, got 1"),
+        ("0,2\n5\n", "row 1: expected 3 columns, got 2"),  # 3 separators, 2 of them LF
+        ("0,2\n1,4,2,5\n", "row 1: expected 3 columns, got 2"),  # 6 separators, 1 LF
+        ("0,2,1\n1.5,4,2\n", "row 2: t '1.5' is not a canonical integer"),
+        ("0,2,1\n1,4e+-1,2\n", "row 2: price '4e+-1' is not a canonical decimal number"),
+        ("0,2,1\n1,4,2-\n", "row 2: volume '2-' is not a canonical decimal number"),
+        ("0,2,1\n1,4+1,2\n", "row 2: price '4+1' is not a canonical decimal number"),
+    ])
+    def test_first_bad_row_is_named(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_trades("t,price,volume\n" + text)
+
+    def test_exponent_forms_are_read(self):
+        s = parse_trades("t,price,volume\n-1,1e+300,2.5e-300\n0,4e5,1.\n1,.5,2e-0")
+        assert s.price.tolist() == [1e300, 4e5, 0.5] and s.volume.tolist() == [2.5e-300, 1, 2]
+
+    @pytest.mark.parametrize("with_value", [False, True], ids=["3-columns", "value-column"])
+    def test_chunk_boundaries_keep_every_bit(self, monkeypatch, with_value):
+        # 64-character chunks: rows fall on, across and (with the value
+        # column) beyond every chunk boundary.
+        monkeypatch.setattr(trade_series, "_CHUNK_CHARS", 64)
+        rng = np.random.default_rng(10)
+        for n in range(1, 301):
+            times = np.arange(-150, n - 150) * 3
+            prices = 10.0 ** rng.uniform(-20, 20, n)  # '1.5e-05' and '2.5e+17' forms too
+            volumes = rng.uniform(0.5, 2.0, n)
+            reference = make_series("c", times, prices, volumes)
+            header = "t,price,volume,value" if with_value else "t,price,volume"
+            rows = [f"{t},{p!r},{v!r}" + (f",{p * v!r}" if with_value else "")
+                    for t, p, v in zip(times.tolist(), prices.tolist(), volumes.tolist())]
+            text = "\n".join([header, *rows])
+            for ending in ("", "\n"):
+                assert _columns_equal(parse_trades(text + ending, "c"), reference), (n, ending)
+            if n >= 250:
+                rows[n - 20] = rows[n - 20].replace(",", ",+", 1)
+                with pytest.raises(ParseError, match=f"^row {n - 19}: price '\\+"):
+                    parse_trades("\n".join([header, *rows]))
+
+    def test_canonical_file_never_runs_the_row_loop(self, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("the per-row loop ran on a canonical file")
+
+        text = serialize(gen_trades(SynthConfig(n_ticks=5000, seed=3)))
+        monkeypatch.setattr(trade_series, "_raise_first_bad_row", row_loop)
+        assert len(parse_trades(text)) == 5000
+        with pytest.raises(AssertionError, match="per-row loop ran"):
+            parse_trades(text.replace("\n4000,", "\n4000,+", 1))
 
 
 class TestRoundTrip:
