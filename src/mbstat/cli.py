@@ -15,9 +15,11 @@ import sys
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
+
 from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory, ParseError
 from .market_core import FAMILIES, FAMILY_LEGS, JOINT_FAMILIES, average_slots
-from .oracle import oracle_corr, relative_deviation
+from .oracle import oracle_corr_windows
 from .reports import write_csv, write_json
 from .rolling import check_request, iter_rolling_stats, leg_sequences, make_plan
 from .synth import MODES, SynthConfig, gen_trades
@@ -136,6 +138,28 @@ def run_analyze(args) -> int:
     return EXIT_OK
 
 
+def _deviations(x, y, floor):
+    """``relative_deviation(x, y, floor)`` per window: 0 where ``x == y``,
+    else ``|x - y|`` over the largest of ``|x|``, ``|y|`` and ``floor``."""
+    with np.errstate(invalid="ignore"):  # inf against inf is NaN, a breach
+        diff = np.abs(x - y)
+        dev = diff / np.fmax(np.fmax(np.abs(x), np.abs(y)), floor)
+    dev[diff == 0.0] = 0.0
+    return dev
+
+
+def _worst(prev, dev, first_position: int):
+    """The ``(deviation, position)`` of the first worst window so far, given
+    the previous one (or None) and a chunk's deviations from
+    ``first_position`` on: a NaN ranks above every number, and on a tie the
+    earliest position wins, across chunks too."""
+    j = int(np.argmax(dev))  # the first NaN, else the first maximum
+    dev = float(dev[j])
+    if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
+        return dev, first_position + j
+    return prev
+
+
 def run_verify(args) -> int:
     """Drain the rolling engine, the one ``analyze`` reports from, and check
     every window's market value against the brute-force oracle run on that
@@ -149,33 +173,26 @@ def run_verify(args) -> int:
         legs = leg1, leg2 = FAMILY_LEGS[family]
         if legs not in pairs:
             kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
-            pairs[legs] = (kind, sequences[leg1], sequences[leg2], [])
-        pairs[legs][3].append((family, family in JOINT_FAMILIES,
+            (_, w1, x1), (_, w2, x2) = sequences[leg1], sequences[leg2]
+            pairs[legs] = (kind, (x1, x2, w1, w2), [])
+        pairs[legs][2].append((family, family in JOINT_FAMILIES,
                                ("market_value", *average_slots(family))))
     worst = {}  # family -> (dev, position) of its first worst window
-    n = plan.window
-    for chunk in iter_rolling_stats(s1, s2, plan):
-        for kind, (_, w1, x1), (_, w2, x2), families in pairs.values():
-            columns = [(family, joint, *(chunk.families[family][key].tolist() for key in keys))
-                       for family, joint, keys in families]
-            for j in range(len(chunk)):
-                position = chunk.first_position + j
-                lo = position * plan.stride
-                averages = None
-                for family, joint, markets, g1s, g2s in columns:
-                    market, g1, g2 = markets[j], g1s[j], g2s[j]
-                    # The families of a leg pair share their averages, so the
-                    # oracle runs once per pair and window.
-                    if (g1, g2) != averages:
-                        averages = g1, g2
-                        corr = oracle_corr(kind, x1[lo : lo + n], x2[lo : lo + n],
-                                           w1[lo : lo + n], w2[lo : lo + n], g1, g2)
-                    direct = corr + g1 * g2 if joint else corr
-                    dev = relative_deviation(market, direct, abs(g1 * g2))
-                    prev = worst.get(family)
-                    # A NaN deviation (a non-finite oracle sum) ranks above every number.
-                    if prev is None or (math.isnan(dev), dev) > (math.isnan(prev[0]), prev[0]):
-                        worst[family] = (dev, position)
+    for chunk in iter_rolling_stats(s1, s2, plan, sequences):
+        for kind, arrays, families in pairs.values():
+            averages = None
+            for family, joint, keys in families:
+                market, g1, g2 = (chunk.families[family][key] for key in keys)
+                # The families of a leg pair share their averages, so the
+                # oracle runs once per pair and chunk.
+                if averages is None or not (np.array_equal(g1, averages[0])
+                                            and np.array_equal(g2, averages[1])):
+                    averages = g1, g2
+                    corr = oracle_corr_windows(kind, *arrays, g1, g2, window=plan.window,
+                                               stride=plan.stride, first=chunk.first_position)
+                direct = corr + g1 * g2 if joint else corr
+                dev = _deviations(market, direct, np.abs(g1 * g2))
+                worst[family] = _worst(worst.get(family), dev, chunk.first_position)
 
     failed = []
     for family in plan.families:

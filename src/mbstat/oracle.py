@@ -13,6 +13,11 @@ Weight kinds (each normalized to sum 1 over the window):
 - ``volume_product``:       U1_i*U2_i / sum(...)       (price-price)
 - ``past_value_product``:   Co1_i*Co2_i / sum(...)     (return-return)
 - ``volume_past_value``:    U1_i*Co2_i / sum(...)      (price-return)
+
+:func:`oracle_corr_windows` takes the same definition over many windows at
+once, for ``verify``: numpy, imported inside it, evaluates one block of
+windows per array operation, still with each window's own weight sum and no
+cumulative sums.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ PRODUCT_KINDS = ("volume_product", "past_value_product", "volume_past_value")
 
 WEIGHT_SUM_ABS_TOL = 1e-12  # invariant on freshly built weights
 WEIGHT_SUM_CHECK_TOL = 1e-9  # acceptance gate inside em_expectation
+
+# Float64 elements per temporary of oracle_corr_windows (64 KiB); a window
+# longer than this makes a block of one window.
+_BLOCK_ELEMENTS = 8192
 
 _CORR_WEIGHT_KIND = {
     "price_price": "volume_product",
@@ -149,3 +158,57 @@ def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float)
     return _plain_sum(
         (ai - avg1) * (bi - avg2) * wi for ai, bi, wi in zip(a, b, w.weights)
     )
+
+
+def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
+                        window: int, stride: int, first: int):
+    """:func:`oracle_corr` at the positions ``first, first + 1, ...``, one per
+    entry of ``avg1``/``avg2``, as a float64 array.
+
+    Position ``i``'s window is ``[i*stride, i*stride + window)`` of each of the
+    four per-tick arrays.  Each window's product weights are normalized by that
+    window's own sum, and the weighted mean of its deviation products is one
+    row of an ``einsum``.  The checks are the scalar oracle's, per window: an
+    unknown kind or a carrier entry that is not > 0 is a NonPositiveInput, a
+    normalization drift above ``WEIGHT_SUM_ABS_TOL`` an UnnormalizedWeights.
+    Windows are taken in blocks, so that no temporary holds more than
+    ``_BLOCK_ELEMENTS`` floats (or one window, if that is longer).
+    """
+    import numpy as np  # the scalar oracle above runs on plain floats
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    try:
+        weight_kind = _CORR_WEIGHT_KIND[kind]
+    except KeyError:
+        raise NonPositiveInput(f"unknown correlation kind {kind!r}") from None
+    avg1, avg2 = np.asarray(avg1, dtype=np.float64), np.asarray(avg2, dtype=np.float64)
+    if len(avg1) != len(avg2):
+        raise LengthMismatch(f"averages differ in length: {len(avg1)} vs {len(avg2)}")
+    arrays = [np.asarray(a, dtype=np.float64) for a in (x1, x2, carrier1, carrier2)]
+    end = (first + len(avg1) - 1) * stride + window
+    if any(len(a) < max(end, window) for a in arrays):
+        raise LengthMismatch(f"sequence lengths {[len(a) for a in arrays]} end before "
+                             f"the last window's end {end}")
+    # Row i of each view is position i's window; the views copy nothing.
+    v1, v2, c1, c2 = (sliding_window_view(a, window)[::stride] for a in arrays)
+    names = (weight_kind + "[1]", weight_kind + "[2]")
+    out = np.empty(len(avg1), dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // window)
+    with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
+        for b in range(0, len(out), step):
+            avgs = slice(b, min(b + step, len(out)))
+            rows = slice(first + avgs.start, first + avgs.stop)
+            for name, c in zip(names, (c1[rows], c2[rows])):
+                bad = ~(c > 0)
+                if bad.any():
+                    raise NonPositiveInput(f"{name} entries must be > 0, got {c[bad][0]}")
+            w = c1[rows] * c2[rows]
+            w /= w.sum(axis=1, keepdims=True)
+            spread = np.abs(w.sum(axis=1) - 1.0)
+            drifted = spread[spread > WEIGHT_SUM_ABS_TOL]
+            if len(drifted):
+                raise UnnormalizedWeights(f"normalization drifted by {drifted[0]:.3e}")
+            d = v1[rows] - avg1[avgs, None]
+            d *= v2[rows] - avg2[avgs, None]
+            out[avgs] = np.einsum("ij,ij->i", d, w)
+    return out

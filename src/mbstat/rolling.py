@@ -205,9 +205,12 @@ def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     return sequences
 
 
-def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> dict[str, np.ndarray]:
+def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan,
+                 sequences=None) -> dict[str, np.ndarray]:
     """The per-tick arrays of the plan's legs, named as in ``LEG_ARRAYS``."""
-    return {name: arr for leg, arrays in leg_sequences(s1, s2, plan).items()
+    if sequences is None:
+        sequences = leg_sequences(s1, s2, plan)
+    return {name: arr for leg, arrays in sequences.items()
             for name, arr in zip(LEG_ARRAYS[leg], arrays)}
 
 
@@ -234,9 +237,11 @@ def _family_records(family: str, m: dict[str, np.ndarray], form: tuple) -> dict[
             "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
 
 
-def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
-    """Yield one :class:`RollingChunk` per anchor block, in position order."""
-    arrays = _base_arrays(s1, s2, plan)
+def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, sequences=None):
+    """Yield one :class:`RollingChunk` per anchor block, in position order.
+    ``sequences``, the plan's :func:`leg_sequences` when the caller already
+    holds them, spares deriving the legs again."""
+    arrays = _base_arrays(s1, s2, plan, sequences)
     n, stride = plan.window, plan.stride
     inv_n = 1.0 / n
     family_specs = {family: sum_specs(*FAMILY_LEGS[family]) for family in plan.families}

@@ -3,11 +3,13 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from mbstat import FAMILIES, cli, parse_trades
+from mbstat import FAMILIES, cli, parse_trades, rolling
 from mbstat.cli import main
 from mbstat.errors import ConsistencyError
+from mbstat.oracle import relative_deviation
 from mbstat.reports import RECORD_FIELDS
 
 WORKED_ASSET1 = "t,price,volume\n0,2,1\n1,4,2\n2,3,1\n"
@@ -394,14 +396,14 @@ class TestVerify:
 
     def test_nan_deviation_is_a_breach(self, tmp_path, capsys, monkeypatch):
         p1, p2 = generate_pair(tmp_path, n=120)
-        calls = []
-        oracle_corr = cli.oracle_corr
+        oracle = cli.oracle_corr_windows
 
-        def nan_on_second_window(*args):
-            calls.append(args)
-            return math.nan if len(calls) == 2 else oracle_corr(*args)
+        def nan_on_second_window(*args, **kwargs):
+            corr = oracle(*args, **kwargs)
+            corr[1] = math.nan
+            return corr
 
-        monkeypatch.setattr(cli, "oracle_corr", nan_on_second_window)
+        monkeypatch.setattr(cli, "oracle_corr_windows", nan_on_second_window)
         code = main([
             "verify", "--asset1-path", p1, "--asset2-path", p2,
             "--window", "24", "--stride", "8", "--stats", "price_corr",
@@ -420,14 +422,14 @@ class TestVerify:
             f"{t},2,1\n" for t in range(1_700_000_000, 1_700_000_393)
         )
         p1, p2 = write_pair(tmp_path, text, text)
-        calls = []
-        oracle_corr = cli.oracle_corr
+        oracle = cli.oracle_corr_windows
 
-        def nan_at_window_42(*args):
-            calls.append(args)
-            return math.nan if len(calls) == 43 else oracle_corr(*args)
+        def nan_at_window_42(*args, **kwargs):
+            corr = oracle(*args, **kwargs)
+            corr[42] = math.nan
+            return corr
 
-        monkeypatch.setattr(cli, "oracle_corr", nan_at_window_42)
+        monkeypatch.setattr(cli, "oracle_corr_windows", nan_at_window_42)
         code = main([
             "verify", "--asset1-path", p1, "--asset2-path", p2,
             "--window", "32", "--stride", "8", "--stats", "price_corr", "--tol", "0",
@@ -479,13 +481,14 @@ class TestVerify:
         # share one oracle value, return_corr and joint_return_moment another.
         p1, p2 = generate_pair(tmp_path, n=240)
         calls = []
-        oracle_corr = cli.oracle_corr
+        oracle = cli.oracle_corr_windows
 
-        def counted(*args):
-            calls.append(args[0])
-            return oracle_corr(*args)
+        def counted(*args, **kwargs):
+            corr = oracle(*args, **kwargs)
+            calls.append((args[0], len(corr)))
+            return corr
 
-        monkeypatch.setattr(cli, "oracle_corr", counted)
+        monkeypatch.setattr(cli, "oracle_corr_windows", counted)
         assert main([
             "verify", "--asset1-path", p1, "--asset2-path", p2,
             "--window", "24", "--stride", "8", "--alpha", "1", "--beta", "2",
@@ -493,8 +496,10 @@ class TestVerify:
                        "joint_moments",
         ]) == 0
         assert capsys.readouterr().out.count("over 27 windows [ok]") == 7
-        assert len(calls) == 5 * 27
-        assert sorted(set(calls)) == ["price_price", "price_return", "return_return"]
+        assert len(calls) == 5  # one chunk
+        assert sum(n for _, n in calls) == 5 * 27
+        assert sorted({kind for kind, _ in calls}) == ["price_price", "price_return",
+                                                       "return_return"]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_catches_a_wrong_engine_number(self, tmp_path, capsys, monkeypatch, family):
@@ -522,6 +527,56 @@ class TestVerify:
                   for line in captured.out.splitlines()}
         assert status == {f: "[FAIL]" if f == family else "[ok]" for f in FAMILIES}
         assert f"tolerance breach: family={family} " in captured.err
+
+
+    def test_legs_are_derived_once(self, tmp_path, capsys, monkeypatch):
+        p1, p2 = generate_pair(tmp_path, n=240)
+        calls = []
+        build_leg = rolling.build_leg
+
+        def counted(*args):
+            calls.append(args)
+            return build_leg(*args)
+
+        monkeypatch.setattr(rolling, "build_leg", counted)
+        assert main([
+            "verify", "--asset1-path", p1, "--asset2-path", p2,
+            "--window", "24", "--stride", "8", "--stats", "return_corr",
+        ]) == 0
+        assert "[ok]" in capsys.readouterr().out
+        assert len(calls) == 2  # legs r1 and r2
+
+
+class TestWorstWindow:
+    """verify's deviation gate and worst-window choice, in array form."""
+
+    @pytest.mark.parametrize("x, y, floor", [
+        (1.0, 1.0, 5.0), (0.0, 0.0, 0.0), (1.0, 1.0 + 2**-52, 1e-3), (1e-18, 2e-18, 1.0),
+        (-3.0, 2.0, 0.5), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (2.0, 1.0, math.nan),
+        (math.inf, math.inf, 1.0), (math.inf, 1.0, 1.0),
+    ])
+    def test_deviations_equal_relative_deviation(self, x, y, floor):
+        got = cli._deviations(np.array([x]), np.array([y]), np.array([floor]))
+        want = relative_deviation(x, y, floor)
+        assert float.hex(float(got[0])) == float.hex(want)
+
+    def test_equal_deviations_keep_the_earliest_position(self):
+        assert cli._worst(None, np.array([1.0, 3.0, 2.0, 3.0]), 10) == (3.0, 11)
+        assert cli._worst((3.0, 11), np.array([3.0, 0.0]), 20) == (3.0, 11)
+
+    def test_the_first_nan_beats_a_larger_number(self):
+        dev, position = cli._worst(None, np.array([1.0, math.nan, 5.0, math.nan]), 0)
+        assert math.isnan(dev) and position == 1
+        dev, position = cli._worst((5.0, 2), np.array([0.0, math.nan]), 4)
+        assert math.isnan(dev) and position == 5
+
+    def test_a_worse_window_in_a_later_chunk_replaces_an_earlier_one(self):
+        assert cli._worst((2.0, 3), np.array([1.0, 2.5, 2.5]), 100) == (2.5, 101)
+
+    def test_a_nan_in_an_earlier_chunk_is_not_replaced(self):
+        for later in ([math.nan, 1.0], [math.inf, 0.0]):
+            dev, position = cli._worst((math.nan, 7), np.array(later), 100)
+            assert math.isnan(dev) and position == 7
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from mbstat import (
     vwap,
 )
 from mbstat.errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights
-from mbstat.oracle import relative_deviation
+from mbstat import oracle
+from mbstat.oracle import oracle_corr_windows, relative_deviation
 
 positive_seqs = st.lists(
     st.floats(min_value=0.25, max_value=4.0, allow_nan=False), min_size=1, max_size=30
@@ -207,6 +210,94 @@ class TestOracleCorr:
             oracle_corr(
                 "price_price", [1.0, 2.0], [1.0], [1.0], [1.0], 1.0, 1.0
             )
+
+
+class TestOracleCorrWindows:
+    """The batched oracle against the scalar one, window by window."""
+
+    KINDS = ("price_price", "return_return", "price_return")
+
+    @staticmethod
+    def scalar(kind, arrays, avg1, avg2, window, stride, first):
+        x1, x2, c1, c2 = arrays
+        out = []
+        for j, (g1, g2) in enumerate(zip(avg1, avg2)):
+            lo = (first + j) * stride
+            span = slice(lo, lo + window)
+            out.append(oracle_corr(kind, x1[span], x2[span], c1[span], c2[span], g1, g2))
+        return out
+
+    @given(st.data())
+    def test_matches_the_scalar_oracle(self, data):
+        window = data.draw(st.integers(1, 24), label="window")
+        stride = data.draw(st.integers(1, 8), label="stride")
+        first = data.draw(st.integers(0, 4), label="first")
+        k = data.draw(st.integers(0, 12), label="positions")
+        block = data.draw(st.integers(1, 64), label="block elements")
+        n = (first + max(k, 1) - 1) * stride + window + data.draw(st.integers(0, 3))
+        arrays = x1, x2, c1, c2 = [
+            np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+            for _ in range(4)]
+        # The averages verify passes: each leg's carrier-weighted mean over
+        # the window, so the deviations are on the scale of |g1*g2|.
+        starts = (first + np.arange(k)) * stride
+        avg1, avg2 = (np.array([np.dot(c[lo:lo + window], x[lo:lo + window])
+                                / np.sum(c[lo:lo + window]) for lo in starts])
+                      for x, c in ((x1, c1), (x2, c2)))
+        for kind in self.KINDS:
+            with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
+                got = oracle_corr_windows(kind, *arrays, avg1, avg2, window=window,
+                                          stride=stride, first=first)
+            want = self.scalar(kind, arrays, avg1, avg2, window, stride, first)
+            assert got.shape == (k,)
+            for g, w, g1, g2 in zip(got.tolist(), want, avg1, avg2):
+                assert abs(g - w) <= 1e-13 * abs(g1 * g2)
+
+    def test_blocks_split_at_the_element_bound(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        arrays = list(rng.uniform(0.5, 2.0, size=(4, 200)))
+        avg = rng.uniform(0.5, 2.0, size=(2, 40))
+        whole = oracle_corr_windows("price_return", *arrays, *avg, window=16, stride=4, first=2)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 48)  # 3 windows per block
+        split = oracle_corr_windows("price_return", *arrays, *avg, window=16, stride=4, first=2)
+        assert split.tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0])
+    @pytest.mark.parametrize("which", [2, 3])
+    def test_carrier_errors_match_the_scalar_oracle(self, bad, which):
+        arrays = [np.linspace(1.0, 2.0, 12) for _ in range(4)]
+        arrays[which][9] = bad  # inside position 3's window only
+        avg = np.full(4, 1.5)
+        with pytest.raises(NonPositiveInput):
+            self.scalar("price_price", arrays, avg, avg, 4, 2, 0)
+        with pytest.raises(NonPositiveInput, match=r"entries must be > 0"):
+            oracle_corr_windows("price_price", *arrays, avg, avg, window=4, stride=2, first=0)
+        # A bad entry outside every requested window is not read.
+        oracle_corr_windows("price_price", *arrays, avg[:3], avg[:3], window=4, stride=2, first=0)
+
+    def test_unknown_kind_matches_the_scalar_oracle(self):
+        ones = np.ones(4)
+        with pytest.raises(NonPositiveInput):
+            oracle_corr("nope", ones, ones, ones, ones, 1.0, 1.0)
+        with pytest.raises(NonPositiveInput, match="unknown correlation kind"):
+            oracle_corr_windows("nope", ones, ones, ones, ones, [1.0], [1.0],
+                                window=4, stride=1, first=0)
+
+    def test_normalization_drift_matches_the_scalar_oracle(self):
+        # Each product is finite, their sum overflows: every weight is 0.
+        c1, c2 = np.full(2, 1e300), np.full(2, 1e8)
+        x = np.ones(2)
+        with pytest.raises(UnnormalizedWeights):
+            oracle_corr("price_price", x, x, c1, c2, 1.0, 1.0)
+        with pytest.raises(UnnormalizedWeights):
+            oracle_corr_windows("price_price", x, x, c1, c2, [1.0], [1.0],
+                                window=2, stride=1, first=0)
+
+    def test_arrays_too_short_for_the_last_window(self):
+        ones = np.ones(9)
+        with pytest.raises(LengthMismatch):
+            oracle_corr_windows("price_price", ones, ones[:8], ones, ones, [1.0] * 3,
+                                [1.0] * 3, window=5, stride=2, first=0)
 
 
 class TestRelativeDeviation:
