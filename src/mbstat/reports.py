@@ -5,9 +5,14 @@ order.  Numbers are written with up to 17 significant digits, which makes
 every double round-trip exactly; emission is handrolled so the output is
 deterministic byte for byte for fixed inputs and flags.
 
-Emission is columnar: each chunk is cut into blocks of positions, each
-distinct column of a block is formatted once, and each position's records
-are filled in from one template that covers every family.
+Emission is columnar: each chunk is cut into blocks of positions, the
+distinct columns of a block are formatted together, and each position's
+records are filled in from one bytes template that covers every family,
+decoded once per block.
+
+Numbers are formatted by ``_format17g.format_17g``, ``"%.17g"`` byte for
+byte in float64 array arithmetic.  That module is imported on the first
+block written, so that a run that writes no report does not compile it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ _ARRAY_KEYS = (
     "cov_cc", "cov_uc", "cov_cu", "cov_ww",
 )
 
-# Positions per block.  Larger blocks save no time and hold more strings at
-# once: 512 raised the peak RSS of a 5k-tick all-family run by 15%.
-_BLOCK = 64
+# Positions per block, one format_17g call each.  Larger blocks save little
+# time and hold more at once: on the dense-emit benchmark (5k-tick pair, all
+# families, seeds 451-452) 32 positions read 54.6k-58.9k items per calibrated
+# CPU second at 33.6 MB peak RSS, 64 read 57.4k-58.9k at 34.0 MB, 128
+# 58.8k-59.3k at 35.0 MB and 256 60.8k-60.9k at 36.7-37.1 MB.
+_BLOCK = 32
 
 
 def _json_record(plan: RollingPlan, family: str) -> str:
@@ -69,10 +77,14 @@ def _write_records(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChun
     """Write the ``sep``-separated records of ``chunks``, one write per block.
 
     A block's matrix has one row per template slot (each family's record
-    opens with ``t_center``).  Bit-identical rows are formatted once, keyed
-    on their bytes so that ``0.0`` and ``-0.0`` stay apart.
+    opens with ``t_center``).  Bit-identical rows are formatted once (keyed
+    on their bytes, so that ``0.0`` and ``-0.0`` stay apart): a block's
+    distinct rows go through one ``format_17g`` call.
     """
-    template = sep.join(record(plan, family) for family in plan.families)
+    from ._format17g import format_17g
+
+    template = sep.join(record(plan, family) for family in plan.families).encode()
+    joiner = sep.encode()
     lead = ""
     for chunk in chunks:
         columns = [
@@ -83,14 +95,13 @@ def _write_records(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChun
         for b0 in range(0, len(chunk), _BLOCK):
             block = np.array([col[b0 : b0 + _BLOCK] for col in columns], dtype=np.float64)
             _check_finite(plan, block)
-            rows, text = [], {}
-            for values in block:
-                key = values.tobytes()
-                if key not in text:
-                    text[key] = list(map("%.17g".__mod__, values.tolist()))
-                rows.append(text[key])
+            first = {}  # row bytes -> the first row holding them
+            slots = [first.setdefault(values.tobytes(), i) for i, values in enumerate(block)]
+            text = format_17g(block[list(first.values())])
+            width = block.shape[1]
+            rows = {i: text[n * width : (n + 1) * width] for n, i in enumerate(first.values())}
             out.write(lead)
-            out.write(sep.join(map(template.__mod__, zip(*rows))))
+            out.write(joiner.join(map(template.__mod__, zip(*map(rows.__getitem__, slots)))).decode())
             lead = sep
 
 

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan
 from mbstat.errors import ConsistencyError
@@ -169,3 +172,43 @@ class TestNonFiniteRefusal:
         chunk = self._chunk(plan, field, value, at=70)
         with pytest.raises(ConsistencyError, match="non-finite value " + shown):
             writer(io.StringIO(), plan, iter([chunk]))
+
+
+# ---------------------------------------------------------------------------
+# Random chunks: values from the whole finite range (both zeros, subnormals,
+# exact 17-digit ties, a carry into an 18th digit), repeated within columns
+# and shared between columns, over chunks that end inside a block.
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 999999999999999.875, -1000000000000000.25, 1e-79,
+            1.7976931348623157e308, 2.5, -1e16)
+_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL))
+
+
+@st.composite
+def _random_chunks(draw, families):
+    pool = np.array(draw(st.lists(_VALUES, min_size=1, max_size=12)))
+    chunks, first = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 70))
+        made = []
+
+        def column():
+            if made and draw(st.booleans()):
+                return made[draw(st.integers(0, len(made) - 1))]
+            made.append(pool[draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))])
+            return made[-1]
+
+        t_center = column()
+        cols = {family: {src: column() for src in _REF_SOURCES} for family in families}
+        chunks.append(RollingChunk(first_position=first, t_center=t_center, families=cols))
+        first += n
+    return chunks
+
+
+class TestRandomChunkBytes:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_writers_match_reference(self, synth_pair, data):
+        plan = make_plan(*synth_pair, window=4, stride=1, alpha=1, beta=1,
+                         families=(PRICE_FAMILY, RETURN_FAMILY))
+        _assert_same_bytes(plan, data.draw(_random_chunks(plan.families)))
