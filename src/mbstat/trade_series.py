@@ -5,6 +5,14 @@ constant spacing ``epsilon`` between consecutive trades.  All lags and window
 widths are expressed in grid steps.  Gaps and duplicate timestamps are hard
 errors; filling them would invent trades with fictitious volumes and poison
 every volume-weighted statistic downstream.
+
+CSV input is read in chunks of whole rows.  A chunk whose cells are all
+plain (digits, one '.' in each float cell, at most 18 digits, no sign and
+no exponent) is read in numpy: each cell's digits as one integer, from one
+gather and a SWAR fold, and each float as that integer over a power of ten,
+correctly rounded through its exact residual (Clinger 1990, *How to read
+floating point numbers accurately*).  Any other chunk goes through ``int()``
+and ``float()`` cell by cell.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -48,9 +56,32 @@ _CHUNK_CHARS = 1 << 16
 # A cell's bytes; a '+' must also follow an 'e'.
 _CELL_BYTES = b"0123456789.-e+"
 _BODY_BYTES = _CELL_BYTES + b",\n"
-_COMMA, _LF = ord(","), ord("\n")
+_COMMA, _LF, _POINT = ord(","), ord("\n"), ord(".")
 _COLUMNS = (("t", int, np.int64), ("price", float, np.float64),
             ("volume", float, np.float64), ("value", float, np.float64))
+
+# Plain cells, read without int() or float(): a t cell of at most 18 digits,
+# and a float cell of at most 18 digits and one '.'.
+_PLAIN_DIGITS = 18
+# A cell is read from the 8, 16 or 24 bytes that end where it ends, as
+# uint64 words.  A digit's byte reads as its low nibble; bit 4 (0x10) sets
+# digits apart from '.', ',' and LF, which read as 0.  The padding covers the
+# first cells.
+_PAD = b"0" * 24
+_BIT4, _FOUR, _FIFTEEN = np.uint64(0x0101010101010101), np.uint64(4), np.uint64(15)
+# SWAR steps (multiplier, shift, mask) that fold eight digits into one
+# 8-digit number, the first byte the most significant.
+_FOLDS = tuple((np.uint64(m), np.uint64(s), np.uint64(k)) for m, s, k in (
+    (10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF), (10000, 32, 0xFFFFFFFF)))
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_TEN = np.array([float(10**k) for k in range(_PLAIN_DIGITS + 1)])  # exact doubles
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
+_TEN_HI = _TEN * _SPLIT - (_TEN * _SPLIT - _TEN)  # each power's halves, for TwoProduct
+_TEN_LO = _TEN - _TEN_HI
+_EXPONENT = np.uint64(0x7FF << 52)
+# A quotient whose residual lies within this many ulps of half an ulp is left
+# to float().
+_TIE = 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -199,7 +230,10 @@ def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
     if start == len(text):
         raise EmptyInput("CSV has a header but no rows")
 
-    columns = [[] for _ in range(ncols)]
+    # A row per LF, the last one may lack it: the columns are filled in
+    # place, so no chunk's arrays wait for a concatenation.
+    size = text.count("\n", start) + (text[-1] != "\n")
+    columns = [np.empty(size, dtype) for _, _, dtype in _COLUMNS[:ncols]]
     rows = 0
     while start < len(text):
         end = _chunk_end(text, start)
@@ -208,11 +242,10 @@ def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
         if arrays is None:
             _raise_first_bad_row(chunk, ncols, rows)
         for column, arr in zip(columns, arrays):
-            column.append(arr)
+            column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
         start = end
-    times, prices, volumes, *declared = (np.concatenate(column) for column in columns)
-    return make_series(asset_id, times, prices, volumes, *declared)
+    return make_series(asset_id, *columns)
 
 
 def _chunk_end(text: str, start: int) -> int:
@@ -248,12 +281,18 @@ def _convert_chunk(chunk: str, ncols: int):
         raw += b"\n"
     codes = np.frombuffer(raw, dtype=np.uint8)
     seps = np.flatnonzero((codes == _COMMA) | (codes == _LF))
+    width = np.empty_like(seps)  # bytes per cell
+    width[0] = seps[0]
+    np.subtract(seps[1:], seps[:-1] + 1, out=width[1:])
     rows, extra = divmod(len(seps), ncols)
     is_lf = codes[seps] == _LF
     if (extra or np.count_nonzero(is_lf) != rows
             or not is_lf[ncols - 1 :: ncols].all()  # every row has ncols cells
-            or seps[0] == 0 or (seps[1:] - seps[:-1]).min(initial=2) < 2):  # no empty cell
+            or width.min() == 0):  # no empty cell
         return None
+    plain = _plain_columns(raw, codes, seps, width, ncols)
+    if plain is not None:
+        return plain
     cells = raw.replace(b"\n", b",").split(b",")
     cells.pop()  # after the last LF
     try:
@@ -261,6 +300,97 @@ def _convert_chunk(chunk: str, ncols: int):
                 for j, (_, convert, dtype) in enumerate(_COLUMNS[:ncols])]
     except (ValueError, OverflowError):
         return None
+
+
+def _plain_columns(raw: bytes, codes: np.ndarray, seps: np.ndarray, width: np.ndarray,
+                   ncols: int):
+    """The column arrays of a chunk of well-formed rows whose cells are all
+    plain, bit for bit what ``int()`` and ``float()`` give, or None when one
+    is not: a plain chunk holds no ``e`` (so no ``+``) and no ``-``, each t
+    cell has at most 18 digits, and each float cell one ``.`` and 1 to 18
+    digits.  ``seps`` are the offsets of the chunk's commas and LFs, and
+    ``width`` the bytes of each cell."""
+    if b"e" in raw or b"-" in raw:
+        return None
+    rows = len(seps) // ncols
+    points = np.flatnonzero(codes == _POINT)
+    if len(points) != (ncols - 1) * rows:
+        return None
+    ends = seps.reshape(rows, ncols)
+    points = points.reshape(rows, ncols - 1)
+    if not ((points > ends[:, :-1]).all() and (points < ends[:, 1:]).all()):
+        return None  # not one '.' in each float cell and none in a t cell
+    widest = int(width.max())
+    width = width.reshape(rows, ncols)
+    if (widest > _PLAIN_DIGITS + 1 or width[:, 0].max() > _PLAIN_DIGITS
+            or width[:, 1:].min() < 2):  # a float cell: its digits and the point
+        return None
+    value = _cell_values(raw, seps, width.ravel(), widest).reshape(rows, ncols)
+    frac = ends[:, 1:] - points - 1  # digits after the point
+    # A float cell's value is i * 10**(frac + 1) + f, the point read as a 0;
+    # its digits are i * 10**frac + f.
+    floats = value[:, 1:]
+    digits = ((floats + floats % _POW10[frac] * np.uint64(9)) // np.uint64(10)).view(np.int64)
+    x, near = _quotients(digits, frac)
+    for i, j in zip(*np.nonzero(near)):
+        x[i, j] = float(raw[ends[i, j] + 1 : ends[i, j + 1]])
+    return [value[:, 0].view(np.int64), *x.T]
+
+
+def _cell_values(raw: bytes, ends: np.ndarray, width: np.ndarray, widest: int) -> np.ndarray:
+    """Each cell of ``raw`` read as one decimal number, as uint64: the
+    ``width`` bytes that end at ``ends``, a '.' read as the digit 0.
+
+    One gather takes the 8, 16 or 24 bytes before each end (``widest`` at
+    most 19), and SWAR folds each word's digits to an 8-digit number.  The
+    bytes before the cell add multiples of ``10**width``, which the final
+    modulus removes; the top word is first cut to the digits that can matter,
+    so the sum stays below ``10**19``."""
+    words = -(-widest // 8)
+    size = 8 * words
+    padded = _PAD + raw
+    view = np.ndarray((len(padded) - size + 1,), f"S{size}", padded, 0, (1,))
+    word = view[ends + (len(_PAD) - size)].view("<u8").reshape(-1, words)
+    word &= ((word >> _FOUR) & _BIT4) * _FIFTEEN
+    for mul, shift, mask in _FOLDS:
+        word = (word * mul + (word >> shift)) & mask
+    value = word[:, 0] % _POW10[widest - size + 8]
+    for k in range(1, words):
+        value = value * _POW10[8] + word[:, k]
+    return value % _POW10[width]
+
+
+def _quotients(digits: np.ndarray, frac: np.ndarray):
+    """``(x, near)``: ``x`` is ``digits / 10**frac`` correctly rounded, for
+    int64 ``digits`` below ``10**18`` and ``frac`` at most 18, except where
+    ``near`` holds, which is left to ``float()``.
+
+    ``y = fl(fl(digits) / 10**frac)`` is within about an ulp; its exact
+    residual ``r = digits - y * 10**frac`` (Dekker's TwoProduct of ``y`` and
+    the exact double ``10**frac``, and the integer error of
+    ``fl(digits)``) gives ``x = y + r / 10**frac`` in one rounding.  Left to
+    ``float()``: ``|r / 10**frac|`` within ``_TIE`` ulps of half an ulp, and
+    a negative residual at a power of two, where the spacing below halves.
+    Both are a margin: with at most 18 digits an inexact quotient lies at
+    least ``1 / (2 * 5**18)`` ulps (about 2**-43) from a midpoint, and an
+    exact tie has an exact ``r``, so the one rounding is already right."""
+    d = _TEN[frac]
+    rounded = digits.astype(np.float64)
+    y = rounded / d
+    p = y * d
+    t = y * _SPLIT
+    y_hi = t - (t - y)
+    y_lo = y - y_hi
+    d_hi, d_lo = _TEN_HI[frac], _TEN_LO[frac]
+    e = ((y_hi * d_hi - p) + y_hi * d_lo + y_lo * d_hi) + y_lo * d_lo  # y*d = p + e
+    # rounded - p is exact (Sterbenz), so is the remainder (rounded - p) - e,
+    # and adding the small integer digits - rounded is exact too.
+    tail = (((rounded - p) - e) + (digits - rounded.astype(np.int64))) / d  # r / 10**frac
+    power = (y.view(np.uint64) & _EXPONENT).view(np.float64)  # 2**floor(log2(y))
+    ulp = power * 2.0**-52
+    near = np.abs(np.abs(tail) - 0.5 * ulp) < _TIE * ulp
+    near |= (y == power) & (tail < 0)
+    return y + tail, near
 
 
 def _raise_first_bad_row(chunk: str, ncols: int, rows_before: int) -> NoReturn:
