@@ -1,17 +1,14 @@
 """``"%.17g" % v`` for float64 arrays, byte for byte, in numpy.
 
 CPython's ``"%.17g"`` takes its correctly rounded bignum path for every
-17-digit value, about 1 us per float.  Here ``k = floor(log10|x|)`` comes
-exactly from the binary exponent and one comparison with ``10**(k + 1)``,
-and ``|x|`` is scaled by ``10**(16 - k)`` as a double-double: Dekker's
-TwoProduct of ``|x|`` with the double ``hi`` nearest ``10**(16 - k)``, plus
-``|x| * lo`` for the rest of the power, taken from integer arithmetic.  The
-result is rounded to the 17-digit integer, whose digits come from a table
-of 4-digit groups and whose layout (``0.000...``, the point, trailing zeros
-stripped, ``e+XX``) from a table indexed by k, the number of significant
-digits and the sign.  A value the double-double cannot settle (a near tie,
-a rounding that carries into an 18th digit, a subnormal or a k outside the
-table) is formatted by ``"%.17g"`` itself.
+17-digit value, about 1 us per float.  Here ``|x|`` is taken on the 17-digit
+grid of ``_grid17`` (exact ``k = floor(log10|x|)``, ``|x| * 10**(16 - k)``
+as a double-double) and rounded to the 17-digit integer, whose digits come
+from a table of 4-digit groups and whose layout (``0.000...``, the point,
+trailing zeros stripped, ``e+XX``) from a table indexed by k, the number of
+significant digits and the sign.  A value the double-double cannot settle
+(a near tie, a rounding that carries into an 18th digit, a subnormal or a k
+outside the table) is formatted by ``"%.17g"`` itself.
 
 The tables are built on first use.  ``mbstat.reports`` imports this module
 on the first block it writes.
@@ -20,15 +17,12 @@ on the first block it writes.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-# Exponents k = floor(log10|x|) that format_17g lays out from tables: two-digit
-# exponents, and 10**(16 - k) a double-double of normal doubles.
-_K_MIN, _K_MAX = -99, 99
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
+from ._grid17 import _K_MAX, _K_MIN, grid_17
+
 # |frac(y) - 1/2| at or below this is a near-tie, left to "%.17g": the
 # double-double y is off by under 1e-14.
 _TIE = 2.0**-40
@@ -47,10 +41,6 @@ _DOT, _MINUS, _ZERO, _E_EXP, _NUL = b"\x11", b"\x12", b"\x13", b"\x14\x15\x16\x1
 
 
 class _Tables(NamedTuple):
-    powers: np.ndarray  # 10**(16 - k) as hi, lo, and hi split in halves
-    k_low: np.ndarray  # per biased binary exponent: the lower candidate k, as k - _K_MIN
-    k_step: np.ndarray  # ... and 10**(k + 1), at or above which k is one more
-    in_table: np.ndarray  # ... and whether k is in the table
     words: np.ndarray
     flags: np.ndarray  # per 4-digit group: one bit, for its last nonzero digit
     nsig_at: np.ndarray  # 2 * (nsig - 1) per float64 exponent of four flags
@@ -79,32 +69,8 @@ def _layouts() -> bytes:
 
 @functools.cache
 def _tables() -> _Tables:
-    """Built on first use, from integer arithmetic.  The per-call path uses
-    no ``log10`` and no cast of small integers, whose numpy kernels would
-    count in the resident set."""
+    """The digit and layout tables of ``format_17g``, built on first use."""
     ks = range(_K_MIN, _K_MAX + 1)
-    hi, lo, tens = [], [], []
-    for k in ks:
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        h = num / den
-        a, b = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * b - a * den) / (den * b))
-        # 10**k rounded up, so that |x| >= it exactly when |x| >= 10**k
-        ten = float(10**k) if k >= 0 else 1 / 10**-k
-        n, d = ten.as_integer_ratio()
-        tens.append(math.nextafter(ten, math.inf) if n * 10**max(-k, 0) < d * 10**max(k, 0) else ten)
-    hi = np.array(hi)
-    t = hi * _SPLIT
-    hh = t - (t - hi)
-    # floor(log10|x|) is floor(e * log10(2)) or one more, for |x| in
-    # [2**e, 2**(e+1)): one more exactly when |x| >= 10**(that + 1).
-    biased = np.arange(2048)
-    k_low = np.floor((biased - 1023) * 0.30102999566398120).astype(np.int64) - _K_MIN
-    in_table = (biased > 0) & (biased < 2047) & (k_low >= 0) & (k_low < len(ks))
-    k_low[~in_table] = -_K_MIN
-    step = np.append(tens[1:], np.inf)[k_low]
-    step[~in_table] = np.inf
     groups = flags = 0
     for j, digit in enumerate(np.ix_(*[np.arange(10)] * 4)):
         groups = groups + (digit + 48) * 256**j  # little-endian: digit j is byte j
@@ -116,8 +82,7 @@ def _tables() -> _Tables:
     nsig_at = np.zeros(1023 + 32, np.int64)
     nsig_at[1023:] = [2 * (4 * (b // 8) + 1 + b % 8) for b in range(32)]
     return _Tables(
-        powers=np.array([hi, lo, hh, hi - hh]), k_low=k_low, k_step=step,
-        in_table=in_table, words=words, flags=flags.astype(np.uint8).ravel(),
+        words=words, flags=flags.astype(np.uint8).ravel(),
         nsig_at=nsig_at, class_at=34 * np.array([k + 4 if -4 <= k <= 16 else 21 for k in ks]),
         layout=np.frombuffer(_layouts(), np.uint8).reshape(-1, _WIDTH),
     )
@@ -128,25 +93,12 @@ def decimal_17(x: np.ndarray):
     holds, ``|x|`` rounded to 17 significant digits is ``digits * 10**(k -
     16)`` with ``k = ki + _K_MIN``.
 
-    ``|x| * 10**(16 - k)`` is formed as a double-double (Dekker's TwoProduct
-    of ``|x|`` and ``hi``, plus ``|x| * lo``) and rounded to an integer.  Not
-    ``fast``: subnormals and k outside the table (their ``digits`` are 0),
-    near-ties, and roundings that carry into an 18th digit.  Zero is fast,
-    with ``digits`` 0 and k 0.  ``digits`` is below ``10**18`` throughout.
+    ``_grid17.grid_17``'s ``p + r`` rounded to an integer.  Not ``fast``:
+    subnormals and k outside the table (their ``digits`` are 0), near-ties,
+    and roundings that carry into an 18th digit.  Zero is fast, with
+    ``digits`` 0 and k 0.  ``digits`` is below ``10**18`` throughout.
     """
-    tab = _tables()
-    a = np.abs(x)
-    biased = a.view(np.int64) >> 52
-    ki = tab.k_low[biased]
-    ki = np.where(a >= tab.k_step[biased], ki + 1, ki)
-    fast = tab.in_table[biased]
-    a[~fast] = 0.0
-    hi, lo, hh, hl = tab.powers[:, ki]
-    p = a * hi
-    t = a * _SPLIT
-    ah = t - (t - a)
-    al = a - ah
-    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    ki, _, _, p, r, fast = grid_17(x)
     near = np.rint(r)
     digits = p.astype(np.int64) + near.astype(np.int64)
     fast &= digits < 10**17  # else the rounding carried, or k is past _K_MAX

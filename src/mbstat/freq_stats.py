@@ -59,11 +59,14 @@ def joint_moment(xs, ys) -> float:
 def spec_means(arrays: dict, specs) -> list[float]:
     """Per ``(x, y)`` spec over the named, equally long sequences ``arrays``:
     the mean of ``x`` (``y=None``) or the joint moment of ``x`` and ``y``.
-    Each sequence is checked once, not once per spec it appears in."""
+    Each sequence is checked once, not once per spec it appears in.  A
+    product that overflows gives an ``inf`` mean without a warning: the
+    closed forms refuse it, naming the moment."""
     arrs = {name: _as_floats(xs) for name, xs in arrays.items()}
     if len(sizes := {arr.size for arr in arrs.values()}) > 1:
         raise LengthMismatch(f"sequences differ in length: {sorted(sizes)}")
-    return [_fsum_mean(arrs[x] if y is None else arrs[x] * arrs[y]) for x, y in specs]
+    with np.errstate(over="ignore", under="ignore"):
+        return [_fsum_mean(arrs[x] if y is None else arrs[x] * arrs[y]) for x, y in specs]
 
 
 def cov(xs, ys) -> float:

@@ -425,9 +425,15 @@ def _raise_first_bad_row(chunk: str, ncols: int, rows_before: int) -> NoReturn:
 def serialize(series: TradeSeries) -> str:
     """Render the canonical CSV form: three columns, LF endings, shortest
     round-trip-exact decimal for each float.  ``parse_trades(serialize(s))``
-    reproduces ``s`` bit-exactly."""
-    columns = zip(series.t.tolist(), series.price.tolist(), series.volume.tolist())
-    return "\n".join([CSV_HEADER, *(f"{t},{p!r},{v!r}" for t, p, v in columns), ""])
+    reproduces ``s`` bit-exactly.
+
+    Each row is ``f"{t},{price!r},{volume!r}"`` byte for byte, built in
+    numpy by ``_format_repr``, which is imported on first use so that a run
+    that writes no CSV does not compile it."""
+    from ._format_repr import csv_rows
+
+    body = csv_rows(series.t, series.price, series.volume)
+    return CSV_HEADER + "\n" + body.decode("ascii")
 
 
 @dataclass(frozen=True)

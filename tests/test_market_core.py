@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -708,6 +709,18 @@ class TestBitIdentityWithReference:
         assert _outcome(mb_corr_prices, w1, w2) == "DegenerateDenominator"
         assert _outcome(ref_corr_prices, w1, w2) == "DegenerateDenominator"
         assert_matches_reference(*legs(s1, s2, 1, 1, 2, 1, 1))
+
+
+def test_overflowing_moment_is_refused_without_a_warning():
+    """Leg 2's volumes square past the float range: the overflow is not
+    warned of, and the pair's vanishing carrier moment is refused by name."""
+    s1 = make_series("a", np.arange(3), [1.0, 2.0, 1.5], [1e-200] * 3)
+    s2 = make_series("b", np.arange(3), [1.0, 3.0, 2.0], [1e200] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDenominator) as raised:
+            mb_corr_prices(Window(s1, 0, 3), Window(s2, 0, 3))
+    assert str(raised.value) == "price_corr: carrier joint moment 0.0 is too small to divide by"
 
 
 def test_each_compensated_sum_once_per_report(monkeypatch):
