@@ -1,13 +1,12 @@
-"""The 17-digit decimal grid of float64 values, in numpy.
+"""The 17-digit decimal grid of float64 values, and the text of digits
+found on it, in numpy.
 
-``k = floor(log10|x|)`` comes exactly from the binary exponent and one
-comparison with ``10**(k + 1)``, and ``|x|`` is scaled by ``10**(16 - k)``
-as a double-double: Dekker's TwoProduct of ``|x|`` with the double ``hi``
-nearest ``10**(16 - k)``, plus ``|x| * lo`` for the rest of the power, taken
-from integer arithmetic.  ``_format17g`` rounds that to 17 digits;
-``_format_repr`` finds on it the shortest digits that read back.
-
-The tables are built on first use.
+``k = floor(log10|x|)`` is exact from the binary exponent and one
+comparison with ``10**(k + 1)``; ``|x| * 10**(16 - k)`` is a double-double:
+Dekker's TwoProduct of ``|x|`` with the double ``hi`` nearest the power,
+plus ``|x| * lo`` for the rest.  ``_format17g`` rounds that to 17 digits,
+``_format_repr`` finds the shortest that read back, and ``float_words``
+writes either's text in uint64 words (SWAR).  Tables are built on first use.
 """
 
 from __future__ import annotations
@@ -22,13 +21,16 @@ import numpy as np
 # 10**(16 - k) a double-double of normal doubles.
 _K_MIN, _K_MAX = -99, 99
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
+AREA = 24  # bytes of a value's text at most: "-1.2345678901234567e-100"
+WORD = np.dtype("<u8")  # 8 bytes of text, the first in the lowest byte
+U = np.uint64
+ZEROS = U(0x3030303030303030)  # "00000000": digit values to ASCII
 
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """Built from integer arithmetic.  The per-call path uses no ``log10``
-    and no cast of small integers, whose numpy kernels would count in the
-    resident set."""
+    """No ``log10`` and no cast of small integers per call: their numpy
+    kernels would count in the resident set."""
     ks = range(_K_MIN, _K_MAX + 1)
     hi, lo, tens = [], [], []
     for k in ks:
@@ -61,12 +63,10 @@ def _tables() -> SimpleNamespace:
 
 
 def grid_17(x: np.ndarray):
-    """``(ki, a, hi, p, r, in_table)`` for finite float64 ``x``: ``|x|`` on
-    the 17-digit grid of its decade ``k = ki + _K_MIN``.  ``X = |x| * 10**(16
-    - k)``, which lies in ``[10**16, 10**17)``, is ``p + r`` with an error
-    under 1e-14, and ``p`` is an integer-valued double; ``a`` is ``|x|`` and
-    ``hi`` the double nearest ``10**(16 - k)``.  Where ``in_table`` is False
-    (zero, subnormals, k outside the table) ``a``, ``p`` and ``r`` are 0."""
+    """``(ki, a, hi, p, r, in_table)`` for finite float64 ``x``: ``|x| *
+    10**(16 - k)`` in ``[10**16, 10**17)``, ``k = ki + _K_MIN``, is ``p + r``
+    to 1e-14, ``p`` integer-valued; ``a = |x|``, ``hi`` as above.  Not
+    ``in_table`` (zero, subnormals, k outside): ``a``, ``p``, ``r`` are 0."""
     tab = _tables()
     a = np.abs(x)
     biased = a.view(np.int64) >> 52
@@ -81,3 +81,115 @@ def grid_17(x: np.ndarray):
     al = a - ah
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
     return ki, a, hi, p, r, in_table
+
+
+@functools.cache
+def layout(last_fixed: int, point_zero: bool) -> SimpleNamespace:
+    """Per decade k, a format's layout: fixed notation for ``-4 <= k <=
+    last_fixed`` (``.0`` on integral values if ``point_zero``), else
+    ``d.ddde+XX``."""
+    point, keep, head, exponent = [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        fixed, small = 0 <= k <= last_fixed, -4 <= k < 0
+        point.append(k if fixed else AREA - 1 if small else 0)
+        keep.append(k + 1 + point_zero if fixed else 1)
+        head.append(b"0." + b"0" * (-k - 1) if small else b"")
+        exponent.append(0 if fixed or small else int.from_bytes(b"e%+03d" % k, "little"))
+    head += [b"-" + pre for pre in head]
+    # Column c: 3 words with bytes [0, c) set.
+    low = np.array([[((1 << 8 * c) - 1) >> 64 * w & (2**64 - 1) for c in range(AREA + 2)]
+                    for w in range(3)], U)
+    return SimpleNamespace(
+        zeros=low & ZEROS,  # column c: "0" in bytes [0, c)
+        below=low[:, 1:-1],  # column c: the bytes up to a point after digit c
+        above=~low[:, 2:],  # ... past it
+        dot=low[:, 2:] & ~low[:, 1:-1] & U(0x2E2E2E2E2E2E2E2E),  # ... the point
+        point=np.array(point),  # per k: the digit the point follows, or 23
+        keep=np.array(keep),  # ... the digits written at least
+        exponent=np.array(exponent, U),
+        # per k, then per k of a negative value: sign and "0.000", and bits
+        head=np.array([int.from_bytes(h, "little") for h in head], U),
+        shift=np.array([8 * len(h) for h in head], U),
+    )
+
+
+# Per split of digits8: c, the bits of half a lane, and v // c per lane as
+# (v * m) >> s & mask.
+_LANES = ((10**4, 32, 109951163, 40, 0xFFFFFFFF), (100, 16, 5243, 19, 0x7F0000007F),
+          (10, 8, 103, 10, 0x000F000F000F000F))
+
+
+def digits8(v: np.ndarray) -> np.ndarray:
+    """Turn each uint64 ``v < 10**8`` into its 8 digits as bytes 0-9, the
+    first lowest, in place: each split puts ``q = v // c`` in the low half of
+    each lane and ``v - c * q`` in its high half."""
+    q = np.empty_like(v)
+    for c, bits, m, s, mask in _LANES:
+        np.multiply(v, U(m), out=q)
+        q >>= U(s)
+        q &= U(mask)
+        v <<= U(bits)
+        q *= U(c * 2**bits - 1)
+        v -= q
+    return v
+
+
+# Per word: its first bit; (its float64 exponent + _TOP) >> 3 is one past
+# its highest nonzero byte (a byte below 16 rounds up inside it).
+_BIT = np.array([[0], [64], [128]])
+_TOP = 8 - 1023 + _BIT
+
+
+def float_words(x, out, found, fallback, lay) -> None:
+    """Fill the ``(n, 3)`` rows ``out`` with the NUL-padded text of each
+    finite float64 of ``x``: where ``fast`` of ``found = (ki, digits,
+    fast)``, ``digits < 10**17`` at ``k = ki + _K_MIN`` laid out by ``lay``,
+    else ``fallback(v)``."""
+    ki, digits, fast = found
+    # The 17 digits as bytes 0-16 of three words: 0-7, 8-15, 16.
+    d = digits.view(U)
+    s = np.empty((3, len(x)), U)
+    high = d // U(10)
+    s[2] = d - high * U(10)
+    s[0] = high // U(10**8)
+    s[1] = high - s[0] * U(10**8)
+    digits8(s[:2])
+    # The digits written: up to the last nonzero one, and at least lay.keep.
+    last = s.astype(np.float64).view(np.int64)
+    last >>= 52
+    last += _TOP
+    last >>= 3
+    keep = np.maximum(last.max(axis=0), lay.keep[ki])
+    point = lay.point[ki]
+    point[point + 1 >= keep] = AREA - 1  # "1e+16", not "1.e+16"
+    s |= np.take(lay.zeros, keep, axis=1)  # ASCII for the digits written
+    # The exponent after them (shifts by 64 or more give 0), then the point
+    # after digit `point`, the bytes after it one byte on (in place: large
+    # temporaries cost page faults).
+    at = 8 * keep - _BIT
+    e = lay.exponent[ki]
+    s |= e << at.view(U)
+    at *= -1
+    s |= e >> at.view(U)
+    moved = s << U(8)
+    moved[1:] |= s[:-1] >> U(56)
+    moved &= np.take(lay.above, point, axis=1)
+    s &= np.take(lay.below, point, axis=1)
+    s |= moved
+    s |= np.take(lay.dot, point, axis=1)
+    # The sign and "0.000" before them.
+    at = ki + np.signbit(x) * len(lay.keep)
+    shift = lay.shift[at]
+    area = s << shift
+    area[1:] |= s[:-1] >> (U(64) - shift)
+    area[0] |= lay.head[at]
+    out[:] = area.T
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = np.frombuffer(fallback(float(x[i])).ljust(AREA, b"\0"), WORD)
+
+
+def float_texts(x, found, fallback, lay) -> list:
+    """The texts of ``float_words``, as a list of bytes."""
+    words = np.empty((len(x), 3), WORD)
+    float_words(x, words, found, fallback, lay)
+    return words.view("S24").ravel().tolist()

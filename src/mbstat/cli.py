@@ -180,14 +180,12 @@ def run_verify(args) -> int:
     worst = {}  # family -> (dev, position) of its first worst window
     for chunk in iter_rolling_stats(s1, s2, plan, sequences):
         for kind, arrays, families in pairs.values():
-            averages = None
+            corr = None
             for family, joint, keys in families:
                 market, g1, g2 = (chunk.families[family][key] for key in keys)
-                # The families of a leg pair share their averages, so the
-                # oracle runs once per pair and chunk.
-                if averages is None or not (np.array_equal(g1, averages[0])
-                                            and np.array_equal(g2, averages[1])):
-                    averages = g1, g2
+                # The families of a leg pair read one closed form, so they
+                # share their averages: the oracle runs once per pair and chunk.
+                if corr is None:
                     corr = oracle_corr_windows(kind, *arrays, g1, g2, window=plan.window,
                                                stride=plan.stride, first=chunk.first_position)
                 direct = corr + g1 * g2 if joint else corr

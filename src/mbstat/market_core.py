@@ -294,15 +294,17 @@ def _report(family: str, src1, src2) -> CorrelationReport:
     (m, form), (m1, form1), (m2, form2) = _closed_forms(family, src1, src2)
     market, frequency = family_values(family, m, form)
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
+    variances = dict(market_var1=form1[-1], market_var2=form2[-1],
+                     freq_var1=m1["xx"] - m1["x1"] * m1["x2"],
+                     freq_var2=m2["xx"] - m2["x1"] * m2["x2"])
+    require_finite(family, **variances)
     slot1, slot2 = average_slots(family)
     leg1, leg2 = FAMILY_LEGS[family]
     return CorrelationReport(
         stat_family=family, market_value=market, frequency_value=frequency,
         averages=MarketAverages(**{slot1: g1, slot2: g2}),
         freq_avg1=m["x1"], freq_avg2=m["x2"], denominator=m["ww"],
-        cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww,
-        market_var1=form1[-1], market_var2=form2[-1],
-        freq_var1=m1["xx"] - m1["x1"] * m1["x2"], freq_var2=m2["xx"] - m2["x1"] * m2["x2"],
+        cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww, **variances,
         n=len(src1),
         alpha=src1.lag if leg1[0] == "p" else src1.alpha,
         beta=src2.lag if leg2[0] == "p" else src2.alpha,

@@ -11,7 +11,7 @@ records are filled in from one bytes template that covers every family,
 decoded once per block.
 
 Numbers are formatted by ``_format17g.format_17g``, ``"%.17g"`` byte for
-byte in float64 array arithmetic.  That module is imported on the first
+byte in numpy array arithmetic.  That module is imported on the first
 block written, so that a run that writes no report does not compile it.
 """
 

@@ -138,8 +138,9 @@ def test_import_leaves_the_formatter_and_exact_arithmetic_out():
         "import mbstat.cli\n"
         "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
         "assert 'mbstat._format17g' not in sys.modules\n"
-        "from mbstat import _format17g\n"
-        "assert _format17g._tables.cache_info().currsize == 0\n"
+        "from mbstat import _format17g, _grid17\n"
+        "assert _grid17._tables.cache_info().currsize == 0\n"
+        "assert _grid17.layout.cache_info().currsize == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -480,6 +480,18 @@ def test_nan_denominator_is_non_finite_not_too_small(jm_ww):
         closed_form("price_corr", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, jm_ww)
 
 
+@pytest.mark.parametrize("prices2, volumes2, shown", [
+    ([1.0, 1.0, 1.0], [1e200, 2e200, 1e200], "nan"),  # the leg's carrier products overflow
+    ([1e200, 2e200, 1e200], [1e-150, 2e-150, 1e-150], "inf"),  # its prices square to inf
+])
+def test_non_finite_leg_variance_is_refused(prices2, volumes2, shown):
+    # The pair's own figures are finite; the second leg's variance is not.
+    s1 = make_series("a", np.arange(3), [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    s2 = make_series("b", np.arange(3), prices2, volumes2)
+    with pytest.raises(ConsistencyError, match=rf"^price_corr: non-finite market_var2 {shown}$"):
+        mb_corr_prices(Window(s1, 0, 3), Window(s2, 0, 3))
+
+
 # ---------------------------------------------------------------------------
 # Test-only reference: the per-report evaluation that takes every covariance
 # from scratch (60 compensated sums per correlation report), with ndarray

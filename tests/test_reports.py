@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -212,3 +214,25 @@ class TestRandomChunkBytes:
         plan = make_plan(*synth_pair, window=4, stride=1, alpha=1, beta=1,
                          families=(PRICE_FAMILY, RETURN_FAMILY))
         _assert_same_bytes(plan, data.draw(_random_chunks(plan.families)))
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes: the writers' output on a generated pair, as sha256 digests
+# taken before the formatter's byte layout was last rewritten.
+
+PINNED_REPORT_DIGESTS = {
+    "json": "5d1bb73cf2e212e9a0b385533c5c8a1398636766013109dad149a6227f593d7e",
+    "csv": "7bf3a6577dcef3618282d2109325d997ad4e9d570f229a934ed1484eec6f6535",
+}
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", write_json), ("csv", write_csv)])
+def test_pinned_report_digest(fmt, writer):
+    pair = [gen_trades(SynthConfig(n_ticks=600, seed=seed), f"asset{k + 1}")
+            for k, seed in enumerate((41, 42))]
+    plan = make_plan(*pair, window=64, stride=3, alpha=1, beta=1, families=FAMILIES)
+    plan = dataclasses.replace(plan, anchor=100)  # two anchor blocks, the last one short
+    chunks = list(iter_rolling_stats(*pair, plan))
+    assert [len(chunk) for chunk in chunks] == [100, plan.n_positions - 100]
+    text = _render(writer, plan, chunks)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGESTS[fmt]
