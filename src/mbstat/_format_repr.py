@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._grid17 import AREA, WORD, ZEROS, U, digits8, float_texts, float_words, grid_17, layout
+from ._grid17 import (AREA, ZEROS, U, digits8, float_texts, float_words, grid_17, layout,
+                      nonzero_bytes, row_template)
 
 # An interval end within this of an integer, or X within this of a tie
 # between two candidates, is left to repr: X is off by under 1e-14.
@@ -107,27 +108,24 @@ def _int_words(t: np.ndarray, out: np.ndarray) -> None:
 
 def format_repr(values) -> list:
     """``repr(v).encode()`` for each finite float64 in ``values``."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    return float_texts(x, shortest(x), _repr, layout(*_REPR))
+    return float_texts(values, shortest, _repr, layout(*_REPR))
 
 
 def csv_rows(t: np.ndarray, price: np.ndarray, volume: np.ndarray) -> bytes:
     """``b"%d,%r,%r\\n"`` for each row of the int64 ``t`` and the finite
     float64 ``price`` and ``volume``, in blocks of rows.  A block is one
-    NUL-padded matrix of 12 words per row (``t``, ``,``, price, ``,``,
-    volume, LF), its bytes compressed with one ``m[m != 0]``."""
+    ``row_template`` matrix of 12 words per row (``t``, ``,``, price, ``,``,
+    volume, LF), written out by ``nonzero_bytes``."""
     t = np.asarray(t, np.int64)
     price, volume = np.asarray(price, np.float64), np.asarray(volume, np.float64)
-    mat = np.empty((min(len(t), _BLOCK_ROWS), 12), WORD)
-    mat[:, 3] = mat[:, 7] = ord(",")
-    mat[:, 11] = ord("\n")
+    row, (at_t, at_price, at_volume) = row_template((b"", b",", b",", b"\n"))
+    mat = np.tile(row, (min(len(t), _BLOCK_ROWS), 1))
     parts = []
     for b0 in range(0, len(t), _BLOCK_ROWS):
         span = slice(b0, b0 + _BLOCK_ROWS)
         block = mat[: len(t[span])]
-        _int_words(t[span], block[:, :3])
-        for x, cols in ((price[span], block[:, 4:7]), (volume[span], block[:, 8:11])):
-            float_words(x, cols, shortest(x), _repr, layout(*_REPR))
-        text = block.view(np.uint8)
-        parts.append(text[text != 0].tobytes())
+        _int_words(t[span], block[:, at_t : at_t + 3])
+        for x, at in ((price[span], at_price), (volume[span], at_volume)):
+            float_words(x, block[:, at : at + 3], shortest(x), _repr, layout(*_REPR))
+        parts.append(nonzero_bytes(block))
     return b"".join(parts)

@@ -4,9 +4,10 @@ found on it, in numpy.
 ``k = floor(log10|x|)`` is exact from the binary exponent and one
 comparison with ``10**(k + 1)``; ``|x| * 10**(16 - k)`` is a double-double:
 Dekker's TwoProduct of ``|x|`` with the double ``hi`` nearest the power,
-plus ``|x| * lo`` for the rest.  ``_format17g`` rounds that to 17 digits,
+plus ``|x| * lo`` for the rest.  ``decimal_17`` rounds that to 17 digits,
 ``_format_repr`` finds the shortest that read back, and ``float_words``
-writes either's text in uint64 words (SWAR).  Tables are built on first use.
+writes either's text in uint64 words (SWAR), into rows of text from
+``row_template``.  Tables are built on first use.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import numpy as np
 # 10**(16 - k) a double-double of normal doubles.
 _K_MIN, _K_MAX = -99, 99
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
+# |frac(y) - 1/2| at or below this is a near-tie, left to "%.17g": the
+# double-double y is off by under 1e-14.
+_TIE = 2.0**-40
 AREA = 24  # bytes of a value's text at most: "-1.2345678901234567e-100"
 WORD = np.dtype("<u8")  # 8 bytes of text, the first in the lowest byte
 U = np.uint64
@@ -81,6 +85,20 @@ def grid_17(x: np.ndarray):
     al = a - ah
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
     return ki, a, hi, p, r, in_table
+
+
+def decimal_17(x: np.ndarray):
+    """``(ki, digits, fast)`` for finite float64 ``x``: where ``fast``,
+    ``|x|`` rounded to 17 digits is ``digits * 10**(k - 16)``, ``k = ki +
+    _K_MIN``.  Zero is fast, with ``digits`` 0 and k 0; ``digits`` is below
+    ``10**18`` throughout."""
+    ki, _, _, p, r, fast = grid_17(x)
+    near = np.rint(r)
+    digits = p.astype(np.int64) + near.astype(np.int64)
+    fast &= digits < 10**17  # else the rounding carried, or k is past _K_MAX
+    fast &= np.abs(r - near) < 0.5 - _TIE
+    fast |= x == 0.0
+    return ki, digits, fast
 
 
 @functools.cache
@@ -188,8 +206,29 @@ def float_words(x, out, found, fallback, lay) -> None:
         out[i] = np.frombuffer(fallback(float(x[i])).ljust(AREA, b"\0"), WORD)
 
 
-def float_texts(x, found, fallback, lay) -> list:
-    """The texts of ``float_words``, as a list of bytes."""
+def float_texts(values, find, fallback, lay) -> list:
+    """The texts of ``float_words`` for each finite float64 ``x`` in
+    ``values``, with ``found = find(x)``, as a list of bytes."""
+    x = np.asarray(values, dtype=np.float64).ravel()
     words = np.empty((len(x), 3), WORD)
-    float_words(x, words, found, fallback, lay)
+    float_words(x, words, find(x), fallback, lay)
     return words.view("S24").ravel().tolist()
+
+
+def format_17g(values) -> list:
+    """``b"%.17g" % v`` for each finite float64 in ``values``."""
+    return float_texts(values, decimal_17, b"%.17g".__mod__, layout(16, False))
+
+
+def row_template(pieces):
+    """The words of text ``pieces`` NUL-padded, 3 zero words for a number
+    between each two, and the first word of each number."""
+    padded = [piece.ljust(8 * -(-len(piece) // 8), b"\0") for piece in pieces]
+    at = np.cumsum([len(piece) // 8 + 3 for piece in padded[:-1]]) - 3
+    return np.frombuffer(bytes(AREA).join(padded), WORD), at
+
+
+def nonzero_bytes(m: np.ndarray) -> bytes:
+    """The bytes of the word matrix ``m``, NULs left out."""
+    text = m.view(np.uint8)
+    return text[text != 0].tobytes()

@@ -5,14 +5,10 @@ order.  Numbers are written with up to 17 significant digits, which makes
 every double round-trip exactly; emission is handrolled so the output is
 deterministic byte for byte for fixed inputs and flags.
 
-Emission is columnar: each chunk is cut into blocks of positions, the
-distinct columns of a block are formatted together, and each position's
-records are filled in from one bytes template that covers every family,
-decoded once per block.
-
-Numbers are formatted by ``_format17g.format_17g``, ``"%.17g"`` byte for
-byte in numpy array arithmetic.  That module is imported on the first
-block written, so that a run that writes no report does not compile it.
+Emission is columnar, in the word rows of ``mbstat generate``: a block of
+positions is one matrix of ``_grid17.row_template`` rows, its numbers
+written by ``float_words`` (``"%.17g"``).  ``_grid17`` is imported when a
+report is written, so that a run that writes none does not compile it.
 """
 
 from __future__ import annotations
@@ -38,11 +34,10 @@ _ARRAY_KEYS = (
     "cov_cc", "cov_uc", "cov_cu", "cov_ww",
 )
 
-# Positions per block, one format_17g call each.  Larger blocks save little
-# time and hold more at once: on the dense-emit benchmark (5k-tick pair, all
-# families, seeds 451-452) 32 positions read 54.6k-58.9k items per calibrated
-# CPU second at 33.6 MB peak RSS, 64 read 57.4k-58.9k at 34.0 MB, 128
-# 58.8k-59.3k at 35.0 MB and 256 60.8k-60.9k at 36.7-37.1 MB.
+# Positions per block, one float_words call each.  On the dense-emit
+# benchmark (5k-tick pair, all families, seeds 1611-1623) 32 positions read
+# 57.2k-61.4k items per calibrated CPU second at 33.7 MB peak RSS, 16 read
+# 45.9k-51.0k at 33.5 MB and 64 53.0k-56.9k at 34.4 MB.
 _BLOCK = 32
 
 
@@ -74,35 +69,34 @@ def _check_finite(plan: RollingPlan, block: np.ndarray) -> None:
 
 def _write_records(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChunk],
                    record: Callable[[RollingPlan, str], str], sep: str) -> None:
-    """Write the ``sep``-separated records of ``chunks``, one write per block.
+    """Write the records of ``chunks``, each after ``sep`` but the first,
+    one write per block; a row holds a position's records."""
+    from ._grid17 import decimal_17, float_words, layout, nonzero_bytes, row_template
 
-    A block's matrix has one row per template slot (each family's record
-    opens with ``t_center``).  Bit-identical rows are formatted once (keyed
-    on their bytes, so that ``0.0`` and ``-0.0`` stay apart): a block's
-    distinct rows go through one ``format_17g`` call.
-    """
-    from ._format17g import format_17g
-
-    template = sep.join(record(plan, family) for family in plan.families).encode()
-    joiner = sep.encode()
-    lead = ""
+    pieces = "".join(sep + record(plan, family) for family in plan.families).split("%s")
+    row, at = row_template([piece.encode() for piece in pieces])
+    words = (at[:, None] + np.arange(3)).ravel()  # the numbers' words in a row
+    m = np.tile(row, (_BLOCK, 1))
+    skip = len(sep)
     for chunk in chunks:
-        columns = [
-            col
+        distinct = {}  # id -> (array, its row of a block)
+        where = [
+            distinct.setdefault(id(col), (col, len(distinct)))[1]
             for family in plan.families
             for col in (chunk.t_center, *(chunk.families[family][k] for k in _ARRAY_KEYS))
         ]
         for b0 in range(0, len(chunk), _BLOCK):
-            block = np.array([col[b0 : b0 + _BLOCK] for col in columns], dtype=np.float64)
-            _check_finite(plan, block)
-            first = {}  # row bytes -> the first row holding them
-            slots = [first.setdefault(values.tobytes(), i) for i, values in enumerate(block)]
-            text = format_17g(block[list(first.values())])
-            width = block.shape[1]
-            rows = {i: text[n * width : (n + 1) * width] for n, i in enumerate(first.values())}
-            out.write(lead)
-            out.write(joiner.join(map(template.__mod__, zip(*map(rows.__getitem__, slots)))).decode())
-            lead = sep
+            block = np.array([col[b0 : b0 + _BLOCK] for col, _ in distinct.values()],
+                             dtype=np.float64)
+            if not np.isfinite(block).all():
+                _check_finite(plan, block[where])
+            rows = m[: block.shape[1]]
+            text = np.empty((len(rows), len(block), 3), row.dtype)
+            x = block.T.ravel()
+            float_words(x, text.reshape(-1, 3), decimal_17(x), b"%.17g".__mod__, layout(16, False))
+            rows[:, words] = text[:, where].reshape(len(rows), -1)
+            out.write(nonzero_bytes(rows)[skip:].decode())
+            skip = 0
 
 
 def write_json(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChunk]) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, MbstatError
 from .trade_series import TradeSeries, make_series
 
 GENERATOR_ID = "pcg64-boxmuller-v1"
@@ -52,6 +52,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_ticks < 2:
             raise InvalidConfig(f"n_ticks must be >= 2, got {self.n_ticks}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for name in ("price_start", "log_price_step_sd", "volume_log_mean", "volume_log_sd"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -76,24 +78,27 @@ def _normals(uniform01: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def gen_trades(config: SynthConfig, asset_id: str | None = None) -> TradeSeries:
-    """Generate one validated series on the grid t = 0..n_ticks-1, eps = 1."""
+    """Generate one validated series on the grid t = 0..n_ticks-1, eps = 1.
+    A config whose prices or volumes leave the range of a valid series (an
+    overflow, an underflow to zero) is an ``InvalidConfig``."""
     n = config.n_ticks
     rng = np.random.Generator(np.random.PCG64(config.seed))
-
-    steps = _normals(rng.random(n - 1), rng.random(n - 1)) * config.log_price_step_sd
-    log_price = np.concatenate(([0.0], np.cumsum(steps)))
-    price = config.price_start * np.exp(log_price)
-
-    if config.mode == "free":
-        vol_normals = _normals(rng.random(n), rng.random(n))
-        volume = np.exp(config.volume_log_mean + config.volume_log_sd * vol_normals)
-    elif config.mode == "constant_volume":
-        volume = np.full(n, math.exp(config.volume_log_mean))
-    else:  # constant_past_value: past value p(t-alpha)*U(t) pinned to K
-        k = math.exp(config.volume_log_mean) * config.price_start
-        lagged = np.concatenate((price[: config.alpha], price[: n - config.alpha]))
-        volume = k / lagged
-
     if asset_id is None:
         asset_id = f"synth-{GENERATOR_ID}-seed{config.seed}"
-    return make_series(asset_id, np.arange(n, dtype=np.int64), price, volume)
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            steps = _normals(rng.random(n - 1), rng.random(n - 1)) * config.log_price_step_sd
+            log_price = np.concatenate(([0.0], np.cumsum(steps)))
+            price = config.price_start * np.exp(log_price)
+            if config.mode == "free":
+                vol_normals = _normals(rng.random(n), rng.random(n))
+                volume = np.exp(config.volume_log_mean + config.volume_log_sd * vol_normals)
+            elif config.mode == "constant_volume":
+                volume = np.full(n, math.exp(config.volume_log_mean))
+            else:  # constant_past_value: past value p(t-alpha)*U(t) pinned to K
+                k = math.exp(config.volume_log_mean) * config.price_start
+                lagged = np.concatenate((price[: config.alpha], price[: n - config.alpha]))
+                volume = k / lagged
+        return make_series(asset_id, np.arange(n, dtype=np.int64), price, volume)
+    except (MbstatError, OverflowError) as exc:
+        raise InvalidConfig(f"{config!r} gives no valid series: {exc}") from exc

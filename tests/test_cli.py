@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ class TestGenerate:
     def test_non_finite_float_is_usage_error(self, capsys):
         assert main(["generate", "--n", "10", "--log-price-step-sd", "nan"]) == 2
         assert "log_price_step_sd must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["generate", "--n", "10", "--seed", "-1"]) == 2
+        assert "error[InvalidConfig]: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--volume-log-mean", "1000"],
+        ["--log-price-step-sd", "1e300"],
+        ["--mode", "constant-past-value", "--alpha", "1", "--volume-log-mean", "-800"],
+    ])
+    def test_walk_out_of_range_is_usage_error(self, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--n", "10", "--seed", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[InvalidConfig]: SynthConfig(n_ticks=10, seed=1,")
+        assert "Warning" not in captured.err and captured.out == ""
 
     def test_constant_volume_cells_identical(self, tmp_path):
         out = tmp_path / "cv.csv"

@@ -1,4 +1,4 @@
-"""The vectorized ``%.17g`` of ``mbstat._format17g`` against ``"%.17g" % v``."""
+"""The vectorized ``%.17g`` of ``mbstat._grid17`` against ``"%.17g" % v``."""
 
 import math
 import os
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan
-from mbstat._format17g import _K_MAX, _K_MIN, decimal_17, format_17g
+from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan, serialize
+from mbstat._grid17 import _K_MAX, _K_MIN, decimal_17, format_17g
 from mbstat.reports import _ARRAY_KEYS, _BLOCK
 
 
@@ -137,11 +137,35 @@ def test_import_leaves_the_formatter_and_exact_arithmetic_out():
         "import sys\n"
         "import mbstat.cli\n"
         "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
-        "assert 'mbstat._format17g' not in sys.modules\n"
-        "from mbstat import _format17g, _grid17\n"
+        "assert 'mbstat._grid17' not in sys.modules\n"
+        "from mbstat import _grid17\n"
         "assert _grid17._tables.cache_info().currsize == 0\n"
         "assert _grid17.layout.cache_info().currsize == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analyze_imports_the_grid_and_leaves_the_repr_formatter_out(tmp_path):
+    """A report is laid out by ``_grid17`` alone: ``analyze`` never compiles
+    ``_format_repr``, the ``repr`` formatter of ``generate``."""
+    paths = []
+    for k in range(2):
+        series = gen_trades(SynthConfig(n_ticks=300, seed=7 + k), f"asset{k + 1}")
+        paths.append(tmp_path / f"a{k + 1}.csv")
+        paths[-1].write_text(serialize(series))
+    argv = ["analyze", "--asset1-path", str(paths[0]), "--asset2-path", str(paths[1]),
+            "--window", "16", "--stride", "5", "--alpha", "1", "--beta", "1",
+            "--output", str(tmp_path / "report.json")]
+    code = (
+        "import sys\n"
+        "from mbstat.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'mbstat._grid17' in sys.modules\n"
+        "assert 'mbstat._format_repr' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").read_text().startswith('{\n"schema_version": 1,')

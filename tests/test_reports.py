@@ -12,6 +12,7 @@ from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_p
 from mbstat.errors import ConsistencyError
 from mbstat.reports import RECORD_FIELDS, write_csv, write_json
 from mbstat.rolling import (
+    JOINT_PRICE_FAMILY,
     JOINT_RETURN_FAMILY,
     PRICE_FAMILY,
     RETURN_FAMILY,
@@ -175,6 +176,30 @@ class TestNonFiniteRefusal:
         with pytest.raises(ConsistencyError, match="non-finite value " + shown):
             writer(io.StringIO(), plan, iter([chunk]))
 
+    @pytest.mark.parametrize("writer", [write_json, write_csv])
+    @pytest.mark.parametrize(
+        "t_at, a1_at, shown",
+        [(40, None, r"nan \(price_corr t_center\)"),
+         (None, 40, r"-inf \(price_corr a1\)"),
+         (40, 40, r"nan \(price_corr t_center\)"),
+         (41, 40, r"-inf \(price_corr a1\)")],
+    )
+    def test_shared_arrays_name_the_first_record(self, synth_pair, writer, t_at, a1_at, shown):
+        """``t_center`` is one array for every family, and ``price_corr``'s
+        ``a1`` is ``joint_price_moment``'s: a bad value in either is named
+        at its first record."""
+        plan, chunks = _rolled(synth_pair, FAMILIES)
+        chunk = chunks[0]
+        a1 = chunk.families[PRICE_FAMILY]["a1"]
+        assert a1 is chunk.families[JOINT_PRICE_FAMILY]["a1"]
+        assert plan.families.index(PRICE_FAMILY) < plan.families.index(JOINT_PRICE_FAMILY)
+        if t_at is not None:
+            chunk.t_center[t_at] = float("nan")
+        if a1_at is not None:
+            a1[a1_at] = float("-inf")
+        with pytest.raises(ConsistencyError, match="non-finite value " + shown):
+            writer(io.StringIO(), plan, iter(chunks))
+
 
 # ---------------------------------------------------------------------------
 # Random chunks: values from the whole finite range (both zeros, subnormals,
@@ -236,3 +261,48 @@ def test_pinned_report_digest(fmt, writer):
     assert [len(chunk) for chunk in chunks] == [100, plan.n_positions - 100]
     text = _render(writer, plan, chunks)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGESTS[fmt]
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes over hand-built chunks: both zeros, subnormals, 1e16/1e17,
+# values the vectorized %.17g leaves to "%.17g", one array shared by several
+# slots, a chunk shorter than a block and blocks across chunk boundaries.
+# Digests taken before the record layout was last rewritten, so that they
+# pin the writer apart from the formatter's digits.
+
+_HAND_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e16, 1e17, -1e17,
+                9999999999999998.0, 999999999999999.875, 1e-79, 1e-200, 1e300,
+                -1.7976931348623157e308, 0.1, -1 / 3, 123456789.0, 2.5, 1e-5)
+PINNED_HAND_BUILT_DIGESTS = {
+    "json": "db91daaa5e0aeb5d33c12fc67177b93e59e7e78ba1c76d49e1aa198ef51f8e36",
+    "csv": "5a22fa5046c4b0a818d4faa2cf410aa46f70db97f5e216681eee52eadb08b731",
+}
+
+
+def _hand_built_chunks(plan):
+    rng = np.random.default_rng(2016)
+    pool = np.concatenate([_HAND_VALUES, rng.standard_normal(14) * 10.0 ** rng.integers(-9, 9, 14)])
+    chunks, first = [], 0
+    for n in (5, 45, 40, 32):
+        shared = pool[rng.integers(0, len(pool), n)]
+        families = {}
+        for k, family in enumerate(plan.families):
+            cols = {src: pool[rng.integers(0, len(pool), n)] for src in _REF_SOURCES}
+            for src in ("a1", "h2", "cov_ww"):
+                cols[src] = shared
+            cols["denominator"] = np.zeros(n) if k % 2 else -np.zeros(n)
+            families[family] = cols
+        t_center = shared if n == 40 else first + np.arange(n) + 0.5
+        chunks.append(RollingChunk(first_position=first, t_center=t_center, families=families))
+        first += n
+    return chunks
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", write_json), ("csv", write_csv)])
+def test_pinned_hand_built_digest(synth_pair, fmt, writer):
+    plan = make_plan(*synth_pair, window=4, stride=1, alpha=1, beta=1,
+                     families=(PRICE_FAMILY, RETURN_FAMILY, RETURN_VOL_FAMILY))
+    chunks = _hand_built_chunks(plan)
+    _assert_same_bytes(plan, chunks)
+    text = _render(writer, plan, iter(chunks))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_HAND_BUILT_DIGESTS[fmt]

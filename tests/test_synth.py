@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +132,25 @@ class TestConfigValidation:
     def test_non_finite_float(self, field, value):
         with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
             SynthConfig(n_ticks=10, seed=0, **{field: value})
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig, match="seed must be >= 0, got -1"):
+            SynthConfig(n_ticks=10, seed=-1)
+
+    @pytest.mark.parametrize("fields, shown", [
+        ({"volume_log_mean": 1000.0}, "non-finite volume"),
+        ({"log_price_step_sd": 1e300}, "non-finite price"),
+        ({"mode": "constant_past_value", "alpha": 1, "volume_log_mean": -800.0},
+         "volume 0.0 at t=0 must be > 0"),
+        ({"mode": "constant_volume", "volume_log_mean": 1000.0}, "math range error"),
+    ])
+    def test_walk_out_of_range_names_the_config(self, fields, shown):
+        config = SynthConfig(n_ticks=10, seed=1, **fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match=re.escape(f"{config!r} gives no valid series")
+                               + ".*" + shown):
+                gen_trades(config)
 
     def test_nonpositive_price_start(self):
         with pytest.raises(InvalidConfig):
