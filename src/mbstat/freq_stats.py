@@ -1,17 +1,19 @@
 """Equal-weight (frequency-based) statistics over per-tick sequences.
 
-Everything here is a plain ``(1/N) * sum`` over the window's ticks.  The
-unnormalized covariance ``cov`` (joint moment minus product of means) is the
-quantity the closed forms in :mod:`mbstat.market_core` consume; Pearson
-normalization is deliberately not applied here.
+Everything here is a plain ``(1/N) * sum`` over the window's ticks, and
+``cov`` is the unnormalized covariance (joint moment minus product of means);
+Pearson normalization is deliberately not applied here.  These are the public
+equal-weight figures.  The closed forms of :mod:`mbstat.market_core` take
+their means from its shifted kernel instead (``market_core.pair_forms``),
+which also gives the frequency values it reports; ``vwap`` reads ``mean``.
 
 Sums use ``math.fsum`` (exactly rounded compensated summation): windows can
-reach 10^6 ticks and the downstream identity checks sit at 1e-12 relative,
-which naive accumulation does not reliably deliver.  ``fsum`` is fed Python
-floats (``tolist``), not the array, so it does not box a numpy scalar per
-element; the floats and hence the sums are the same.  A sum of finite terms
-whose exact value is past the float range raises ``ConsistencyError``
-rather than ``fsum``'s bare ``OverflowError``.
+reach 10^6 ticks, and the raw moments here cancel in ``cov``, so naive
+accumulation would lose digits on top.  ``fsum`` is fed Python floats
+(``tolist``), not the array, so it does not box a numpy scalar per element;
+the floats and hence the sums are the same.  A sum of finite terms whose
+exact value is past the float range raises ``ConsistencyError`` rather than
+``fsum``'s bare ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -54,19 +56,6 @@ def joint_moment(xs, ys) -> float:
     if x.size != y.size:
         raise LengthMismatch(f"joint moment needs equal lengths, got {x.size} and {y.size}")
     return _fsum_mean(x * y)
-
-
-def spec_means(arrays: dict, specs) -> list[float]:
-    """Per ``(x, y)`` spec over the named, equally long sequences ``arrays``:
-    the mean of ``x`` (``y=None``) or the joint moment of ``x`` and ``y``.
-    Each sequence is checked once, not once per spec it appears in.  A
-    product that overflows gives an ``inf`` mean without a warning: the
-    closed forms refuse it, naming the moment."""
-    arrs = {name: _as_floats(xs) for name, xs in arrays.items()}
-    if len(sizes := {arr.size for arr in arrs.values()}) > 1:
-        raise LengthMismatch(f"sequences differ in length: {sorted(sizes)}")
-    with np.errstate(over="ignore", under="ignore"):
-        return [_fsum_mean(arrs[x] if y is None else arrs[x] * arrs[y]) for x, y in specs]
 
 
 def cov(xs, ys) -> float:

@@ -11,18 +11,18 @@ market-based average (VWAP or value-weighted average return):
            / joint_moment(W1, W2)
 
 :func:`closed_form` is that shape, written once for one window (Python
-floats) and for many (arrays over window positions).  Both kernels, the
-per-window functions here and :mod:`mbstat.rolling`, read one moment table:
-``FAMILY_LEGS`` names each family's two legs, ``LEG_ARRAYS`` each leg's
-value, carrier and per-tick arrays, :func:`sum_specs` the means a leg pair's
-closed form reads, and :func:`family_values` turns a closed form into the
-family's checked values.  They differ only in how a mean is summed:
-``math.fsum`` per window, anchored window sums per block.
-
-Per window, each distinct mean is summed once: 19 for a correlation report or
-joint moment, 7 for a volatility, the same-leg specialization of the closed
-form.  ``x*y == y*x`` bit for bit, so mirrored products are one sum and the
-specialization-chain identities hold bit-exactly.
+floats) and for many (arrays over window positions).  One kernel evaluates
+it for both paths, the per-window functions here and :mod:`mbstat.rolling`,
+in residual form (Chan, Golub & LeVeque 1983): :func:`shifted_means` shifts
+each leg by the first window of its span, ``D = C - g0*W`` and ``y = x -
+x0``, and takes the means :func:`sum_specs` names with :func:`window_means`;
+:func:`pair_forms` runs the closed form on them, which gives ``g - g0`` and
+the same market value, and reassembles ``g`` and the reported covariances;
+:func:`family_values` checks a family's values.  A per-window function is a
+one-position run over the window's own arrays, two-pass: 19 window sums for
+a correlation report or joint moment, 7 for a volatility.  ``x*y == y*x``
+bit for bit, so mirrored products are one sum and the specialization-chain
+identities hold bit-exactly.
 
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
 of means).  A Pearson-style normalization is available only on the report
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import mean, spec_means
+from .freq_stats import mean
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -207,103 +206,134 @@ def checked_joint_moment(family: str, g1, g2, market, jm_cc, cov_wc, cov_cw, cov
     return combined
 
 
-#: Per leg of ``FAMILY_LEGS``: the names of its value, carrier and per-tick
-#: arrays.  Asset 1's trade values ``C1`` serve both its legs.
-LEG_ARRAYS = {
-    "p1": ("C1", "U1", "p1"),
-    "r1": ("C1", "Co1", "r1"),
-    "p2": ("C2b", "U2b", "p2b"),
-    "r2": ("C2", "Co2", "r2"),
-}
-
-
 @functools.cache
 def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
-    """The means the closed form of a leg pair reads, as ``(x, y)`` names of
-    ``LEG_ARRAYS`` arrays (``y=None`` is a plain mean).  A product's names are
-    sorted: ``x*y == y*x`` bit for bit, so mirrored products are one sum.
-    Built once per pair and shared, so callers must not change it."""
-    (c1, w1, x1), (c2, w2, x2) = LEG_ARRAYS[leg1], LEG_ARRAYS[leg2]
-    plain = {"c1": c1, "w1": w1, "c2": c2, "w2": w2, "x1": x1, "x2": x2}
-    products = {"cc": (c1, c2), "wc": (w1, c2), "cw": (c1, w2), "ww": (w1, w2), "xx": (x1, x2)}
+    """The means the closed form of a leg pair reads: per leg ``d``, ``w`` and
+    ``y`` (of its arrays ``D``, ``W`` and ``y``, see :func:`shifted_means`)
+    and their cross products, as ``(x, y)`` array names (``y=None`` is a plain
+    mean).  A product's names are sorted: ``x*y == y*x`` bit for bit, so
+    mirrored products are one sum.  Shared, so callers must not change it."""
+    (d1, w1, y1), (d2, w2, y2) = ((f"D{leg}", f"W{leg}", f"y{leg}") for leg in (leg1, leg2))
+    plain = {"d1": d1, "w1": w1, "y1": y1, "d2": d2, "w2": w2, "y2": y2}
+    products = {"dd": (d1, d2), "wd": (w1, d2), "dw": (d1, w2), "ww": (w1, w2), "yy": (y1, y2)}
     return {**{k: (name, None) for k, name in plain.items()},
             **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
+def window_means(x, y, k: int, stride: int, n: int, buf: np.ndarray) -> np.ndarray:
+    """Means of ``x`` (``y=None``) or ``x*y`` over the ``k`` windows ``[j*stride,
+    j*stride + n)``: the first summed in full, the others as the difference
+    of two strided slices of one cumulative sum.  ``buf``, as long as ``x``,
+    is overwritten."""
+    seg = x if y is None else np.multiply(x, y, out=buf)
+    first = np.add.reduce(seg[:n])
+    if k == 1:
+        return np.array([first / n])
+    c = np.cumsum(seg, out=buf)
+    out = np.empty(k)
+    out[0] = first
+    np.subtract(c[stride + n - 1 :: stride], c[stride - 1 :: stride][: k - 1], out=out[1:])
+    out /= n
+    return out
+
+
+def shifted_means(legs: dict, pairs, k: int, stride: int, n: int) -> tuple[dict, dict]:
+    """The sums of the one kernel of both paths.  ``legs`` maps a leg to its
+    ``(C, W, x)`` over a span of ``k`` windows ``[j*stride, j*stride + n)``,
+    shifted by the first: ``D = C - g0*W`` with ``g0 = sum(C)/sum(W)``, and
+    ``y = x - mean(x)``.  Returns the means the closed forms of ``pairs`` read,
+    keyed by :func:`sum_specs` spec, and per leg its shift ``(g0, x0)``.
+    Warnings are the caller's to silence: the checks name a non-finite figure."""
+    arrays, shifts = {}, {}
+    for leg, (c, w, x) in legs.items():
+        g0 = np.add.reduce(c[:n]) / np.add.reduce(w[:n])
+        x0 = np.add.reduce(x[:n]) / n
+        shifts[leg] = g0, x0
+        arrays[f"D{leg}"], arrays[f"W{leg}"], arrays[f"y{leg}"] = c - g0 * w, w, x - x0
+    buf = np.empty((k - 1) * stride + n)
+    specs = dict.fromkeys(spec for pair in pairs for spec in sum_specs(*pair).values())
+    return {(a, b): window_means(arrays[a], b and arrays[b], k, stride, n, buf)
+            for a, b in specs}, shifts
+
+
+def pair_forms(means: dict, shifts: dict, pairs: dict):
+    """The closed forms of the one kernel.  Per pair of ``pairs`` (mapped to
+    the family its errors name), :func:`closed_form` over the shifted means
+    gives ``g - g0`` and the market value; ``g`` and the covariances of ``C``
+    and ``W`` are reassembled.  Yields, pair by pair so that a caller can
+    check a family before the next form runs, the pair's means (plus the
+    shifts ``x1``, ``x2``) and form.  A leg's average is one array across the
+    pairs, and a leg paired with itself has one array for both cross
+    covariances."""
+    averages = {}
+    for (leg1, leg2), family in pairs.items():
+        m = {key: means[spec] for key, spec in sum_specs(leg1, leg2).items()}
+        (g01, m["x1"]), (g02, m["x2"]) = shifts[leg1], shifts[leg2]
+        d1, d2, cov_dd, cov_wd, cov_dw, cov_ww, market = closed_form(
+            family, m["d1"], m["w1"], m["d2"], m["w2"], m["dd"], m["wd"], m["dw"], m["ww"])
+        cov_wc = cov_wd + g02 * cov_ww
+        cov_cw = cov_wc if leg1 == leg2 else cov_dw + g01 * cov_ww
+        cov_cc = cov_dd + g02 * cov_dw + g01 * cov_wc
+        yield m, (averages.setdefault(leg1, g01 + d1), averages.setdefault(leg2, g02 + d2),
+                  cov_cc, cov_wc, cov_cw, cov_ww, market)
+
+
 def family_values(family: str, m, form) -> tuple:
-    """A family's market and frequency values from its pair's means ``m``
-    (keyed as in :func:`sum_specs`) and closed form ``form``: for a joint
-    family the checked joint moment and the raw frequency joint moment.  Both
-    values and the denominator must be finite."""
+    """A family's market and frequency values from its pair's means ``m`` and
+    closed form ``form`` (as :func:`pair_forms` returns them): for a joint
+    family the checked joint moment and the frequency joint moment, both
+    reassembled from the shifted sums.  Both values and the denominator must
+    be finite."""
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
-    frequency = m["xx"] - m["x1"] * m["x2"]
+    frequency = m["yy"] - m["y1"] * m["y2"]
     if family in JOINT_FAMILIES:
-        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
+        jm_cc = cov_cc + g1 * m["w1"] * (g2 * m["w2"])
+        market = checked_joint_moment(family, g1, g2, market, jm_cc, cov_wc, cov_cw, cov_ww,
                                       m["ww"])
-        frequency = m["xx"]
+        frequency = frequency + (m["x1"] + m["y1"]) * (m["x2"] + m["y2"])
     require_finite(family, market_value=market, frequency_value=frequency, denominator=m["ww"])
     return market, frequency
 
 
-#: The arrays of a price leg's Window and a return leg's ReturnView, in
-#: ``LEG_ARRAYS`` order.
-_SOURCE_ARRAYS = {"p": attrgetter("value", "volume", "price"),
-                  "r": attrgetter("value", "c_past", "r")}
-
-
-@functools.cache
-def _window_specs(leg1: str, leg2: str) -> tuple[list, list]:
-    """The distinct sum specs of a pair and of each leg against itself (one
-    table when the legs are one), and per table its keys and a getter of
-    their means from the sums of those specs."""
-    pairs = dict.fromkeys([(leg1, leg2), (leg1, leg1), (leg2, leg2)])
-    tables = [sum_specs(*pair) for pair in pairs]
-    distinct = list(dict.fromkeys(spec for table in tables for spec in table.values()))
-    return distinct, [(tuple(table), itemgetter(*map(distinct.index, table.values())))
-                      for table in tables]
-
-
-def _closed_forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
+def _forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
     """The means and closed form of a family's pair, then of each of its legs
-    against itself, means keyed as in :func:`sum_specs`.  Each distinct mean
-    is summed once: 19 for two legs, 7 for a leg against itself."""
+    against itself (one pair for a volatility), from the kernel run over the
+    window, the closed forms on Python floats.  The shift is the window's
+    own, so ``g - g0`` is 0 up to rounding and the form is two-pass."""
     if len(src1) != len(src2):
         raise LengthMismatch(f"window lengths differ: {len(src1)} vs {len(src2)}")
-    arrays = {}
-    for leg, src in dict(zip(FAMILY_LEGS[family], (src1, src2))).items():
-        arrays.update(zip(LEG_ARRAYS[leg], _SOURCE_ARRAYS[leg[0]](src)))
-    distinct, tables = _window_specs(*FAMILY_LEGS[family])
-    sums = spec_means(arrays, distinct)
-    forms = []
-    for keys, get in tables:  # the pair's first: its degenerate moment is reported first
-        m = dict(zip(keys, get(sums)))
-        forms.append((m, closed_form(family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"],
-                                     m["wc"], m["cw"], m["ww"])))
-    return forms
+    legs = {leg: (src.value, src.volume, src.price) if leg[0] == "p" else
+            (src.value, src.c_past, src.r) for leg, src in zip(FAMILY_LEGS[family], (src1, src2))}
+    pairs = dict.fromkeys([FAMILY_LEGS[family], *((leg, leg) for leg in legs)], family)
+    with np.errstate(all="ignore"):  # a non-finite figure is refused by name
+        means, shifts = shifted_means(legs, pairs, 1, 1, len(src1))
+    means = {spec: mean.item() for spec, mean in means.items()}
+    shifts = {leg: (float(g0), float(x0)) for leg, (g0, x0) in shifts.items()}
+    return list(pair_forms(means, shifts, pairs))
 
 
 def _volatility(family: str, src) -> float:
     """A leg's closed form against itself, from its one table of 7 means."""
-    [(m, form)] = _closed_forms(family, src, src)
+    [(m, form)] = _forms(family, src, src)
     return family_values(family, m, form)[0]
 
 
 def _report(family: str, src1, src2) -> CorrelationReport:
     """The closed form of a pair, the figures reported beside it, and the
     family's values (a joint family's market value is its joint moment)."""
-    (m, form), (m1, form1), (m2, form2) = _closed_forms(family, src1, src2)
+    (m, form), (m1, form1), (m2, form2) = _forms(family, src1, src2)
     market, frequency = family_values(family, m, form)
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
     variances = dict(market_var1=form1[-1], market_var2=form2[-1],
-                     freq_var1=m1["xx"] - m1["x1"] * m1["x2"],
-                     freq_var2=m2["xx"] - m2["x1"] * m2["x2"])
+                     freq_var1=m1["yy"] - m1["y1"] * m1["y2"],
+                     freq_var2=m2["yy"] - m2["y1"] * m2["y2"])
     require_finite(family, **variances)
     slot1, slot2 = average_slots(family)
     leg1, leg2 = FAMILY_LEGS[family]
     return CorrelationReport(
         stat_family=family, market_value=market, frequency_value=frequency,
         averages=MarketAverages(**{slot1: g1, slot2: g2}),
-        freq_avg1=m["x1"], freq_avg2=m["x2"], denominator=m["ww"],
+        freq_avg1=m["x1"] + m["y1"], freq_avg2=m["x2"] + m["y2"], denominator=m["ww"],
         cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww, **variances,
         n=len(src1),
         alpha=src1.lag if leg1[0] == "p" else src1.alpha,

@@ -1,22 +1,22 @@
 """Incremental rolling-window evaluation of all statistic families.
 
 The engine advances a fixed-size window over the common grid of two series
-and maintains every needed window sum (sum x, sum x^2, sum x*y per tracked
-pair) by add/drop deltas from a periodically recomputed anchor: within a
-block the deltas are read from one cumulative sum by two strided slices, and
-each block starts from a fresh full recomputation, which bounds drift.  The
-anchor interval is 4096 strides, shrunk only when ``stride`` or a tiny window
-would let the in-block span grow past what keeps the incremental results
-within 1e-9 of full recomputation.
+and runs :mod:`mbstat.market_core`'s kernel once per anchor block: over the
+block's span each leg is shifted by the block's first window, every needed
+window mean is read from one cumulative sum by two strided slices, and each
+block starts from a fresh shift and a fresh full sum, which bounds drift.
+The anchor interval is 4096 strides, shrunk only when ``stride`` or a small
+window would let the in-block span grow past what keeps the incremental
+results near 1e-10 of full recomputation.
 
-The moment table is :mod:`mbstat.market_core`'s: this module arranges each
-leg's per-tick arrays as its ``LEG_ARRAYS`` name, takes the window sums
-``sum_specs`` asks for (31 per anchor block for all seven families), scales
-each distinct sum to a mean once and runs ``closed_form`` once per leg pair
-(5 for all seven families), under the first family in plan order that needs
-it; each family's values and checks come from ``family_values``.  Results
-stream out chunk by chunk (one chunk per anchor block), so a million-position
-run never holds more than one block of records.
+This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
+``build_leg``; the kernel takes the window sums ``sum_specs`` asks for (35
+per anchor block for all seven families) and runs ``closed_form`` once per
+leg pair (5 for all seven families), under the first family in plan order
+that needs it, just before that family's values and checks
+(``family_values``).  Results stream out chunk by chunk (one chunk per
+anchor block), so a million-position run never holds more than one block of
+records.
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ from .market_core import (  # the family names stay importable from here
     JOINT_FAMILIES,
     JOINT_PRICE_FAMILY,
     JOINT_RETURN_FAMILY,
-    LEG_ARRAYS,
     PRICE_FAMILY,
     PRICE_RETURN_FAMILY,
     PRICE_VOL_FAMILY,
     RETURN_FAMILY,
     RETURN_VOL_FAMILY,
     average_slots,
-    closed_form,
     family_values,
-    sum_specs,
+    pair_forms,
+    shifted_means,
 )
 from .trade_series import TradeSeries, build_leg
 
@@ -96,9 +95,12 @@ class RollingChunk:
 
 
 def _anchor_interval(window: int, stride: int) -> int:
-    # Keep the worst-case in-block cumsum drift, ~span^2 * eps / window
-    # relative to a window sum of positive data, near 1e-10.
-    span_limit = int(671.0 * math.sqrt(window))
+    # Keep the worst-case in-block cumsum drift near 1e-10: ~span^2 * eps /
+    # window relative to a window sum of positive data, and ~span^2 * eps /
+    # window^2 relative to a covariance of data shifted by the block's first
+    # window, whose deviations grow with the span (the second bound is the
+    # tighter below a window of 49).
+    span_limit = int(min(671.0 * math.sqrt(window), 96.0 * window))
     by_drift = (span_limit - window) // stride + 1
     return max(1, min(_ANCHOR_INTERVAL, by_drift))
 
@@ -205,33 +207,10 @@ def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     return sequences
 
 
-def _base_arrays(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan,
-                 sequences=None) -> dict[str, np.ndarray]:
-    """The per-tick arrays of the plan's legs, named as in ``LEG_ARRAYS``."""
-    if sequences is None:
-        sequences = leg_sequences(s1, s2, plan)
-    return {name: arr for leg, arrays in sequences.items()
-            for name, arr in zip(LEG_ARRAYS[leg], arrays)}
-
-
-def _chunk_window_sums(x, y, s_anchor: int, k: int, stride: int, n: int) -> np.ndarray:
-    """Window sums at the ``k`` starts ``s_anchor + j*stride``: full recompute at
-    the anchor, add/drop deltas read from one cumulative sum by strided slices."""
-    hi = s_anchor + (k - 1) * stride + n
-    seg = x[s_anchor:hi] if y is None else x[s_anchor:hi] * y[s_anchor:hi]
-    out = np.empty(k, dtype=np.float64)
-    out[0] = np.sum(seg[:n])
-    if k > 1:
-        c = np.cumsum(seg)
-        enter, leave = c[stride + n - 1 :: stride][: k - 1], c[stride - 1 :: stride][: k - 1]
-        out[1:] = out[0] + (enter - c[n - 1]) - leave
-    return out
-
-
-def _family_records(family: str, m: dict[str, np.ndarray], form: tuple) -> dict[str, np.ndarray]:
+def _family_records(family: str, m: dict, form: tuple, zeros: np.ndarray) -> dict[str, np.ndarray]:
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
     market, freq = family_values(family, m, form)
-    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), np.zeros_like(market))
+    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), zeros)
     averages.update(zip(average_slots(family), (g1, g2)))
     return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
             "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
@@ -241,30 +220,27 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, sequ
     """Yield one :class:`RollingChunk` per anchor block, in position order.
     ``sequences``, the plan's :func:`leg_sequences` when the caller already
     holds them, spares deriving the legs again."""
-    arrays = _base_arrays(s1, s2, plan, sequences)
+    if sequences is None:
+        sequences = leg_sequences(s1, s2, plan)
     n, stride = plan.window, plan.stride
-    inv_n = 1.0 / n
-    family_specs = {family: sum_specs(*FAMILY_LEGS[family]) for family in plan.families}
-    distinct = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
+    pairs = {}
+    for family in plan.families:  # a pair's errors name its first family
+        pairs.setdefault(FAMILY_LEGS[family], family)
 
     for c0 in range(0, plan.n_positions, plan.anchor):
         k = min(plan.anchor, plan.n_positions - c0)
-        s_anchor = c0 * stride
-        means = {
-            (xn, yn): _chunk_window_sums(
-                arrays[xn], None if yn is None else arrays[yn], s_anchor, k, stride, n
-            ) * inv_n
-            for (xn, yn) in distinct
-        }
-        t_center = plan.t_center(c0 + np.arange(k, dtype=np.int64))
+        span = slice(c0 * stride, c0 * stride + (k - 1) * stride + n)
+        zeros = np.zeros(k)  # the unused average slots of every family
         forms, families = {}, {}
-        for family in plan.families:
-            m = {key: means[spec] for key, spec in family_specs[family].items()}
-            legs = FAMILY_LEGS[family]
-            if legs not in forms:  # run by the pair's first family, which its errors name
-                forms[legs] = closed_form(family, m["c1"], m["w1"], m["c2"], m["w2"],
-                                          m["cc"], m["wc"], m["cw"], m["ww"])
-            families[family] = _family_records(family, m, forms[legs])
+        with np.errstate(all="ignore"):  # a non-finite figure is refused by name
+            legs = {leg: [a[span] for a in arrays] for leg, arrays in sequences.items()}
+            pending = pair_forms(*shifted_means(legs, pairs, k, stride, n), pairs)
+            for family in plan.families:  # a pair's form runs just before its first family
+                pair = FAMILY_LEGS[family]
+                if pair not in forms:
+                    forms[pair] = next(pending)
+                families[family] = _family_records(family, *forms[pair], zeros)
+        t_center = plan.t_center(c0 + np.arange(k, dtype=np.int64))
         yield RollingChunk(first_position=c0, t_center=t_center, families=families)
 
 

@@ -101,11 +101,13 @@ def _weighted_sq(leg: Leg, g: float, weights: list[float]) -> float:
     return math.fsum(w * (x - g) ** 2 for w, x in zip(weights, leg.floats[2])) / math.fsum(weights)
 
 
-def scales(family: str, leg1: Leg, leg2: Leg, exact: dict[str, Fraction]) -> dict[str, float]:
+def scales(family: str, leg1: Leg, leg2: Leg, exact: dict[str, Fraction],
+           floor: float = EPS**2, cov_floor: float | None = None) -> dict[str, float]:
     """Per field of :func:`values`, the scale its error is measured against.
-    Each is floored at ``EPS**2`` times the product of the magnitudes it is
-    built from: a window that is constant to the last bit of its doubles has
-    no covariance of its own, only rounding."""
+    Each is floored at ``floor`` (``cov_floor`` for the covariances of ``C``
+    and ``W``) times the product of the magnitudes it is built from
+    (``|g1*g2|`` for the market value): a window that is constant to the
+    last bit of its doubles has no covariance of its own, only rounding."""
     g1, g2 = float(exact["g1"]), float(exact["g2"])
     m1, m2 = float(exact["freq_avg1"]), float(exact["freq_avg2"])
     weights = [a * b for a, b in zip(leg1.floats[1], leg2.floats[1])]
@@ -117,10 +119,11 @@ def scales(family: str, leg1: Leg, leg2: Leg, exact: dict[str, Fraction]) -> dic
              for name, a, b in (("cov_cc", "c", "c"), ("cov_uc", "w", "c"),
                                 ("cov_cu", "c", "w"), ("cov_ww", "w", "w"))}
     out = {key: abs(float(v)) for key, v in exact.items()}
-    out["market_value"] = max(out["market_value"], s_market, EPS**2 * abs(g1 * g2))
-    out["frequency_value"] = max(out["frequency_value"], s_freq, EPS**2 * abs(m1 * m2))
+    out["market_value"] = max(out["market_value"], s_market, floor * abs(g1 * g2))
+    out["frequency_value"] = max(out["frequency_value"], s_freq, floor * abs(m1 * m2))
     for name, (a, b, var_a, var_b) in means.items():
-        out[name] = max(out[name], math.sqrt(var_a * var_b), EPS**2 * abs(a * b))
+        out[name] = max(out[name], math.sqrt(var_a * var_b),
+                        (floor if cov_floor is None else cov_floor) * abs(a * b))
     return out
 
 

@@ -459,9 +459,10 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_compensated_sum_exit_4_like_analyze(self, tmp_path, capsys):
-        # Trade values near 6e153: eight squares sum past the float range.
+        # Trade values of 6e153 to 3e154, as far apart: eight squared
+        # deviations sum past the float range.
         text = "t,price,volume\n" + "".join(
-            f"{t},{1.2e154 * (1 + 0.01 * (t % 5))!r},0.5\n" for t in range(40)
+            f"{t},{1.2e154 * (1 + (t % 5))!r},0.5\n" for t in range(40)
         )
         p1, p2 = write_pair(tmp_path, text, text)
         for stats in ("price_corr", "return_corr", "return_vol"):

@@ -34,20 +34,23 @@ VALUES = ("market_value", "frequency_value")
 # Per regime and path: the bound on the error of the market and frequency
 # values of every family relative to max(|value|, S), and on every other
 # field relative to its scale.  Beside each, the worst errors measured over
-# both shapes: relative to the scale, and relative to the value itself.
+# both shapes: relative to the scale, and relative to the value itself.  At
+# the parent of the shifted kernel the same samples read, in this order,
+# 1.3e-5 (value-relative 7.0e-2), 2.9e-8 (3.8e-4), 7.2e-9 (1.1e-4) and
+# 4.8e-11 (7.5e-8) for the values.
 BOUNDS = {
-    # values: worst 1.28e-5 (return_vol frequency), value-relative 7.0e-2
-    # (return_corr market value at its near-zero position); other fields 6.2e-13
-    ("high", "rolling"): (2e-5, 1e-12),
-    # values: worst 2.9e-8 (return_vol), value-relative 3.8e-4 (return_corr);
-    # other fields 1.5e-15
-    ("high", "per-window"): (5e-8, 1e-14),
-    # values: worst 7.2e-9 (return_corr), value-relative 1.1e-4 (return_corr
-    # at its near-zero position); other fields 5.5e-13
-    ("dense", "rolling"): (1e-8, 1e-12),
-    # values: worst 4.8e-11 (return_vol), value-relative 7.5e-8 (return_corr);
-    # other fields 1.5e-15
-    ("dense", "per-window"): (1e-10, 1e-14),
+    # values: worst 2.9e-12 (price_vol), value-relative 3.4e-9 (return_corr at
+    # its near-zero position, |value| / S = 1.6e-5); other fields 4.9e-13
+    ("high", "rolling"): (1e-10, 1e-12),
+    # values: worst 1.4e-13 (return_vol), value-relative 8.8e-10 (return_corr
+    # at its near-zero position); other fields 2.2e-15
+    ("high", "per-window"): (1e-12, 1e-14),
+    # values: worst 1.8e-12 (price_vol frequency), value-relative 1.7e-10
+    # (price_corr); other fields 4.9e-13
+    ("dense", "rolling"): (1e-10, 1e-12),
+    # values: worst 5.0e-15 (return_vol), value-relative 3.7e-11 (return_corr);
+    # other fields 2.2e-15
+    ("dense", "per-window"): (1e-13, 1e-14),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from direct import direct_values, returns_of
+from exact import EPS, Leg, errors, scales, values
 from mbstat import (
     SynthConfig,
     Window,
@@ -15,10 +16,10 @@ from mbstat import (
     make_plan,
     make_series,
 )
-from mbstat import rolling
+from mbstat import market_core, rolling
 from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
                            NonUniformSpacing, ParseError)
-from mbstat.market_core import average_slots, checked_joint_moment, closed_form, require_finite
+from mbstat.market_core import FAMILY_LEGS, average_slots
 from mbstat.oracle import relative_deviation
 from mbstat.rolling import FAMILIES, _anchor_interval
 
@@ -197,21 +198,56 @@ class TestChunking:
             assert merged.t_center[i] == plan.t_center(i)
 
     def test_mirrored_products_are_one_pass(self, monkeypatch):
-        # (U1,C1)/(C1,U1) and (Co1,C1)/(C1,Co1) are one window sum each.
+        # (W_p1,D_p1)/(D_p1,W_p1) and (W_r1,D_r1)/(D_r1,W_r1) are one window sum
+        # each: 12 means of the four legs' shifted arrays and 23 products.
         s1, s2 = synth_pair(9000)
         plan = make_plan(s1, s2, window=8, alpha=1, beta=1)
         passes = 0
-        window_sums = rolling._chunk_window_sums
+        window_sums = market_core.window_means
 
         def counting(*args):
             nonlocal passes
             passes += 1
             return window_sums(*args)
 
-        monkeypatch.setattr(rolling, "_chunk_window_sums", counting)
+        monkeypatch.setattr(market_core, "window_means", counting)
         blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
         assert blocks > 1
-        assert passes == 31 * blocks
+        assert passes == 35 * blocks
+
+
+    def test_shared_slots_are_one_array(self):
+        # Dense 5k-tick pair, window 256, stride 1, all families: of a chunk's
+        # 78 slots (t_center and 11 per family) 43 are distinct arrays, and no
+        # two of those hold the same bytes.
+        s1, s2 = synth_pair(5000, price_start=100.0, log_price_step_sd=3e-3, volume_log_sd=0.4)
+        plan = make_plan(s1, s2, window=256, stride=1, alpha=1, beta=1)
+        chunk = next(iter_rolling_stats(s1, s2, plan))
+        f = chunk.families
+        slots = [chunk.t_center, *(arr for arrays in f.values() for arr in arrays.values())]
+        assert len(slots) == 78
+        assert len({id(arr) for arr in slots}) == len({arr.tobytes() for arr in slots}) == 43
+        # one zero array for every unused average slot
+        zeros = f["price_corr"]["h1"]
+        assert not zeros.any()
+        assert all(f[family][slot] is zeros for family in f for slot in ("a1", "a2", "h1", "h2")
+                   if slot not in average_slots(family))
+        # one average array per leg, whichever pairs read it
+        p1, p2 = f["price_corr"]["a1"], f["price_corr"]["a2"]
+        r1, r2 = f["return_corr"]["h1"], f["return_corr"]["h2"]
+        assert f["price_return_corr"]["a1"] is f["price_vol"]["a1"] is f["price_vol"]["a2"] is p1
+        assert f["return_vol"]["h1"] is f["return_vol"]["h2"] is r1
+        assert f["price_return_corr"]["h2"] is r2
+        assert f["joint_price_moment"]["a1"] is p1 and f["joint_price_moment"]["a2"] is p2
+        assert f["joint_return_moment"]["h1"] is r1 and f["joint_return_moment"]["h2"] is r2
+        # a leg paired with itself has one cross covariance
+        assert f["price_vol"]["cov_cu"] is f["price_vol"]["cov_uc"]
+        assert f["return_vol"]["cov_cu"] is f["return_vol"]["cov_uc"]
+        # a joint moment reads its correlation's denominator and covariances
+        for joint, corr in (("joint_price_moment", "price_corr"),
+                            ("joint_return_moment", "return_corr")):
+            for key in ("denominator", "cov_cc", "cov_uc", "cov_cu", "cov_ww"):
+                assert f[joint][key] is f[corr][key], (joint, key)
 
 
 class TestLegSequences:
@@ -268,76 +304,21 @@ class TestLegSequences:
             rolling.leg_sequences(bad, worse, plan)
 
 
-# Test-only reference: the engine as it stood before strided window sums, one
-# mean per distinct sum and one closed form per leg pair; every array it
-# yields must be bit-identical to the engine's.
-def _ref_chunk_window_sums(x, y, s_anchor, rel, n):
-    hi = s_anchor + int(rel[-1]) + n
-    seg = x[s_anchor:hi] if y is None else x[s_anchor:hi] * y[s_anchor:hi]
-    out = np.empty(rel.size, dtype=np.float64)
-    out[0] = np.sum(seg[:n])
-    if rel.size > 1:
-        c = np.cumsum(seg)
-        r = rel[1:]
-        out[1:] = out[0] + (c[r + n - 1] - c[n - 1]) - c[r - 1]
-    return out
-
-
-def _ref_family_records(family, sums, n):
-    inv_n = 1.0 / n
-    m = {key: total * inv_n for key, total in sums.items()}
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = closed_form(
-        family, m["c1"], m["w1"], m["c2"], m["w2"], m["cc"], m["wc"], m["cw"], m["ww"]
-    )
-    freq = m["xx"] - m["x1"] * m["x2"]
-    if family in ("joint_price_moment", "joint_return_moment"):
-        market = checked_joint_moment(family, g1, g2, market, m["cc"], cov_wc, cov_cw, cov_ww,
-                                      m["ww"])
-        freq = m["xx"]
-    require_finite(family, market_value=market, frequency_value=freq, denominator=m["ww"])
-    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), np.zeros_like(market))
-    averages.update(zip(average_slots(family), (g1, g2)))
-    return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
-            "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
-
-
-def ref_iter_rolling_stats(s1, s2, plan):
-    arrays = rolling._base_arrays(s1, s2, plan)
-    n = plan.window
-    half = (n - 1) / 2.0
-    family_specs = {f: rolling.sum_specs(*rolling.FAMILY_LEGS[f]) for f in plan.families}
-    sum_specs = dict.fromkeys(spec for specs in family_specs.values() for spec in specs.values())
-    for c0 in range(0, plan.n_positions, plan.anchor):
-        c1 = min(c0 + plan.anchor, plan.n_positions)
-        rel = np.arange(c1 - c0, dtype=np.int64) * plan.stride
-        s_anchor = c0 * plan.stride
-        sums_by_spec = {
-            (xn, yn): _ref_chunk_window_sums(
-                arrays[xn], None if yn is None else arrays[yn], s_anchor, rel, n
-            )
-            for (xn, yn) in sum_specs
-        }
-        t_center = plan.t_origin + (s_anchor + rel + half) * plan.epsilon
-        families = {}
-        for family in plan.families:
-            sums = {k: sums_by_spec[spec] for k, spec in family_specs[family].items()}
-            families[family] = _ref_family_records(family, sums, n)
-        yield c0, t_center, families
-
-
 @functools.lru_cache(maxsize=None)
 def _guard_pair(n_ticks):
     return synth_pair(n_ticks, seed=300, price_start=1e4, log_price_step_sd=1e-3)
 
 
 def _guard_plan(window, stride, lag, families):
-    """A plan of at least three anchor blocks, the last one partial."""
+    """A plan of at least three anchor blocks, the last one partial (unless a
+    block is one position)."""
     anchor = _anchor_interval(window, stride)
-    positions = 2 * anchor + anchor // 2 + 1
+    positions = 2 * anchor + (anchor + 1) // 2
     s1, s2 = _guard_pair(window + (positions - 1) * stride + lag)
     plan = make_plan(s1, s2, window=window, stride=stride, alpha=lag, beta=lag,
                      families=families)
-    assert plan.n_positions > 2 * plan.anchor and plan.n_positions % plan.anchor, plan
+    assert plan.n_positions > 2 * plan.anchor, plan
+    assert plan.n_positions % plan.anchor or plan.anchor == 1, plan
     return s1, s2, plan
 
 
@@ -348,7 +329,23 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-class TestBitIdentityGuard:
+RECORD_KEYS = ["market_value", "frequency_value", "a1", "a2", "h1", "h2", "denominator",
+               "cov_cc", "cov_uc", "cov_cu", "cov_ww"]
+
+# Bounds against the exact reference, relative to each field's scale
+# (``exact.scales``): max(|value|, S) for the market and frequency values,
+# max(|cov|, sqrt(var*var)) for a covariance, |value| for an average and the
+# denominator.  Measured worst over every plan below: 1.2e-10 for the values
+# (price_vol frequency at windows 4 and 256; value-relative the same),
+# 6.8e-13 for the other fields (value-relative 1.3e-12); at window 1,
+# relative to the magnitudes the fields are built from, 2.5e-16 and 2.9e-14.
+VALUE_BOUND, FIELD_BOUND = 1e-9, 1e-11
+
+
+class TestExactReferenceGuard:
+    """Every chunk of the engine against the exact-rational reference, at each
+    anchor block's first and last position."""
+
     FAMILY_SETS = [FAMILIES, ("joint_price_moment",), ("price_corr", "joint_price_moment"),
                    ("return_vol",)]
 
@@ -356,33 +353,40 @@ class TestBitIdentityGuard:
     @pytest.mark.parametrize("lag", [1, 3])
     @pytest.mark.parametrize("stride", [1, 7, 256])
     @pytest.mark.parametrize("window", [1, 4, 10, 256])  # 10: 1/n is inexact
-    def test_engine_matches_reference_bits(self, window, stride, lag, families):
+    def test_engine_matches_exact_reference(self, window, stride, lag, families):
         s1, s2, plan = _guard_plan(window, stride, lag, families)
-        got = list(iter_rolling_stats(s1, s2, plan))
-        want = list(ref_iter_rolling_stats(s1, s2, plan))
-        assert len(got) == len(want) >= 3
-        for chunk, (c0, t_center, ref_families) in zip(got, want):
+        sequences = rolling.leg_sequences(s1, s2, plan)
+        chunks = list(iter_rolling_stats(s1, s2, plan))
+        assert len(chunks) >= 3
+        for c0, chunk in zip(range(0, plan.n_positions, plan.anchor), chunks):
+            k = min(plan.anchor, plan.n_positions - c0)
             assert chunk.first_position == c0
-            assert chunk.t_center.tobytes() == t_center.tobytes()
-            assert list(chunk.families) == list(ref_families)
-            for family, arrays in ref_families.items():
-                assert list(chunk.families[family]) == list(arrays)
-                for key, arr in arrays.items():
-                    assert chunk.families[family][key].dtype == arr.dtype
-                    assert chunk.families[family][key].tobytes() == arr.tobytes(), (family, key)
+            assert chunk.t_center.tobytes() == plan.t_center(c0 + np.arange(k)).tobytes()
+            assert list(chunk.families) == list(plan.families)
+            for family, arrays in chunk.families.items():
+                assert list(arrays) == RECORD_KEYS
+                assert all(a.dtype == np.float64 and a.shape == (k,) for a in arrays.values())
+                slot1, slot2 = average_slots(family)
+                for slot in {"a1", "a2", "h1", "h2"} - {slot1, slot2}:
+                    assert not arrays[slot].any(), (family, slot)
+                for j in (0, k - 1):
+                    worst = _exact_errors(sequences, plan, family, arrays, c0, j)
+                    for field, (scaled, _) in worst.items():
+                        bound = VALUE_BOUND if field.endswith("_value") else FIELD_BOUND
+                        assert scaled <= bound, (family, c0 + j, field, scaled)
 
     def test_one_closed_form_per_leg_pair(self, monkeypatch):
         # seven families over five leg pairs: the joint moments reuse the
         # closed form of their correlation
         s1, s2, plan = _guard_plan(8, 1, 1, FAMILIES)
         calls = []
-        form = rolling.closed_form
+        form = market_core.closed_form
 
         def counting(family, *args):
             calls.append(family)
             return form(family, *args)
 
-        monkeypatch.setattr(rolling, "closed_form", counting)
+        monkeypatch.setattr(market_core, "closed_form", counting)
         blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
         assert blocks >= 3
         assert calls == ["price_corr", "return_corr", "price_return_corr", "price_vol",
@@ -401,7 +405,26 @@ class TestBitIdentityGuard:
                               1e-160 * (1.0 + rng.random(n))) for name in ("one", "two"))
         plan = make_plan(s1, s2, window=8, stride=1, families=families)
         got = _outcome(lambda: list(iter_rolling_stats(s1, s2, plan)))
-        want = _outcome(lambda: list(ref_iter_rolling_stats(s1, s2, plan)))
-        assert got == want
         assert got[0] is DegenerateDenominator
-        assert got[1].startswith(f"{named}: carrier joint moment ")
+        prefix, suffix = f"{named}: carrier joint moment ", " is too small to divide by"
+        assert got[1].startswith(prefix) and got[1].endswith(suffix)
+        # the smallest of the first block's denominators, which underflow
+        sequences = rolling.leg_sequences(s1, s2, plan)
+        lowest = min(values("price_corr", Leg(*(a[i : i + 8] for a in sequences["p1"])),
+                            Leg(*(a[i : i + 8] for a in sequences["p2"])))["denominator"]
+                     for i in range(plan.n_positions))
+        shown = float(got[1][len(prefix) : -len(suffix)])
+        assert shown <= 1e-300 and abs(shown - float(lowest)) <= 1e-3 * float(lowest) + 5e-324
+
+
+def _exact_errors(sequences, plan, family, arrays, c0, j):
+    """Per field, the error of chunk position ``j`` against the exact value.
+    A one-tick window has no covariance (``S`` is 0), so its fields are
+    measured against the magnitudes they are built from."""
+    n, lo = plan.window, (c0 + j) * plan.stride
+    leg1, leg2 = (Leg(*(a[lo : lo + n] for a in sequences[leg])) for leg in FAMILY_LEGS[family])
+    exact = values(family, leg1, leg2)
+    slot1, slot2 = average_slots(family)
+    got = {key: arrays[key][j] for key in RECORD_KEYS if key[0] not in "ah"}
+    got.update(g1=arrays[slot1][j], g2=arrays[slot2][j])
+    return errors(got, exact, scales(family, leg1, leg2, exact, 1.0 if n == 1 else EPS**2))
