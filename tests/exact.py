@@ -51,6 +51,13 @@ def _dot(a, b) -> Fraction:
     return _scaled(sum(x * y for x, y in zip(a[0], b[0])), a[1] + b[1])
 
 
+def _float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:  # past the float range
+        return math.inf if q > 0 else -math.inf
+
+
 class Leg:
     """One leg's window: its value, carrier and per-tick arrays, as floats
     and as exact integers over a power of two."""
@@ -61,6 +68,11 @@ class Leg:
         self.n = len(self.floats[0])
         if {len(a) for a in self.floats} != {self.n}:
             raise ValueError("a leg's arrays differ in length")
+        self.mean, self.var = {}, {}  # per array ``c``, ``w``, ``x``, as floats
+        for name in "cwx":
+            a = getattr(self, name)
+            mean = _total(a) / self.n
+            self.mean[name], self.var[name] = _float(mean), _float(_dot(a, a) / self.n - mean**2)
 
     @classmethod
     def of(cls, src):
@@ -68,9 +80,6 @@ class Leg:
         if hasattr(src, "c_past"):
             return cls(src.value, src.c_past, src.r)
         return cls(src.value, src.volume, src.price)
-
-    def var(self, a) -> float:
-        return float(_dot(a, a) / self.n - (_total(a) / self.n) ** 2)
 
 
 def values(family: str, leg1: Leg, leg2: Leg) -> dict[str, Fraction]:
@@ -101,8 +110,8 @@ def _weighted_sq(leg: Leg, g: float, weights: list[float]) -> float:
     return math.fsum(w * (x - g) ** 2 for w, x in zip(weights, leg.floats[2])) / math.fsum(weights)
 
 
-def scales(family: str, leg1: Leg, leg2: Leg, exact: dict[str, Fraction],
-           floor: float = EPS**2, cov_floor: float | None = None) -> dict[str, float]:
+def scales(leg1: Leg, leg2: Leg, exact: dict[str, Fraction], floor: float = EPS**2,
+           cov_floor: float | None = None) -> dict[str, float]:
     """Per field of :func:`values`, the scale its error is measured against.
     Each is floored at ``floor`` (``cov_floor`` for the covariances of ``C``
     and ``W``) times the product of the magnitudes it is built from
@@ -112,18 +121,15 @@ def scales(family: str, leg1: Leg, leg2: Leg, exact: dict[str, Fraction],
     m1, m2 = float(exact["freq_avg1"]), float(exact["freq_avg2"])
     weights = [a * b for a, b in zip(leg1.floats[1], leg2.floats[1])]
     s_market = math.sqrt(_weighted_sq(leg1, g1, weights) * _weighted_sq(leg2, g2, weights))
-    s_freq = math.sqrt(leg1.var(leg1.x) * leg2.var(leg2.x))
-    means = {name: (float(_total(getattr(leg1, a)) / leg1.n),
-                    float(_total(getattr(leg2, b)) / leg2.n), leg1.var(getattr(leg1, a)),
-                    leg2.var(getattr(leg2, b)))
-             for name, a, b in (("cov_cc", "c", "c"), ("cov_uc", "w", "c"),
-                                ("cov_cu", "c", "w"), ("cov_ww", "w", "w"))}
+    s_freq = math.sqrt(leg1.var["x"] * leg2.var["x"])
     out = {key: abs(float(v)) for key, v in exact.items()}
     out["market_value"] = max(out["market_value"], s_market, floor * abs(g1 * g2))
     out["frequency_value"] = max(out["frequency_value"], s_freq, floor * abs(m1 * m2))
-    for name, (a, b, var_a, var_b) in means.items():
-        out[name] = max(out[name], math.sqrt(var_a * var_b),
-                        (floor if cov_floor is None else cov_floor) * abs(a * b))
+    for name, a, b in (("cov_cc", "c", "c"), ("cov_uc", "w", "c"), ("cov_cu", "c", "w"),
+                       ("cov_ww", "w", "w")):
+        out[name] = max(out[name], math.sqrt(leg1.var[a] * leg2.var[b]),
+                        (floor if cov_floor is None else cov_floor)
+                        * abs(leg1.mean[a] * leg2.mean[b]))
     return out
 
 

@@ -103,7 +103,7 @@ def measured(regime, shape):
         for family in FAMILIES:
             leg1, leg2 = FAMILY_LEGS[family]
             exact = values(family, exact_legs[leg1], exact_legs[leg2])
-            scale = scales(family, exact_legs[leg1], exact_legs[leg2], exact)
+            scale = scales(exact_legs[leg1], exact_legs[leg2], exact)
             if family in CORRELATIONS:
                 near_zero = min(near_zero, abs(float(exact["market_value"])) /
                                 scale["market_value"])

@@ -13,7 +13,6 @@ from exact import values as exact_values
 from mbstat import (
     CorrelationReport,
     FAMILIES,
-    MarketAverages,
     Window,
     compute_returns,
     cov,
@@ -549,7 +548,7 @@ def _report_fields(rep, family):
 
 def _check_exact(got, family, leg1, leg2, floors):
     exact = exact_values(family, leg1, leg2)
-    scale = scales(family, leg1, leg2, exact, **floors)
+    scale = scales(leg1, leg2, exact, **floors)
     for field, (scaled, _) in errors(got, exact, scale).items():
         bound = VALUE_BOUND if field.endswith("_value") else FIELD_BOUND
         assert scaled <= bound, (family, field, scaled)

@@ -369,9 +369,12 @@ class TestExactReferenceGuard:
                 slot1, slot2 = average_slots(family)
                 for slot in {"a1", "a2", "h1", "h2"} - {slot1, slot2}:
                     assert not arrays[slot].any(), (family, slot)
-                for j in (0, k - 1):
-                    worst = _exact_errors(sequences, plan, family, arrays, c0, j)
-                    for field, (scaled, _) in worst.items():
+            for j in (0, k - 1):
+                lo = (c0 + j) * stride
+                legs = {leg: Leg(*(a[lo : lo + window] for a in arrays))
+                        for leg, arrays in sequences.items()}
+                for family, arrays in chunk.families.items():
+                    for field, (scaled, _) in _exact_errors(legs, family, arrays, j).items():
                         bound = VALUE_BOUND if field.endswith("_value") else FIELD_BOUND
                         assert scaled <= bound, (family, c0 + j, field, scaled)
 
@@ -417,14 +420,14 @@ class TestExactReferenceGuard:
         assert shown <= 1e-300 and abs(shown - float(lowest)) <= 1e-3 * float(lowest) + 5e-324
 
 
-def _exact_errors(sequences, plan, family, arrays, c0, j):
-    """Per field, the error of chunk position ``j`` against the exact value.
-    A one-tick window has no covariance (``S`` is 0), so its fields are
-    measured against the magnitudes they are built from."""
-    n, lo = plan.window, (c0 + j) * plan.stride
-    leg1, leg2 = (Leg(*(a[lo : lo + n] for a in sequences[leg])) for leg in FAMILY_LEGS[family])
+def _exact_errors(legs, family, arrays, j):
+    """Per field, the error of chunk position ``j`` against the exact value
+    over the position's ``legs``.  A one-tick window has no covariance (``S``
+    is 0), so its fields are measured against the magnitudes they are built
+    from."""
+    leg1, leg2 = (legs[leg] for leg in FAMILY_LEGS[family])
     exact = values(family, leg1, leg2)
     slot1, slot2 = average_slots(family)
     got = {key: arrays[key][j] for key in RECORD_KEYS if key[0] not in "ah"}
     got.update(g1=arrays[slot1][j], g2=arrays[slot2][j])
-    return errors(got, exact, scales(family, leg1, leg2, exact, 1.0 if n == 1 else EPS**2))
+    return errors(got, exact, scales(leg1, leg2, exact, 1.0 if leg1.n == 1 else EPS**2))
