@@ -55,12 +55,12 @@ BOUNDS = {
 
 
 def _per_window(family, src1, src2):
-    """A family's fields from the ``mb_*`` functions (a volatility gives its
-    market value only)."""
-    if family == "price_vol":
-        return {"market_value": mb_price_volatility(src1)}
-    if family == "return_vol":
-        return {"market_value": mb_return_volatility(src1)}
+    """A family's fields from the ``mb_*`` functions; a volatility's frequency
+    value is the leg variance of its correlation's report."""
+    if family in ("price_vol", "return_vol"):
+        fn, corr = ((mb_price_volatility, "price_corr") if family == "price_vol" else
+                    (mb_return_volatility, "return_corr"))
+        return {"market_value": fn(src1), "frequency_value": _report(corr, src1, src1).freq_var1}
     rep = _report(family, src1, src2)
     slot1, slot2 = average_slots(family)
     return {"market_value": rep.market_value, "frequency_value": rep.frequency_value,
