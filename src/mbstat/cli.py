@@ -17,11 +17,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory, ParseError
+from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory
 from .market_core import FAMILIES, FAMILY_LEGS, JOINT_FAMILIES, average_slots
 from .oracle import oracle_corr_windows
 from .reports import write_csv, write_json
-from .rolling import check_request, iter_rolling_stats, leg_sequences, make_plan
+from .rolling import check_request, iter_rolling_stats, make_plan
 from .synth import MODES, SynthConfig, gen_trades
 from .trade_series import parse_trades, serialize
 
@@ -43,14 +43,10 @@ _ORACLE_LEG_KIND = {"p": "price", "r": "return"}
 
 
 def _read_series(path: str, label: str):
-    try:
-        # One decode of the whole file, so offsets are file offsets; no newline
-        # translation, so a CR reaches the parser and is refused there.
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
-    return parse_trades(text, asset_id=label)
+    # Binary, so offsets are file offsets and a CR reaches the parser, which
+    # refuses it; the parser reads the file in chunks.
+    with open(path, "rb") as fh:
+        return parse_trades(fh, asset_id=label)
 
 
 @contextmanager
@@ -163,31 +159,28 @@ def _worst(prev, dev, first_position: int):
 def run_verify(args) -> int:
     """Drain the rolling engine, the one ``analyze`` reports from, and check
     every window's market value against the brute-force oracle run on that
-    window's raw per-tick sequences."""
+    window's raw per-tick sequences, the legs of the engine's block."""
     if not args.tol >= 0:  # also refuses NaN
         raise InvalidConfig(f"--tol must be >= 0, got {args.tol!r}")
     s1, s2, plan = _plan(args)
-    sequences = leg_sequences(s1, s2, plan)
-    pairs = {}  # per leg pair: its oracle kind, legs' arrays and families
+    pairs = {}  # per leg pair: its oracle kind and families
     for family in plan.families:
         legs = leg1, leg2 = FAMILY_LEGS[family]
-        if legs not in pairs:
-            kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
-            (_, w1, x1), (_, w2, x2) = sequences[leg1], sequences[leg2]
-            pairs[legs] = (kind, (x1, x2, w1, w2), [])
-        pairs[legs][2].append((family, family in JOINT_FAMILIES,
-                               ("market_value", *average_slots(family))))
+        kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
+        pairs.setdefault(legs, (kind, []))[1].append(
+            (family, family in JOINT_FAMILIES, ("market_value", *average_slots(family))))
     worst = {}  # family -> (dev, position) of its first worst window
-    for chunk in iter_rolling_stats(s1, s2, plan, sequences):
-        for kind, arrays, families in pairs.values():
+    for chunk in iter_rolling_stats(s1, s2, plan):
+        for (leg1, leg2), (kind, families) in pairs.items():
+            (_, w1, x1), (_, w2, x2) = chunk.legs[leg1], chunk.legs[leg2]
             corr = None
             for family, joint, keys in families:
                 market, g1, g2 = (chunk.families[family][key] for key in keys)
                 # The families of a leg pair read one closed form, so they
                 # share their averages: the oracle runs once per pair and chunk.
                 if corr is None:
-                    corr = oracle_corr_windows(kind, *arrays, g1, g2, window=plan.window,
-                                               stride=plan.stride, first=chunk.first_position)
+                    corr = oracle_corr_windows(kind, x1, x2, w1, w2, g1, g2, window=plan.window,
+                                               stride=plan.stride, first=0)
                 direct = corr + g1 * g2 if joint else corr
                 dev = _deviations(market, direct, np.abs(g1 * g2))
                 worst[family] = _worst(worst.get(family), dev, chunk.first_position)

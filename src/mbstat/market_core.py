@@ -223,9 +223,11 @@ def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
 def window_means(x, y, k: int, stride: int, n: int, buf: np.ndarray) -> np.ndarray:
     """Means of ``x`` (``y=None``) or ``x*y`` over the ``k`` windows ``[j*stride,
     j*stride + n)``: the first summed in full, the others as the difference
-    of two strided slices of one cumulative sum.  ``buf``, as long as ``x``,
-    is overwritten."""
+    of two strided slices of one cumulative sum; a one-tick window's mean is
+    its value.  ``buf``, as long as ``x``, is overwritten."""
     seg = x if y is None else np.multiply(x, y, out=buf)
+    if n == 1:  # exact, so a one-tick covariance is exactly 0
+        return seg[::stride].copy()
     first = np.add.reduce(seg[:n])
     if k == 1:
         return np.array([first / n])

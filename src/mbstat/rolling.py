@@ -10,19 +10,20 @@ window would let the in-block span grow past what keeps the incremental
 results near 1e-10 of full recomputation.
 
 This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
-``build_leg``; the kernel takes the window sums ``sum_specs`` asks for (35
-per anchor block for all seven families) and runs ``closed_form`` once per
-leg pair (5 for all seven families), under the first family in plan order
-that needs it, just before that family's values and checks
-(``family_values``).  Results stream out chunk by chunk (one chunk per
-anchor block), so a million-position run never holds more than one block of
-records.
+``build_leg``, which builds it over one anchor block's span at a time (a
+price leg is a view, a return leg a block-sized array).  The kernel takes
+the window sums ``sum_specs`` asks for (35 per anchor block for all seven
+families) and runs ``closed_form`` once per leg pair (5 for all seven
+families), under the first family in plan order that needs it, just before
+that family's values and checks (``family_values``).  Results stream out
+chunk by chunk (one chunk per anchor block), so a million-position run never
+holds more than one block of legs and records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +90,9 @@ class RollingChunk:
     first_position: int
     t_center: np.ndarray
     families: dict[str, dict[str, np.ndarray]]
+    #: The block's :func:`leg_sequences`: position ``first_position + j``'s
+    #: window is ``[j*stride, j*stride + window)`` of each array.
+    legs: dict[str, tuple] | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t_center)
@@ -192,18 +196,21 @@ def make_plan(
     )
 
 
-def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
-    """Per leg of the plan, its ``(value, carrier, x)`` from ``build_leg``: a leg
-    reads its own asset, ``p2`` lagged by ``beta``, a return leg over its
-    asset's horizon, ``alpha`` or ``beta``.  Position ``i``'s window is
-    ``[i*stride, i*stride + window)`` of each array."""
+def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, start: int = 0,
+                  count: int | None = None):
+    """Per leg of the plan, its ``(value, carrier, x)`` from ``build_leg`` over
+    ``count`` ticks of the common grid from index ``start`` (all
+    ``plan.length`` by default): a leg reads its own asset, ``p2`` lagged by
+    ``beta``, a return leg over its asset's horizon, ``alpha`` or ``beta``.
+    Position ``i``'s window is ``[i*stride, i*stride + window)`` of the grid."""
+    count = plan.length - start if count is None else count
     sequences = {}
     for leg in sorted(_legs(plan.families)):  # a fixed order: the first bad leg is named
         series, lo, horizon = (s1, plan.off1, plan.alpha) if leg[1] == "1" else (
             s2, plan.off2, plan.beta)
         if leg == "p2":
             lo -= plan.beta
-        sequences[leg] = build_leg(series, lo, plan.length, horizon if leg[0] == "r" else 0)
+        sequences[leg] = build_leg(series, lo + start, count, horizon if leg[0] == "r" else 0)
     return sequences
 
 
@@ -216,12 +223,10 @@ def _family_records(family: str, m: dict, form: tuple, zeros: np.ndarray) -> dic
             "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
 
 
-def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, sequences=None):
+def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     """Yield one :class:`RollingChunk` per anchor block, in position order.
-    ``sequences``, the plan's :func:`leg_sequences` when the caller already
-    holds them, spares deriving the legs again."""
-    if sequences is None:
-        sequences = leg_sequences(s1, s2, plan)
+    Each block's legs are built over its own span, so a return or past value
+    out of range is refused when its block is reached."""
     n, stride = plan.window, plan.stride
     pairs = {}
     for family in plan.families:  # a pair's errors name its first family
@@ -229,11 +234,10 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, sequ
 
     for c0 in range(0, plan.n_positions, plan.anchor):
         k = min(plan.anchor, plan.n_positions - c0)
-        span = slice(c0 * stride, c0 * stride + (k - 1) * stride + n)
+        legs = leg_sequences(s1, s2, plan, c0 * stride, (k - 1) * stride + n)
         zeros = np.zeros(k)  # the unused average slots of every family
         forms, families = {}, {}
         with np.errstate(all="ignore"):  # a non-finite figure is refused by name
-            legs = {leg: [a[span] for a in arrays] for leg, arrays in sequences.items()}
             pending = pair_forms(*shifted_means(legs, pairs, k, stride, n), pairs)
             for family in plan.families:  # a pair's form runs just before its first family
                 pair = FAMILY_LEGS[family]
@@ -241,7 +245,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, sequ
                     forms[pair] = next(pending)
                 families[family] = _family_records(family, *forms[pair], zeros)
         t_center = plan.t_center(c0 + np.arange(k, dtype=np.int64))
-        yield RollingChunk(first_position=c0, t_center=t_center, families=families)
+        yield RollingChunk(first_position=c0, t_center=t_center, families=families, legs=legs)
 
 
 def collect_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> RollingChunk:

@@ -17,6 +17,7 @@ and ``float()`` cell by cell.  Both give the same bits.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -48,9 +49,9 @@ CSV_HEADER = "t,price,volume"
 
 _TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at least this
 
-# The body is parsed in chunks of at most this many characters (more only for
-# a row longer than that), each ending at an LF, so the per-chunk copies stay
-# small next to the columns.
+# The body is parsed in chunks of about this many characters of text, or
+# bytes of a stream (more for a row longer than that), each ending at an LF,
+# so the per-chunk copies stay small next to the columns.
 _CHUNK_CHARS = 1 << 16
 
 # A cell's bytes; a '+' must also follow an 'e'.
@@ -130,6 +131,26 @@ def _first_outside_range(arr: np.ndarray) -> int | None:
     return int(np.argmax(~((arr >= _TINY) & (arr < math.inf))))
 
 
+def _spacing(t: np.ndarray) -> int:
+    """The one constant step of tick times ``t`` (1 for a single tick)."""
+    if t.size < 2:
+        return 1  # single tick: spacing is vacuous
+    steps = np.diff(t)
+    epsilon = int(steps[0])
+    if epsilon <= 0:
+        raise NonUniformSpacing(
+            f"tick times must be strictly increasing (duplicate or reversed "
+            f"timestamp after t={t[0]})"
+        )
+    if np.any(steps != epsilon):
+        i = int(np.argmax(steps != epsilon))
+        raise NonUniformSpacing(
+            f"spacing {int(steps[i])} between t={t[i]} and t={t[i + 1]} "
+            f"differs from epsilon={epsilon}"
+        )
+    return epsilon
+
+
 def make_series(asset_id, times, prices, volumes, declared_values=None) -> TradeSeries:
     """Validate raw columns and build a :class:`TradeSeries`.
 
@@ -165,23 +186,7 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         i = int(np.argmax(volume <= 0.0))
         raise NonPositiveVolume(f"volume {volume[i]} at t={t[i]} must be > 0")
 
-    if t.size >= 2:
-        steps = np.diff(t)
-        epsilon = int(steps[0])
-        if epsilon <= 0:
-            raise NonUniformSpacing(
-                f"tick times must be strictly increasing (duplicate or reversed "
-                f"timestamp after t={t[0]})"
-            )
-        if np.any(steps != epsilon):
-            i = int(np.argmax(steps != epsilon))
-            raise NonUniformSpacing(
-                f"spacing {int(steps[i])} between t={t[i]} and t={t[i + 1]} "
-                f"differs from epsilon={epsilon}"
-            )
-    else:
-        epsilon = 1  # single tick: spacing is vacuous
-
+    epsilon = _spacing(t)
     with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the row
         value = price * volume
     i = _first_outside_range(value)
@@ -206,8 +211,15 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     )
 
 
-def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
+def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
+
+    ``source`` is the text, or a binary stream of its UTF-8 bytes (a file
+    opened in ``"rb"`` mode).  A stream is read twice in chunks: a first pass
+    checks that it is UTF-8 (a ``ParseError`` names the first bad byte's
+    offset, before any other rule) and counts its rows, a second fills the
+    columns; neither holds more than one chunk of it.  A stream that cannot
+    seek is read into memory first.
 
     The header is exactly ``t,price,volume``, or ``t,price,volume,value``
     with a declared trade value; rows end in LF (the last row may omit it)
@@ -217,35 +229,81 @@ def parse_trades(text: str, asset_id: str = "asset") -> TradeSeries:
     The first row that breaks a rule is named in the ``ParseError``.  The
     grid spacing is inferred from the first two rows.
     """
-    if not text:
-        raise EmptyInput("empty CSV input")
-    start = text.find("\n") + 1 or len(text)  # of the body
-    header = text[:start].removesuffix("\n")
+    header, size, chunks = (_text_chunks if isinstance(source, str) else _stream_chunks)(source)
     if header == CSV_HEADER:
         ncols = 3
     elif header == CSV_HEADER + ",value":
         ncols = 4
     else:
         raise ParseError(f"unexpected header {header!r}, want '{CSV_HEADER}[,value]'")
-    if start == len(text):
+    if not size:
         raise EmptyInput("CSV has a header but no rows")
 
-    # A row per LF, the last one may lack it: the columns are filled in
-    # place, so no chunk's arrays wait for a concatenation.
-    size = text.count("\n", start) + (text[-1] != "\n")
+    # The columns are filled in place, so no chunk's arrays wait for a
+    # concatenation.
     columns = [np.empty(size, dtype) for _, _, dtype in _COLUMNS[:ncols]]
     rows = 0
-    while start < len(text):
-        end = _chunk_end(text, start)
-        chunk = text[start:end]
-        arrays = _convert_chunk(chunk, ncols)
+    for raw in chunks:
+        arrays = _convert_chunk(raw, ncols)
         if arrays is None:
-            _raise_first_bad_row(chunk, ncols, rows)
+            _raise_first_bad_row(raw.decode("utf-8", "surrogatepass"), ncols, rows)
         for column, arr in zip(columns, arrays):
             column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
-        start = end
     return make_series(asset_id, *columns)
+
+
+def _text_chunks(text: str):
+    """``(header, rows, chunks)`` of CSV text: its first line, the number of
+    rows after it, and the body's chunks as bytes (a lone surrogate passes
+    through, to be refused with its row)."""
+    if not text:
+        raise EmptyInput("empty CSV input")
+    start = text.find("\n") + 1 or len(text)  # of the body
+    rows = text.count("\n", start) + (text[-1] != "\n") if start < len(text) else 0
+
+    def chunks(start=start):
+        while start < len(text):
+            end = _chunk_end(text, start)
+            yield text[start:end].encode("utf-8", "surrogatepass")
+            start = end
+
+    return text[:start].removesuffix("\n"), rows, chunks()
+
+
+def _stream_chunks(stream):
+    """``(header, rows, chunks)`` of a binary stream of CSV bytes, as
+    :func:`_text_chunks`, after a first pass that checks the whole stream is
+    UTF-8 and counts its LFs."""
+    name = getattr(stream, "name", "input")
+    if not stream.seekable():
+        stream = io.BytesIO(stream.read())
+    start = stream.tell()
+    lfs, size, last = 0, 0, b"\n"
+    for chunk in _read_chunks(stream):
+        if not chunk.isascii():
+            try:
+                chunk.decode("utf-8")  # a chunk ends at an LF, so at a character's end
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{name}: byte {size + exc.start} is not UTF-8 "
+                                 f"({exc.reason})") from None
+        lfs += chunk.count(b"\n")
+        size += len(chunk)
+        last = chunk[-1:]
+    if not size:
+        raise EmptyInput("empty CSV input")
+    stream.seek(start)
+    header = stream.readline().decode("utf-8").removesuffix("\n")
+    return header, lfs + (last != b"\n") - 1, _read_chunks(stream)
+
+
+def _read_chunks(stream):
+    """The rest of ``stream`` in chunks of whole rows: ``_CHUNK_CHARS`` bytes
+    and the rest of the row they end in (the last chunk may lack its LF)."""
+    while chunk := stream.read(_CHUNK_CHARS):
+        if chunk[-1] != _LF:
+            chunk += stream.readline()
+        yield chunk
 
 
 def _chunk_end(text: str, start: int) -> int:
@@ -267,14 +325,11 @@ def _only(raw: bytes, allowed: bytes) -> bool:
         b"+" not in raw or raw.count(b"+") == raw.count(b"e+"))
 
 
-def _convert_chunk(chunk: str, ncols: int):
+def _convert_chunk(raw: bytes, ncols: int):
     """The column arrays of a chunk of whole rows, or None when a row breaks a
-    rule of the canonical form: one byte check over the chunk, one look at its
-    separators, and one C-level conversion per column."""
-    try:
-        raw = chunk.encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    rule of the canonical form: one byte check over the chunk (which refuses
+    every byte outside ASCII), one look at its separators, and one C-level
+    conversion per column."""
     if not _only(raw, _BODY_BYTES):
         return None
     if raw[-1] != _LF:  # the last row of the body

@@ -1,12 +1,13 @@
 """Exact-rational reference for every family's record fields.
 
 Shares no arithmetic with mbstat.  Each stored double of a window's legs (the
-arrays ``rolling.leg_sequences`` returns, which are also the arrays of the
-window's ``Window`` and ``ReturnView``) is turned into an integer times one
-power of two per array, every sum is taken in Python integers, and each field
-is a ``fractions.Fraction`` of those sums.  With ``C`` a leg's stored trade
-values, ``W`` its carrier (volumes or past values) and ``x`` its per-tick
-prices or returns,
+arrays ``rolling.leg_sequences`` returns over a span of the grid; the engine
+builds them per anchor block, the tests here over the whole plan, and both
+are the arrays of the window's ``Window`` and ``ReturnView``, element for
+element) is turned into an integer times one power of two per array, every
+sum is taken in Python integers, and each field is a ``fractions.Fraction``
+of those sums.  With ``C`` a leg's stored trade values, ``W`` its carrier
+(volumes or past values) and ``x`` its per-tick prices or returns,
 
     market = sum((C1 - g1*W1) * (C2 - g2*W2)) / sum(W1*W2),  g = sum(C)/sum(W),
     frequency = mean(x1*x2) - mean(x1)*mean(x2),

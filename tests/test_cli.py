@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -89,6 +91,18 @@ class TestGenerate:
         assert main(["generate", "--n", "3", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t,price,volume\n")
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        argv = ["generate", "--n", "40", "--seed", "6", "--price-start", "1e4"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        proc = subprocess.run([sys.executable, "-m", "mbstat", *argv], capture_output=True,
+                              text=True, env=env)
+        assert main(argv) == 0
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "mbstat", "generate", "--n", "1"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and "n_ticks" in proc.stderr
 
 
 class TestAnalyze:

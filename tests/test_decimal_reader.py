@@ -196,7 +196,7 @@ class TestFallback:
     def test_a_chunk_with_a_cell_that_is_not_plain_is_read_by_float(self, cell):
         text = _rows_text(["1.5", "2.25", cell, "3.0"])
         assert _plain(text) is None
-        columns = _convert_chunk(text, 3)
+        columns = _convert_chunk(text.encode(), 3)
         assert [c.tolist() for c in columns] == [[0, 1], [1.5, float(cell)], [2.25, 3.0]]
 
     @pytest.mark.parametrize("text", ["-1,1.5,2.5\n", "1,1.5,2.5\n1234567890123456789,1.5,2.5\n",

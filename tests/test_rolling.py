@@ -280,6 +280,18 @@ class TestLegSequences:
                 assert w[lo : lo + n].tobytes() == want[1].tobytes(), (leg, position)
 
 
+    @pytest.mark.parametrize("stride", [1, 5, 40])
+    def test_each_block_reads_its_span_of_the_legs(self, stride):
+        s1, s2, plan = _guard_plan(8, stride, 2, FAMILIES)
+        whole = rolling.leg_sequences(s1, s2, plan)
+        for chunk in iter_rolling_stats(s1, s2, plan):
+            lo = chunk.first_position * stride
+            span = slice(lo, lo + (len(chunk) - 1) * stride + plan.window)
+            assert list(chunk.legs) == list(whole)
+            for leg, arrays in chunk.legs.items():
+                assert [a.tobytes() for a in arrays] == [a[span].tobytes() for a in whole[leg]]
+            assert np.shares_memory(chunk.legs["p1"][2], s1.price)  # a price leg is a view
+
     @pytest.mark.parametrize("prices, volumes, message", [
         ([1e-300, 1e10], [1.0, 1.0],
          "return inf at t=1 over horizon 1 is not a positive normal float"),
@@ -302,6 +314,37 @@ class TestLegSequences:
             rolling.leg_sequences(worse, bad, plan)
         with pytest.raises(ParseError, match="^return inf at t=1"):
             rolling.leg_sequences(bad, worse, plan)
+
+    def test_a_bad_leg_is_refused_when_its_block_is_reached(self):
+        # Legs are built per anchor block: a bad r2 return in the first block
+        # is named before a bad r1 return in the second, and the first
+        # block's chunk is out before a bad return in a later block.
+        n = 1200
+        prices = np.ones((2, n))
+        prices[0, 499], prices[0, 500] = 1e-300, 1e10  # r1 = inf at t=500
+        prices[1, 99], prices[1, 100] = 1e-300, 1e10  # r2 = inf at t=100
+        s1, s2 = (make_series(name, np.arange(n), p, np.ones(n)) for name, p in
+                  zip(("one", "two"), prices))
+        plan = make_plan(s1, s2, window=4, stride=1, alpha=1, beta=1, families=("return_corr",))
+        assert 100 < plan.anchor < 500
+        with pytest.raises(ParseError, match="^return inf at t=100 "):
+            list(iter_rolling_stats(s1, s2, plan))
+        chunks = iter_rolling_stats(s1, s1, plan)
+        assert next(chunks).first_position == 0
+        with pytest.raises(ParseError, match="^return inf at t=500 "):
+            next(chunks)
+
+    def test_ticks_no_window_reads_are_not_refused(self):
+        # Window 4 at stride 3 over the 11 ticks after the first reads ticks
+        # 1 to 10; the return at tick 11 overflows, but no statistic reads it.
+        prices = [1.0] * 11 + [1e10]
+        prices[10] = 1e-300
+        s = make_series("a", np.arange(12), prices, [1.0] * 12)
+        plan = make_plan(s, s, window=4, stride=3, alpha=1, beta=1, families=("return_vol",))
+        assert (plan.n_positions - 1) * plan.stride + plan.window == plan.length - 1
+        assert len(collect_rolling_stats(s, s, plan)) == plan.n_positions
+        with pytest.raises(ParseError, match="^return inf at t=11 "):
+            rolling.leg_sequences(s, s, plan)
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,8 +380,8 @@ RECORD_KEYS = ["market_value", "frequency_value", "a1", "a2", "h1", "h2", "denom
 # max(|cov|, sqrt(var*var)) for a covariance, |value| for an average and the
 # denominator.  Measured worst over every plan below: 1.2e-10 for the values
 # (price_vol frequency at windows 4 and 256; value-relative the same),
-# 6.8e-13 for the other fields (value-relative 1.3e-12); at window 1,
-# relative to the magnitudes the fields are built from, 2.5e-16 and 2.9e-14.
+# 6.8e-13 for the other fields (value-relative 1.3e-12); at window 1 the
+# covariances and the non-joint values are exactly 0 (TestWindowOneIsExact).
 VALUE_BOUND, FIELD_BOUND = 1e-9, 1e-11
 
 
@@ -418,6 +461,28 @@ class TestExactReferenceGuard:
                      for i in range(plan.n_positions))
         shown = float(got[1][len(prefix) : -len(suffix)])
         assert shown <= 1e-300 and abs(shown - float(lowest)) <= 1e-3 * float(lowest) + 5e-324
+
+
+class TestWindowOneIsExact:
+    """A one-tick window has no spread: its means are the tick's own values,
+    so every covariance, and each non-joint family's market and frequency
+    value, is exactly 0, not rounding noise."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_every_covariance_is_exactly_zero(self, stride, lag):
+        s1, s2 = _guard_pair(3000)
+        plan = make_plan(s1, s2, window=1, stride=stride, alpha=lag, beta=lag, families=FAMILIES)
+        positions = 0
+        for chunk in iter_rolling_stats(s1, s2, plan):
+            for family, arrays in chunk.families.items():
+                keys = ["cov_cc", "cov_uc", "cov_cu", "cov_ww"]
+                if family not in market_core.JOINT_FAMILIES:
+                    keys += ["market_value", "frequency_value"]
+                for key in keys:
+                    assert not arrays[key].any(), (family, key, chunk.first_position)
+            positions += len(chunk)
+        assert positions == plan.n_positions > 2 * plan.anchor
 
 
 def _exact_errors(legs, family, arrays, j):

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -216,6 +218,95 @@ class TestStrictParse:
         assert len(parse_trades(text)) == 5000
         with pytest.raises(AssertionError, match="per-row loop ran"):
             parse_trades(text.replace("\n4000,", "\n4000,+", 1))
+
+
+def _rows(n, first=0):
+    """``n`` canonical rows from tick ``first``, about 30 bytes each."""
+    return "".join(f"{t},{100 + t % 97 / 8},{1 + t % 13 / 4}\n" for t in range(first, first + n))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared as is
+        return type(exc), str(exc)
+
+
+class TestStreamReader:
+    """A file, read as a binary stream, against the same text: the same bits
+    or the same error, wherever the chunks fall."""
+
+    BIG = _rows(5000)  # 82 KB: a row falls across the first 64 KiB boundary
+    CASES = {
+        "straddles-a-chunk": "t,price,volume\n" + BIG,
+        "row-longer-than-a-chunk": "t,price,volume\n" + _rows(3)
+        + "3,1." + "0" * 70_000 + "1,2\n" + _rows(3, 4),
+        "no-final-lf": "t,price,volume\n" + BIG.removesuffix("\n"),
+        "value-column": "t,price,volume,value\n0,2,1,2\n1,4,2,8\n",
+        "cr-in-a-row": "t,price,volume\n" + BIG + "5000,2,1\r\n",
+        "cr-in-the-header": "t,price,volume\r\n0,2,1\n",
+        "non-ascii-cell": "t,price,volume\n" + BIG + "5000,\u00e9,1\n",
+        "bad-row-in-a-later-chunk": "t,price,volume\n" + BIG + "5000,+2,1\n" + _rows(2, 5001),
+        "header-only": "t,price,volume\n",
+        "header-only-no-lf": "t,price,volume",
+        "bad-header": "t,price\n0,1\n",
+        "empty": "",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_file_and_text_agree(self, tmp_path, case):
+        text = self.CASES[case]
+        if case == "straddles-a-chunk":
+            assert "\n" not in text[trade_series._CHUNK_CHARS - 4 : trade_series._CHUNK_CHARS + 4]
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(lambda: parse_trades(text, "x"))
+        with open(path, "rb") as fh:
+            got = _outcome(lambda: parse_trades(fh, "x"))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert _columns_equal(got, want) and got.asset_id == "x"
+        assert isinstance(want, tuple) == (case not in ("straddles-a-chunk",
+                                                        "row-longer-than-a-chunk",
+                                                        "no-final-lf", "value-column"))
+
+    def test_a_stream_that_cannot_seek_is_read(self):
+        text = self.CASES["straddles-a-chunk"]
+        read, write = os.pipe()
+
+        def send():
+            with open(write, "wb") as out:
+                out.write(text.encode())
+
+        writer = threading.Thread(target=send)
+        writer.start()
+        with open(read, "rb") as fh:
+            assert not fh.seekable()
+            got = parse_trades(fh, "x")
+        writer.join()
+        assert _columns_equal(got, parse_trades(text, "x"))
+
+    @pytest.mark.parametrize("where", ["header", "first-chunk", "later-chunk", "last-byte"])
+    def test_a_byte_that_is_not_utf8_is_named_before_any_bad_row(self, tmp_path, where):
+        # A bad row comes first in the file, as does a bad header for the
+        # first case; the byte's offset in the file is named, as a whole-file
+        # decode names it.
+        bad_row = "t,price,volume\n0,2,1\n1,+4,1\n"
+        data = {
+            "header": b"t,pr\xe9ce,volume\n0,2,1\n",
+            "first-chunk": (bad_row + "2,").encode() + b"\xff" + b",1\n",
+            "later-chunk": (bad_row + self.BIG).encode() + b"9,\xc3(,1\n",
+            "last-byte": (bad_row + self.BIG).encode() + b"9,2,\xe2\x82",
+        }[where]
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        message = f"{path}: byte {whole.value.start} is not UTF-8 ({whole.value.reason})"
+        with open(path, "rb") as fh:
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_trades(fh)
 
 
 class TestRoundTrip:
