@@ -17,6 +17,7 @@ and ``float()`` cell by cell.  Both give the same bits.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 from dataclasses import dataclass, field
@@ -53,6 +54,9 @@ _TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at leas
 # bytes of a stream (more for a row longer than that), each ending at an LF,
 # so the per-chunk copies stay small next to the columns.
 _CHUNK_CHARS = 1 << 16
+# The first pass over a stream, which only checks and counts, reads blocks of
+# this many bytes.
+_COUNT_BYTES = 1 << 20
 
 # A cell's bytes; a '+' must also follow an 'e'.
 _CELL_BYTES = b"0123456789.-e+"
@@ -279,22 +283,30 @@ def _stream_chunks(stream):
     if not stream.seekable():
         stream = io.BytesIO(stream.read())
     start = stream.tell()
-    lfs, size, last = 0, 0, b"\n"
-    for chunk in _read_chunks(stream):
-        if not chunk.isascii():
-            try:
-                chunk.decode("utf-8")  # a chunk ends at an LF, so at a character's end
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{name}: byte {size + exc.start} is not UTF-8 "
-                                 f"({exc.reason})") from None
-        lfs += chunk.count(b"\n")
-        size += len(chunk)
-        last = chunk[-1:]
+    # The first pass reads into one reused buffer; only a block that is not
+    # ASCII, or one after a character its predecessor split, is decoded.
+    buf = bytearray(_COUNT_BYTES)
+    codes = np.frombuffer(buf, np.uint8)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lfs = size = split = 0
+    try:
+        while length := stream.readinto(buf):
+            block = codes[:length]
+            if split or block.max() > 0x7F:
+                decoder.decode(buf[:length])
+                split = len(decoder.getstate()[0])
+            lfs += np.count_nonzero(block == _LF)
+            size += length
+            last = block[-1]
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:  # its offsets count the split bytes too
+        raise ParseError(f"{name}: byte {size - split + exc.start} is not UTF-8 "
+                         f"({exc.reason})") from None
     if not size:
         raise EmptyInput("empty CSV input")
     stream.seek(start)
     header = stream.readline().decode("utf-8").removesuffix("\n")
-    return header, lfs + (last != b"\n") - 1, _read_chunks(stream)
+    return header, lfs + (last != _LF) - 1, _read_chunks(stream)
 
 
 def _read_chunks(stream):

@@ -252,6 +252,7 @@ class TestStreamReader:
         "bad-header": "t,price\n0,1\n",
         "empty": "",
     }
+    PARSED = ("straddles-a-chunk", "row-longer-than-a-chunk", "no-final-lf", "value-column")
 
     @pytest.mark.parametrize("case", CASES)
     def test_file_and_text_agree(self, tmp_path, case):
@@ -263,13 +264,10 @@ class TestStreamReader:
         want = _outcome(lambda: parse_trades(text, "x"))
         with open(path, "rb") as fh:
             got = _outcome(lambda: parse_trades(fh, "x"))
-        if isinstance(want, tuple):
-            assert got == want
-        else:
+        if case in self.PARSED:
             assert _columns_equal(got, want) and got.asset_id == "x"
-        assert isinstance(want, tuple) == (case not in ("straddles-a-chunk",
-                                                        "row-longer-than-a-chunk",
-                                                        "no-final-lf", "value-column"))
+        else:
+            assert isinstance(want, tuple) and got == want
 
     def test_a_stream_that_cannot_seek_is_read(self):
         text = self.CASES["straddles-a-chunk"]
@@ -284,7 +282,8 @@ class TestStreamReader:
         with open(read, "rb") as fh:
             assert not fh.seekable()
             got = parse_trades(fh, "x")
-        writer.join()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
         assert _columns_equal(got, parse_trades(text, "x"))
 
     @pytest.mark.parametrize("where", ["header", "first-chunk", "later-chunk", "last-byte"])
@@ -307,6 +306,31 @@ class TestStreamReader:
         with open(path, "rb") as fh:
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 parse_trades(fh)
+
+
+    @pytest.mark.parametrize("cut", [1, 2])  # bytes of the euro sign before the block ends
+    @pytest.mark.parametrize("tail, valid", [
+        ("1,\u20ac,1\n".encode(), True),  # row 2's price is not canonical
+        (b"1,\xe2\x82,1\n", False),  # an LF where a continuation byte belongs
+        (b"1,2,\xe2\x82", False),  # the file ends inside the character
+    ], ids=["valid", "invalid", "truncated"])
+    def test_a_character_split_between_first_pass_blocks(self, monkeypatch, tmp_path, cut,
+                                                          tail, valid):
+        head = b"t,price,volume\n0,2,1\n"
+        monkeypatch.setattr(trade_series, "_COUNT_BYTES", len(head) + tail.index(b"\xe2") + cut)
+        data = head + tail
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        if valid:
+            want = _outcome(lambda: parse_trades(data.decode(), "x"))
+            assert want[1].startswith("row 2: price ")
+        else:
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            want = (ParseError,
+                    f"{path}: byte {whole.value.start} is not UTF-8 ({whole.value.reason})")
+        with open(path, "rb") as fh:
+            assert _outcome(lambda: parse_trades(fh, "x")) == want
 
 
 class TestRoundTrip:
