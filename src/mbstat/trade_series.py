@@ -50,9 +50,8 @@ CSV_HEADER = "t,price,volume"
 
 _TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at least this
 
-# The body is parsed in chunks of about this many characters of text, or
-# bytes of a stream (more for a row longer than that), each ending at an LF,
-# so the per-chunk copies stay small next to the columns.
+# The body is parsed in chunks of this many bytes and the rest of the row
+# they end in, so the per-chunk copies stay small next to the columns.
 _CHUNK_CHARS = 1 << 16
 # The first pass over a stream, which only checks and counts, reads blocks of
 # this many bytes.
@@ -218,12 +217,13 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
 def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
 
-    ``source`` is the text, or a binary stream of its UTF-8 bytes (a file
-    opened in ``"rb"`` mode).  A stream is read twice in chunks: a first pass
-    checks that it is UTF-8 (a ``ParseError`` names the first bad byte's
-    offset, before any other rule) and counts its rows, a second fills the
-    columns; neither holds more than one chunk of it.  A stream that cannot
-    seek is read into memory first.
+    ``source`` is a binary stream of the UTF-8 bytes (a file opened in
+    ``"rb"`` mode), or the text, which is read as the stream of its bytes.
+    The stream is read twice in chunks: a first pass checks that it is UTF-8
+    (a ``ParseError`` names the first bad byte's offset, before any other
+    rule) and counts its rows, a second fills the columns; neither holds
+    more than one chunk of it.  A stream that cannot seek is read into
+    memory first.
 
     The header is exactly ``t,price,volume``, or ``t,price,volume,value``
     with a declared trade value; rows end in LF (the last row may omit it)
@@ -233,7 +233,9 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     The first row that breaks a rule is named in the ``ParseError``.  The
     grid spacing is inferred from the first two rows.
     """
-    header, size, chunks = (_text_chunks if isinstance(source, str) else _stream_chunks)(source)
+    if isinstance(source, str):  # a lone surrogate is then refused as not UTF-8
+        source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+    header, size, chunks = _stream_chunks(source)
     if header == CSV_HEADER:
         ncols = 3
     elif header == CSV_HEADER + ",value":
@@ -250,35 +252,17 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     for raw in chunks:
         arrays = _convert_chunk(raw, ncols)
         if arrays is None:
-            _raise_first_bad_row(raw.decode("utf-8", "surrogatepass"), ncols, rows)
+            _raise_first_bad_row(raw.decode("utf-8"), ncols, rows)
         for column, arr in zip(columns, arrays):
             column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
     return make_series(asset_id, *columns)
 
 
-def _text_chunks(text: str):
-    """``(header, rows, chunks)`` of CSV text: its first line, the number of
-    rows after it, and the body's chunks as bytes (a lone surrogate passes
-    through, to be refused with its row)."""
-    if not text:
-        raise EmptyInput("empty CSV input")
-    start = text.find("\n") + 1 or len(text)  # of the body
-    rows = text.count("\n", start) + (text[-1] != "\n") if start < len(text) else 0
-
-    def chunks(start=start):
-        while start < len(text):
-            end = _chunk_end(text, start)
-            yield text[start:end].encode("utf-8", "surrogatepass")
-            start = end
-
-    return text[:start].removesuffix("\n"), rows, chunks()
-
-
 def _stream_chunks(stream):
-    """``(header, rows, chunks)`` of a binary stream of CSV bytes, as
-    :func:`_text_chunks`, after a first pass that checks the whole stream is
-    UTF-8 and counts its LFs."""
+    """``(header, rows, chunks)`` of a binary stream of CSV bytes: its first
+    line, the number of rows after it, and the chunks of the rest, after a
+    first pass that checks the whole stream is UTF-8 and counts its LFs."""
     name = getattr(stream, "name", "input")
     if not stream.seekable():
         stream = io.BytesIO(stream.read())
@@ -316,18 +300,6 @@ def _read_chunks(stream):
         if chunk[-1] != _LF:
             chunk += stream.readline()
         yield chunk
-
-
-def _chunk_end(text: str, start: int) -> int:
-    """The end of the chunk of ``text`` from ``start``: just past its last LF
-    within the chunk size, or the end of ``text``."""
-    limit = start + _CHUNK_CHARS
-    if limit >= len(text):
-        return len(text)
-    end = text.rfind("\n", start, limit)
-    if end < 0:  # a row longer than a chunk
-        end = text.find("\n", limit)
-    return len(text) if end < 0 else end + 1
 
 
 def _only(raw: bytes, allowed: bytes) -> bool:

@@ -307,7 +307,6 @@ class TestStreamReader:
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 parse_trades(fh)
 
-
     @pytest.mark.parametrize("cut", [1, 2])  # bytes of the euro sign before the block ends
     @pytest.mark.parametrize("tail, valid", [
         ("1,\u20ac,1\n".encode(), True),  # row 2's price is not canonical
