@@ -54,7 +54,10 @@ _TINY = np.finfo(np.float64).tiny  # trade values, returns, past values: at leas
 # they end in, so the per-chunk copies stay small next to the columns.
 _CHUNK_CHARS = 1 << 16
 # The first pass over a stream, which only checks and counts, reads blocks of
-# this many bytes.
+# this many bytes into one buffer.  With 64 KiB blocks, the second pass over
+# the first file of a process faulted its per-chunk temporaries in again for
+# every chunk: nothing large had yet been freed to raise malloc's trim
+# threshold.
 _COUNT_BYTES = 1 << 20
 
 # A cell's bytes; a '+' must also follow an 'e'.
@@ -218,7 +221,7 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
 
     ``source`` is a binary stream of the UTF-8 bytes (a file opened in
-    ``"rb"`` mode), or the text, which is read as the stream of its bytes.
+    ``"rb"`` mode), or the text, which is encoded whole and read as a stream.
     The stream is read twice in chunks: a first pass checks that it is UTF-8
     (a ``ParseError`` names the first bad byte's offset, before any other
     rule) and counts its rows, a second fills the columns; neither holds
