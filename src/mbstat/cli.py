@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyWindow, InvalidConfig, MbstatError, MissingHistory
 from .market_core import FAMILIES, FAMILY_LEGS, JOINT_FAMILIES, average_slots
-from .oracle import oracle_corr_windows
+from .oracle import oracle_corr_windows, relative_deviation
 from .reports import write_csv, write_json
 from .rolling import check_request, iter_rolling_stats, make_plan
 from .synth import MODES, SynthConfig, gen_trades
@@ -134,16 +134,6 @@ def run_analyze(args) -> int:
     return EXIT_OK
 
 
-def _deviations(x, y, floor):
-    """``relative_deviation(x, y, floor)`` per window: 0 where ``x == y``,
-    else ``|x - y|`` over the largest of ``|x|``, ``|y|`` and ``floor``."""
-    with np.errstate(invalid="ignore"):  # inf against inf is NaN, a breach
-        diff = np.abs(x - y)
-        dev = diff / np.fmax(np.fmax(np.abs(x), np.abs(y)), floor)
-    dev[diff == 0.0] = 0.0
-    return dev
-
-
 def _worst(prev, dev, first_position: int):
     """The ``(deviation, position)`` of the first worst window so far, given
     the previous one (or None) and a chunk's deviations from
@@ -163,27 +153,23 @@ def run_verify(args) -> int:
     if not args.tol >= 0:  # also refuses NaN
         raise InvalidConfig(f"--tol must be >= 0, got {args.tol!r}")
     s1, s2, plan = _plan(args)
-    pairs = {}  # per leg pair: its oracle kind and families
-    for family in plan.families:
-        legs = leg1, leg2 = FAMILY_LEGS[family]
-        kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
-        pairs.setdefault(legs, (kind, []))[1].append(
-            (family, family in JOINT_FAMILIES, ("market_value", *average_slots(family))))
     worst = {}  # family -> (dev, position) of its first worst window
     for chunk in iter_rolling_stats(s1, s2, plan):
-        for (leg1, leg2), (kind, families) in pairs.items():
-            (_, w1, x1), (_, w2, x2) = chunk.legs[leg1], chunk.legs[leg2]
-            corr = None
-            for family, joint, keys in families:
-                market, g1, g2 = (chunk.families[family][key] for key in keys)
-                # The families of a leg pair read one closed form, so they
-                # share their averages: the oracle runs once per pair and chunk.
-                if corr is None:
-                    corr = oracle_corr_windows(kind, x1, x2, w1, w2, g1, g2, window=plan.window,
-                                               stride=plan.stride, first=0)
-                direct = corr + g1 * g2 if joint else corr
-                dev = _deviations(market, direct, np.abs(g1 * g2))
-                worst[family] = _worst(worst.get(family), dev, chunk.first_position)
+        # The families of a leg pair read one closed form, so they share
+        # their averages: the oracle runs once per pair and chunk.
+        corr = {}
+        for family in plan.families:
+            records = chunk.families[family]
+            market, g1, g2 = (records[key] for key in ("market_value", *average_slots(family)))
+            legs = leg1, leg2 = FAMILY_LEGS[family]
+            if legs not in corr:
+                (_, w1, x1), (_, w2, x2) = chunk.legs[leg1], chunk.legs[leg2]
+                kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
+                corr[legs] = oracle_corr_windows(kind, x1, x2, w1, w2, g1, g2,
+                                                 window=plan.window, stride=plan.stride)
+            direct = corr[legs] + g1 * g2 if family in JOINT_FAMILIES else corr[legs]
+            dev = relative_deviation(market, direct, np.abs(g1 * g2))
+            worst[family] = _worst(worst.get(family), dev, chunk.first_position)
 
     failed = []
     for family in plan.families:

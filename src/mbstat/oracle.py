@@ -15,14 +15,16 @@ Weight kinds (each normalized to sum 1 over the window):
 - ``volume_past_value``:    U1_i*Co2_i / sum(...)      (price-return)
 
 :func:`oracle_corr_windows` takes the same definition over many windows at
-once, for ``verify``: numpy, imported inside it, evaluates one block of
-windows per array operation, still with each window's own weight sum and no
-cumulative sums.
+once, for ``verify``: numpy evaluates one block of windows per array
+operation, still with each window's own weight sum and no cumulative sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights
 
@@ -121,18 +123,28 @@ def em_expectation(values, weights: WeightVector) -> float:
     return _plain_sum(v * w for v, w in zip(vals, weights.weights))
 
 
-def relative_deviation(x: float, y: float, floor: float = 0.0) -> float:
+def relative_deviation(x, y, floor=0.0):
     """Deviation of two evaluations of one statistic, relative to its scale.
 
     The denominator is the larger of the two magnitudes, but never less than
     ``floor`` (pass the statistic's natural magnitude, e.g. the product of
     the two market averages): a correlation that happens to sit near zero
-    must not turn benign summation-order noise into a huge ratio.
+    must not turn benign summation-order noise into a huge ratio.  Floats
+    give a float, arrays an array of the element-wise rule: 0 where
+    ``|x - y|`` is 0, else ``|x - y|`` over the largest of ``|x|``, ``|y|``
+    and ``floor``.  A NaN or an inf in ``x`` or ``y`` gives NaN.
     """
-    diff = abs(x - y)
-    if diff == 0.0:
-        return 0.0
-    return diff / max(abs(x), abs(y), floor)
+    with np.errstate(invalid="ignore"):  # inf against inf is NaN, a breach
+        diff = np.abs(np.subtract(x, y))
+        dev = diff / np.fmax(np.fmax(np.abs(x), np.abs(y)), floor)
+    return np.where(diff == 0.0, 0.0, dev)[()]  # [()]: a 0-d result as a float
+
+
+def _weight_kind(kind: str) -> str:
+    try:
+        return _CORR_WEIGHT_KIND[kind]
+    except KeyError:
+        raise NonPositiveInput(f"unknown correlation kind {kind!r}") from None
 
 
 def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float) -> float:
@@ -144,11 +156,7 @@ def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float)
     market-based averages (VWAP or value-weighted average return) the
     deviations are taken against.
     """
-    try:
-        weight_kind = _CORR_WEIGHT_KIND[kind]
-    except KeyError:
-        raise NonPositiveInput(f"unknown correlation kind {kind!r}") from None
-    w = make_weights(weight_kind, carrier1, carrier2)
+    w = make_weights(_weight_kind(kind), carrier1, carrier2)
     a = _floats(x1)
     b = _floats(x2)
     if not (len(a) == len(b) == len(w)):
@@ -161,9 +169,9 @@ def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float)
 
 
 def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
-                        window: int, stride: int, first: int):
-    """:func:`oracle_corr` at the positions ``first, first + 1, ...``, one per
-    entry of ``avg1``/``avg2``, as a float64 array.
+                        window: int, stride: int):
+    """:func:`oracle_corr` at the positions ``0, 1, ...``, one per entry of
+    ``avg1``/``avg2``, as a float64 array.
 
     Position ``i``'s window is ``[i*stride, i*stride + window)`` of each of the
     four per-tick arrays.  Each window's product weights are normalized by that
@@ -174,18 +182,12 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
     Windows are taken in blocks, so that no temporary holds more than
     ``_BLOCK_ELEMENTS`` floats (or one window, if that is longer).
     """
-    import numpy as np  # the scalar oracle above runs on plain floats
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    try:
-        weight_kind = _CORR_WEIGHT_KIND[kind]
-    except KeyError:
-        raise NonPositiveInput(f"unknown correlation kind {kind!r}") from None
+    weight_kind = _weight_kind(kind)
     avg1, avg2 = np.asarray(avg1, dtype=np.float64), np.asarray(avg2, dtype=np.float64)
     if len(avg1) != len(avg2):
         raise LengthMismatch(f"averages differ in length: {len(avg1)} vs {len(avg2)}")
     arrays = [np.asarray(a, dtype=np.float64) for a in (x1, x2, carrier1, carrier2)]
-    end = (first + len(avg1) - 1) * stride + window
+    end = (len(avg1) - 1) * stride + window
     if any(len(a) < max(end, window) for a in arrays):
         raise LengthMismatch(f"sequence lengths {[len(a) for a in arrays]} end before "
                              f"the last window's end {end}")
@@ -196,8 +198,7 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
     step = max(1, _BLOCK_ELEMENTS // window)
     with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
         for b in range(0, len(out), step):
-            avgs = slice(b, min(b + step, len(out)))
-            rows = slice(first + avgs.start, first + avgs.stop)
+            rows = slice(b, min(b + step, len(out)))
             for name, c in zip(names, (c1[rows], c2[rows])):
                 bad = ~(c > 0)
                 if bad.any():
@@ -208,7 +209,7 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
             drifted = spread[spread > WEIGHT_SUM_ABS_TOL]
             if len(drifted):
                 raise UnnormalizedWeights(f"normalization drifted by {drifted[0]:.3e}")
-            d = v1[rows] - avg1[avgs, None]
-            d *= v2[rows] - avg2[avgs, None]
-            out[avgs] = np.einsum("ij,ij->i", d, w)
+            d = v1[rows] - avg1[rows, None]
+            d *= v2[rows] - avg2[rows, None]
+            out[rows] = np.einsum("ij,ij->i", d, w)
     return out

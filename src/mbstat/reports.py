@@ -55,10 +55,8 @@ def _csv_record(plan: RollingPlan, family: str) -> str:
 
 
 def _check_finite(plan: RollingPlan, block: np.ndarray) -> None:
-    finite = np.isfinite(block)
-    if finite.all():
-        return
-    pos, row = np.argwhere(~finite.T)[0]  # first in record order
+    """Refuse a block that holds a non-finite value, naming the first."""
+    pos, row = np.argwhere(~np.isfinite(block).T)[0]  # first in record order
     family, slot = divmod(int(row), len(_ARRAY_KEYS) + 1)
     field = RECORD_FIELDS[4 + slot] if slot else RECORD_FIELDS[0]
     raise ConsistencyError(

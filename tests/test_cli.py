@@ -12,7 +12,6 @@ import pytest
 from mbstat import FAMILIES, cli, parse_trades, rolling
 from mbstat.cli import main
 from mbstat.errors import ConsistencyError
-from mbstat.oracle import relative_deviation
 from mbstat.reports import RECORD_FIELDS
 
 WORKED_ASSET1 = "t,price,volume\n0,2,1\n1,4,2\n2,3,1\n"
@@ -562,6 +561,34 @@ class TestVerify:
         assert f"tolerance breach: family={family} " in captured.err
 
 
+    def test_whole_output_is_pinned(self, tmp_path, capsys):
+        # Window 8 makes anchor blocks of 761 positions: 2992 windows are
+        # four blocks, so the worst window is kept across chunks.
+        p1, p2 = generate_pair(tmp_path, n=3000)
+        argv = ["verify", "--asset1-path", p1, "--asset2-path", p2, "--window", "8",
+                "--stats", "price_corr,return_corr,price_return_corr,price_vol,return_vol,"
+                           "joint_moments"]
+        lines = [
+            ("price_corr", "6.153793e-15", "2781.5"),
+            ("return_corr", "5.930788e-18", "1406.5"),
+            ("price_return_corr", "8.095483e-17", "1480.5"),
+            ("price_vol", "8.202862e-15", "1996.5"),
+            ("return_vol", "1.080342e-17", "2265.5"),
+            ("joint_price_moment", "6.236495e-15", "2781.5"),
+            ("joint_return_moment", "2.217844e-16", "1143.5"),
+        ]
+
+        def stdout(status):
+            return "".join(f"{family}: max_rel_dev={dev} at t_center={at} "
+                           f"over 2992 windows [{status}]\n" for family, dev, at in lines)
+
+        assert main(argv) == 0
+        assert capsys.readouterr() == (stdout("ok"), "")
+        assert main([*argv, "--tol", "0"]) == 1
+        assert capsys.readouterr() == (stdout("FAIL"), "".join(
+            f"tolerance breach: family={family} window_t_center={at} deviation={dev} > tol=0\n"
+            for family, dev, at in lines))
+
     def test_legs_are_derived_once(self, tmp_path, capsys, monkeypatch):
         p1, p2 = generate_pair(tmp_path, n=240)
         calls = []
@@ -581,17 +608,7 @@ class TestVerify:
 
 
 class TestWorstWindow:
-    """verify's deviation gate and worst-window choice, in array form."""
-
-    @pytest.mark.parametrize("x, y, floor", [
-        (1.0, 1.0, 5.0), (0.0, 0.0, 0.0), (1.0, 1.0 + 2**-52, 1e-3), (1e-18, 2e-18, 1.0),
-        (-3.0, 2.0, 0.5), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (2.0, 1.0, math.nan),
-        (math.inf, math.inf, 1.0), (math.inf, 1.0, 1.0),
-    ])
-    def test_deviations_equal_relative_deviation(self, x, y, floor):
-        got = cli._deviations(np.array([x]), np.array([y]), np.array([floor]))
-        want = relative_deviation(x, y, floor)
-        assert float.hex(float(got[0])) == float.hex(want)
+    """verify's worst-window choice over a chunk's deviations."""
 
     def test_equal_deviations_keep_the_earliest_position(self):
         assert cli._worst(None, np.array([1.0, 3.0, 2.0, 3.0]), 10) == (3.0, 11)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import positive_floats
 from mbstat import cov, joint_moment, mean, moments
-from mbstat.errors import EmptyInput, LengthMismatch
+from mbstat.errors import ConsistencyError, EmptyInput, LengthMismatch
 
 seqs = st.lists(positive_floats, min_size=1, max_size=50)
 
@@ -21,6 +21,15 @@ class TestMean:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             mean([])
+
+    def test_two_dimensional_input(self):
+        with pytest.raises(LengthMismatch, match=r"^expected a 1-D sequence, got shape \(2, 2\)$"):
+            mean([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_overflowing_sum(self):
+        with pytest.raises(ConsistencyError, match="^the compensated sum of 2 terms overflows "
+                                                   "the float range$"):
+            mean([1e308, 1e308])
 
     def test_total_sum_is_n_times_mean(self):
         xs = [2, 8, 3]

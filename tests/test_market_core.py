@@ -454,6 +454,7 @@ class TestReportExtras:
         s2 = make_series("b", np.arange(2), [1, 3], [1, 1])
         rep = mb_corr_prices(Window(s1, 0, 2), Window(s2, 0, 2))
         assert math.isnan(rep.market_pearson)
+        assert math.isnan(rep.frequency_pearson)
 
     def test_metadata(self, worked_price_pair):
         w1, w2 = worked_price_pair

@@ -84,6 +84,11 @@ class TestPlan:
         with pytest.raises(InvalidConfig):
             make_plan(s1, s2, window=4, families=("price_return_corr",), beta=0)
 
+    def test_no_families_is_invalid_config(self):
+        s1, s2 = synth_pair(20)
+        with pytest.raises(InvalidConfig, match="^at least one stat family is required$"):
+            make_plan(s1, s2, window=4, families=())
+
     @pytest.mark.parametrize("lags", [{"alpha": -1}, {"beta": -1}])
     def test_negative_lag_is_invalid_config(self, lags):
         s1, s2 = synth_pair(20)

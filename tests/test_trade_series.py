@@ -383,6 +383,46 @@ class TestSliceWindow:
             slice_window(five, center=2, half_width=0.5)
 
 
+class TestBoundaryRules:
+    """Each refusal of a series or window, by type and whole message."""
+
+    @staticmethod
+    def raises(exc, message):
+        return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+    def test_window_of_no_ticks(self):
+        s = make_series("s", np.arange(3), [1.0, 2.0, 3.0], np.ones(3))
+        with self.raises(EmptyWindow, "window must contain at least one tick"):
+            Window(s, start=0, count=0)
+
+    def test_window_past_the_end(self):
+        s = make_series("s", np.arange(3), [1.0, 2.0, 3.0], np.ones(3))
+        with self.raises(EmptyWindow, "window extends past the end of the series"):
+            Window(s, start=1, count=3)
+
+    def test_non_integral_float_times(self):
+        with self.raises(ParseError, "tick times must be integers on the grid"):
+            make_series("s", [0.0, 1.5], [1.0, 1.0], [1.0, 1.0])
+
+    def test_no_ticks(self):
+        with self.raises(EmptyInput, "series must contain at least one tick"):
+            make_series("s", [], [], [])
+
+    def test_columns_of_unequal_length(self):
+        with self.raises(ParseError, "time/price/volume columns differ in length"):
+            make_series("s", [0, 1], [1.0], [1.0, 1.0])
+
+    def test_declared_values_of_another_length(self):
+        with self.raises(ParseError, "value column differs in length"):
+            make_series("s", [0, 1], [1.0, 2.0], [1.0, 1.0], declared_values=[1.0])
+
+    @pytest.mark.parametrize("times", [[3, 3, 4], [3, 2, 1]])
+    def test_first_step_not_increasing(self, times):
+        with self.raises(NonUniformSpacing, "tick times must be strictly increasing "
+                                            "(duplicate or reversed timestamp after t=3)"):
+            make_series("s", times, [1.0] * 3, [1.0] * 3)
+
+
 class TestLagView:
     @pytest.fixture
     def window(self):
