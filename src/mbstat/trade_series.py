@@ -17,7 +17,6 @@ and ``float()`` cell by cell.  Both give the same bits.
 
 from __future__ import annotations
 
-import codecs
 import io
 import math
 from dataclasses import dataclass, field
@@ -220,13 +219,13 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
 def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
 
-    ``source`` is a binary stream of the UTF-8 bytes (a file opened in
-    ``"rb"`` mode), or the text, which is encoded whole and read as a stream.
-    The stream is read twice in chunks: a first pass checks that it is UTF-8
-    (a ``ParseError`` names the first bad byte's offset, before any other
-    rule) and counts its rows, a second fills the columns; neither holds
-    more than one chunk of it.  A stream that cannot seek is read into
-    memory first.
+    ``source`` is a binary stream (a file opened in ``"rb"`` mode), or the
+    text, which is encoded whole as UTF-8 and read as a stream.  The stream
+    is read twice in chunks: a first pass checks that it is ASCII (a
+    ``ParseError`` names the stream and the offset of the first other byte,
+    before any other rule) and counts its rows, a second fills the columns;
+    neither holds more than one chunk of it.  A stream that cannot seek is
+    read into memory first.
 
     The header is exactly ``t,price,volume``, or ``t,price,volume,value``
     with a declared trade value; rows end in LF (the last row may omit it)
@@ -236,7 +235,7 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     The first row that breaks a rule is named in the ``ParseError``.  The
     grid spacing is inferred from the first two rows.
     """
-    if isinstance(source, str):  # a lone surrogate is then refused as not UTF-8
+    if isinstance(source, str):  # a lone surrogate is then refused as not ASCII
         source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
     header, size, chunks = _stream_chunks(source)
     if header == CSV_HEADER:
@@ -255,7 +254,7 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     for raw in chunks:
         arrays = _convert_chunk(raw, ncols)
         if arrays is None:
-            _raise_first_bad_row(raw.decode("utf-8"), ncols, rows)
+            _raise_first_bad_row(raw.decode("ascii"), ncols, rows)
         for column, arr in zip(columns, arrays):
             column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
@@ -265,34 +264,25 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
 def _stream_chunks(stream):
     """``(header, rows, chunks)`` of a binary stream of CSV bytes: its first
     line, the number of rows after it, and the chunks of the rest, after a
-    first pass that checks the whole stream is UTF-8 and counts its LFs."""
-    name = getattr(stream, "name", "input")
+    first pass that checks the whole stream is ASCII and counts its LFs."""
+    name = stream.name if isinstance(getattr(stream, "name", None), str) else "input"
     if not stream.seekable():
         stream = io.BytesIO(stream.read())
     start = stream.tell()
-    # The first pass reads into one reused buffer; only a block that is not
-    # ASCII, or one after a character its predecessor split, is decoded.
-    buf = bytearray(_COUNT_BYTES)
+    buf = bytearray(_COUNT_BYTES)  # the first pass reads into one reused buffer
     codes = np.frombuffer(buf, np.uint8)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    lfs = size = split = 0
-    try:
-        while length := stream.readinto(buf):
-            block = codes[:length]
-            if split or block.max() > 0x7F:
-                decoder.decode(buf[:length])
-                split = len(decoder.getstate()[0])
-            lfs += np.count_nonzero(block == _LF)
-            size += length
-            last = block[-1]
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:  # its offsets count the split bytes too
-        raise ParseError(f"{name}: byte {size - split + exc.start} is not UTF-8 "
-                         f"({exc.reason})") from None
+    lfs = size = 0
+    while length := stream.readinto(buf):
+        block = codes[:length]
+        if block.max() > 0x7F:
+            raise ParseError(f"{name}: byte {size + int(np.argmax(block > 0x7F))} is not ASCII")
+        lfs += np.count_nonzero(block == _LF)
+        size += length
+        last = block[-1]
     if not size:
         raise EmptyInput("empty CSV input")
     stream.seek(start)
-    header = stream.readline().decode("utf-8").removesuffix("\n")
+    header = stream.readline().decode("ascii").removesuffix("\n")
     return header, lfs + (last != _LF) - 1, _read_chunks(stream)
 
 
@@ -449,7 +439,7 @@ def _raise_first_bad_row(chunk: str, ncols: int, rows_before: int) -> NoReturn:
             if not cell:
                 raise ParseError(f"row {row}: {name} cell is empty")
             number = None
-            if cell.isascii() and _only(cell.encode(), _CELL_BYTES):
+            if _only(cell.encode(), _CELL_BYTES):
                 try:
                     number = convert(cell)
                 except ValueError:

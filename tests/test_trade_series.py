@@ -134,8 +134,7 @@ class TestParse:
 
 
 # Cells outside the canonical form; int() or float() reads most of them.
-NON_CANONICAL_CELLS = ["1_0.5", " 10", "\uff11\uff10", "+0", "10\r", "1E5", "inf", "nan", "",
-                       "0x1p3"]
+NON_CANONICAL_CELLS = ["1_0.5", " 10", "+0", "10\r", "1E5", "inf", "nan", "", "0x1p3"]
 
 
 def _columns_equal(parsed, reference):
@@ -266,70 +265,65 @@ class TestStreamReader:
             got = _outcome(lambda: parse_trades(fh, "x"))
         if case in self.PARSED:
             assert _columns_equal(got, want) and got.asset_id == "x"
+        elif case == "non-ascii-cell":  # the same offset; the message names the stream
+            offset = len(text) - len("\u00e9,1\n")
+            assert want == (ParseError, f"input: byte {offset} is not ASCII")
+            assert got == (ParseError, f"{path}: byte {offset} is not ASCII")
         else:
             assert isinstance(want, tuple) and got == want
 
     def test_a_stream_that_cannot_seek_is_read(self):
         text = self.CASES["straddles-a-chunk"]
-        read, write = os.pipe()
+        assert _columns_equal(_through_a_pipe(text.encode()), parse_trades(text, "x"))
+        # A stream opened from a descriptor has its number as its name.
+        data = text.encode() + b"5000,\xff,1\n"
+        assert _through_a_pipe(data) == (ParseError, f"input: byte {len(text) + 5} is not ASCII")
 
-        def send():
-            with open(write, "wb") as out:
-                out.write(text.encode())
+    BAD_ROW = "t,price,volume\n0,2,1\n1,+4,1\n"  # row 2 is not canonical
 
-        writer = threading.Thread(target=send)
-        writer.start()
-        with open(read, "rb") as fh:
-            assert not fh.seekable()
-            got = parse_trades(fh, "x")
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert _columns_equal(got, parse_trades(text, "x"))
-
-    @pytest.mark.parametrize("where", ["header", "first-chunk", "later-chunk", "last-byte"])
-    def test_a_byte_that_is_not_utf8_is_named_before_any_bad_row(self, tmp_path, where):
-        # A bad row comes first in the file, as does a bad header for the
-        # first case; the byte's offset in the file is named, as a whole-file
-        # decode names it.
-        bad_row = "t,price,volume\n0,2,1\n1,+4,1\n"
-        data = {
-            "header": b"t,pr\xe9ce,volume\n0,2,1\n",
-            "first-chunk": (bad_row + "2,").encode() + b"\xff" + b",1\n",
-            "later-chunk": (bad_row + self.BIG).encode() + b"9,\xc3(,1\n",
-            "last-byte": (bad_row + self.BIG).encode() + b"9,2,\xe2\x82",
-        }[where]
+    # The bytes before the first one that is not ASCII, that byte, and the
+    # rest.  A bad row comes earlier in each file (the header case has a bad
+    # header instead); the first pass reads blocks of 64 bytes.
+    @pytest.mark.parametrize("head, tail", [
+        (b"t,pr", b"\xe9ce,volume\n0,2,1\n"),
+        ((BAD_ROW + "2,").encode(), b"\xff,1\n"),
+        ((BAD_ROW + _rows(10, 2) + "12,").encode(), b"\xc3(,1\n"),
+        ((BAD_ROW + _rows(10, 2) + "12,2,").encode(), b"\xe2"),
+        ((BAD_ROW + "2,").encode(), "\uff11\uff10,1\n".encode()),
+    ], ids=["header", "first-block", "later-block", "last-byte", "valid-character"])
+    def test_a_byte_that_is_not_ascii_is_named_before_any_bad_row(self, monkeypatch, tmp_path,
+                                                                  head, tail):
+        monkeypatch.setattr(trade_series, "_COUNT_BYTES", 64)
         path = tmp_path / "in.csv"
-        path.write_bytes(data)
-        with pytest.raises(UnicodeDecodeError) as whole:
-            data.decode("utf-8")
-        message = f"{path}: byte {whole.value.start} is not UTF-8 ({whole.value.reason})"
+        path.write_bytes(head + tail)
+        message = f"{path}: byte {len(head)} is not ASCII"
         with open(path, "rb") as fh:
-            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-                parse_trades(fh)
+            assert _outcome(lambda: parse_trades(fh)) == (ParseError, message)
 
-    @pytest.mark.parametrize("cut", [1, 2])  # bytes of the euro sign before the block ends
-    @pytest.mark.parametrize("tail, valid", [
-        ("1,\u20ac,1\n".encode(), True),  # row 2's price is not canonical
-        (b"1,\xe2\x82,1\n", False),  # an LF where a continuation byte belongs
-        (b"1,2,\xe2\x82", False),  # the file ends inside the character
-    ], ids=["valid", "invalid", "truncated"])
-    def test_a_character_split_between_first_pass_blocks(self, monkeypatch, tmp_path, cut,
-                                                          tail, valid):
-        head = b"t,price,volume\n0,2,1\n"
-        monkeypatch.setattr(trade_series, "_COUNT_BYTES", len(head) + tail.index(b"\xe2") + cut)
-        data = head + tail
-        path = tmp_path / "in.csv"
-        path.write_bytes(data)
-        if valid:
-            want = _outcome(lambda: parse_trades(data.decode(), "x"))
-            assert want[1].startswith("row 2: price ")
-        else:
-            with pytest.raises(UnicodeDecodeError) as whole:
-                data.decode("utf-8")
-            want = (ParseError,
-                    f"{path}: byte {whole.value.start} is not UTF-8 ({whole.value.reason})")
-        with open(path, "rb") as fh:
-            assert _outcome(lambda: parse_trades(fh, "x")) == want
+    @pytest.mark.parametrize("cell", ["\uff11\uff10", "\ud800"], ids=["fullwidth-10", "surrogate"])
+    def test_text_that_is_not_ascii_is_named_by_its_offset(self, cell):
+        head = self.BAD_ROW + "2,"
+        assert _outcome(lambda: parse_trades(head + cell + ",1\n")) == (
+            ParseError, f"input: byte {len(head.encode())} is not ASCII")
+
+
+def _through_a_pipe(data: bytes):
+    """What ``parse_trades`` makes of ``data`` read from a pipe, which cannot
+    seek: the series, or the error's type and message."""
+    read, write = os.pipe()
+
+    def send():
+        with open(write, "wb") as out:
+            out.write(data)
+
+    writer = threading.Thread(target=send)
+    writer.start()
+    with open(read, "rb") as fh:
+        assert not fh.seekable() and fh.name == read
+        got = _outcome(lambda: parse_trades(fh, "x"))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return got
 
 
 class TestRoundTrip:
@@ -348,6 +342,11 @@ class TestRoundTrip:
     def test_canonical_form(self):
         s = make_series("x", [0, 1], [2.0, 0.5], [1.0, 3.0])
         assert serialize(s) == "t,price,volume\n0,2.0,1.0\n1,0.5,3.0\n"
+
+    def test_a_series_is_not_equal_to_another_type(self):
+        s = make_series("x", [0, 1], [2.0, 0.5], [1.0, 3.0])
+        assert s.__eq__(object()) is NotImplemented
+        assert (s == 1) is False and s != "x"
 
 
 class TestSliceWindow:
