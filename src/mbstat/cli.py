@@ -32,6 +32,14 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_HISTORY = 5
 
+# The exit code of a failed run: the first entry whose kinds match the error.
+_EXIT_CODES = (
+    (InvalidConfig, EXIT_USAGE),
+    ((MissingHistory, EmptyWindow), EXIT_HISTORY),
+    (MbstatError, EXIT_DATA),
+    (OSError, EXIT_IO),
+)
+
 # CLI stat names: each family by its own name, but joint_moments for both joint families.
 _STAT_CHOICES = {f: (f,) for f in FAMILIES if f not in JOINT_FAMILIES}
 _STAT_CHOICES["joint_moments"] = JOINT_FAMILIES
@@ -97,7 +105,7 @@ def run_generate(args) -> int:
         mode=args.mode.replace("-", "_"),
         alpha=args.alpha,
     )
-    series = gen_trades(config, asset_id=args.asset_id)
+    series = gen_trades(config)
     with _output(args.out) as out:
         out.write(serialize(series))
     return EXIT_OK
@@ -171,27 +179,23 @@ def run_verify(args) -> int:
             dev = relative_deviation(market, direct, np.abs(g1 * g2))
             worst[family] = _worst(worst.get(family), dev, chunk.first_position)
 
-    failed = []
+    status = EXIT_OK
     for family in plan.families:
         dev, position = worst[family]
         at = plan.t_center(position)
         ok = dev <= args.tol  # False for NaN
-        status = "ok" if ok else "FAIL"
         print(
             f"{family}: max_rel_dev={dev:.6e} at t_center={at!r} "
-            f"over {plan.n_positions} windows [{status}]"
+            f"over {plan.n_positions} windows [{'ok' if ok else 'FAIL'}]"
         )
         if not ok:
-            failed.append((family, at, dev))
-    if failed:
-        for family, at, dev in failed:
             print(
                 f"tolerance breach: family={family} window_t_center={at!r} "
                 f"deviation={dev:.6e} > tol={args.tol:g}",
                 file=sys.stderr,
             )
-        return EXIT_TOLERANCE
-    return EXIT_OK
+            status = EXIT_TOLERANCE
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--log-price-step-sd", type=float, default=0.01)
     gen.add_argument("--volume-log-mean", type=float, default=0.0)
     gen.add_argument("--volume-log-sd", type=float, default=0.5)
-    gen.add_argument("--asset-id", default=None)
     gen.set_defaults(handler=run_generate)
 
     def add_pair_flags(p):
@@ -254,18 +257,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InvalidConfig as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MissingHistory, EmptyWindow) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_HISTORY
-    except MbstatError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (MbstatError, OSError) as exc:
+        name = "io" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"error[{name}]: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

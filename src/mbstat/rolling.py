@@ -249,10 +249,8 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
 
 
 def collect_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan) -> RollingChunk:
-    """Run the whole plan and concatenate the chunks (small inputs only)."""
+    """Run the whole plan and concatenate the chunks into fresh arrays (small inputs only)."""
     chunks = list(iter_rolling_stats(s1, s2, plan))
-    if len(chunks) == 1:
-        return chunks[0]
     families = {
         family: {
             key: np.concatenate([c.families[family][key] for c in chunks])

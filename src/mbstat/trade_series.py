@@ -486,6 +486,7 @@ class Window:
             raise EmptyWindow("window must contain at least one tick")
         if self.start + self.count > len(self.series):
             raise EmptyWindow("window extends past the end of the series")
+        object.__setattr__(self, "lag", _check_steps(self.lag, 0, "lag"))
         if self.start - self.lag < 0:
             raise MissingHistory(f"lag {self.lag} reaches before the series start "
                                  f"(window starts at index {self.start})")

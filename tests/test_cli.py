@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -9,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mbstat import FAMILIES, cli, parse_trades, rolling
+from mbstat import FAMILIES, cli, errors, parse_trades, rolling
 from mbstat.cli import main
-from mbstat.errors import ConsistencyError
+from mbstat.errors import ConsistencyError, MbstatError
 from mbstat.reports import RECORD_FIELDS
 
 WORKED_ASSET1 = "t,price,volume\n0,2,1\n1,4,2\n2,3,1\n"
@@ -85,6 +87,12 @@ class TestGenerate:
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["generate", "--n", "10", "--out", str(missing)]) == 3
+
+    def test_asset_id_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--n", "3", "--asset-id", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --asset-id x" in capsys.readouterr().err
 
     def test_stdout_default(self, capsys):
         assert main(["generate", "--n", "3", "--seed", "2"]) == 0
@@ -222,6 +230,24 @@ class TestAnalyze:
             "--window", "8", "--format", "csv", "--output", str(out),
         ]) == 0
         assert out.read_text().startswith(",".join(RECORD_FIELDS) + "\n")
+
+    @pytest.mark.parametrize("existing", [None, 0o640, 0o600])
+    def test_report_file_mode(self, tmp_path, existing):
+        # A new report gets the mode open() would give it under the umask;
+        # a replaced one keeps its own.
+        p1, p2 = write_pair(tmp_path)
+        out = tmp_path / "report.json"
+        if existing is not None:
+            out.write_text("stale\n")
+            out.chmod(existing)
+        umask = os.umask(0o027)
+        try:
+            assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2,
+                         "--window", "2", "--output", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.read_text().startswith("{")
+        assert stat.S_IMODE(out.stat().st_mode) == (0o640 if existing is None else existing)
 
     def test_report_to_device_file(self, tmp_path):
         p1, p2 = generate_pair(tmp_path, n=150)
@@ -589,6 +615,20 @@ class TestVerify:
             f"tolerance breach: family={family} window_t_center={at} deviation={dev} > tol=0\n"
             for family, dev, at in lines))
 
+    def test_each_breach_follows_its_family_on_a_shared_stream(self, tmp_path, monkeypatch):
+        p1, p2 = generate_pair(tmp_path, n=240)
+        shared = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", shared)
+        monkeypatch.setattr(sys, "stderr", shared)
+        assert main(["verify", "--asset1-path", p1, "--asset2-path", p2,
+                     "--window", "24", "--stride", "8", "--tol", "0"]) == 1
+        lines = shared.getvalue().splitlines()
+        assert len(lines) == 6
+        for family, line, breach in zip(cli._VERIFY_DEFAULT.split(","), lines[::2], lines[1::2]):
+            assert line.startswith(f"{family}: ") and line.endswith(" [FAIL]")
+            at = line.split(" at t_center=")[1].split(" ")[0]
+            assert breach.startswith(f"tolerance breach: family={family} window_t_center={at} ")
+
     def test_legs_are_derived_once(self, tmp_path, capsys, monkeypatch):
         p1, p2 = generate_pair(tmp_path, n=240)
         calls = []
@@ -627,6 +667,28 @@ class TestWorstWindow:
         for later in ([math.nan, 1.0], [math.inf, 0.0]):
             dev, position = cli._worst((math.nan, 7), np.array(later), 100)
             assert math.isnan(dev) and position == 7
+
+
+# Every mbstat error kind, the base class and two I/O errors, each with its
+# exit code.
+_ERROR_KINDS = [kind for kind in vars(errors).values()
+                if isinstance(kind, type) and issubclass(kind, MbstatError)]
+_EXIT_CODE = {errors.InvalidConfig: 2, errors.MissingHistory: 5, errors.EmptyWindow: 5,
+              OSError: 3, FileNotFoundError: 3}
+
+
+@pytest.mark.parametrize("kind", [*_ERROR_KINDS, OSError, FileNotFoundError],
+                         ids=lambda kind: kind.__name__)
+def test_each_error_kind_has_its_exit_code_and_line(capsys, monkeypatch, kind):
+    assert len(_ERROR_KINDS) == 17
+
+    def failing(args):
+        raise kind("msg")
+
+    monkeypatch.setattr(cli, "run_generate", failing)
+    assert main(["generate", "--n", "3"]) == _EXIT_CODE.get(kind, 4)
+    name = "io" if issubclass(kind, OSError) else kind.__name__
+    assert capsys.readouterr() == ("", f"error[{name}]: msg\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

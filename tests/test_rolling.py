@@ -255,6 +255,26 @@ class TestChunking:
                 assert f[joint][key] is f[corr][key], (joint, key)
 
 
+    def test_one_chunk_collect_shares_no_array(self):
+        # A 300-tick pair at window 16 is one anchor block.  The collected
+        # result is fresh arrays, so writing one record leaves the others as
+        # they were, as a multi-chunk result always did.
+        s1, s2 = synth_pair(300)
+        plan = make_plan(s1, s2, window=16, alpha=1, beta=1)
+        (chunk,) = iter_rolling_stats(s1, s2, plan)
+        merged = collect_rolling_stats(s1, s2, plan)
+        assert merged.legs is None and merged.first_position == 0
+        slots = [merged.t_center,
+                 *(arr for arrays in merged.families.values() for arr in arrays.values())]
+        assert len(slots) == 78
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(slots) for b in slots[:i])
+        assert np.array_equal(merged.t_center, chunk.t_center)
+        for family in plan.families:
+            assert merged.families[family].keys() == chunk.families[family].keys()
+            for key, arr in chunk.families[family].items():
+                assert np.array_equal(merged.families[family][key], arr), (family, key)
+
+
 class TestLegSequences:
     """The arrays the engine reads, windowed, are the per-window legs bit for bit."""
 

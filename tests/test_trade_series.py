@@ -399,6 +399,23 @@ class TestBoundaryRules:
         with self.raises(EmptyWindow, "window extends past the end of the series"):
             Window(s, start=1, count=3)
 
+    @pytest.mark.parametrize("lag, message", [
+        (-1, "lag must be >= 0 grid steps, got -1"),
+        (0.5, "lag must be a whole number of grid steps, got 0.5"),
+        (True, "lag must be a whole number of grid steps, got True"),
+    ])
+    def test_window_lag_off_the_grid(self, lag, message):
+        s = make_series("a", np.arange(4), [1.0, 2.0, 4.0, 3.0], [1.0, 2.0, 1.0, 3.0])
+        with self.raises(LagNotOnGrid, message):
+            Window(s, start=1, count=2, lag=lag)
+
+    @pytest.mark.parametrize("lag", [1.0, np.int64(1)])
+    def test_window_lag_is_stored_as_int(self, lag):
+        s = make_series("a", np.arange(4), [1.0, 2.0, 4.0, 3.0], [1.0, 2.0, 1.0, 3.0])
+        w = Window(s, start=1, count=2, lag=lag)
+        assert w.lag == 1 and type(w.lag) is int
+        assert list(w.price) == [1.0, 2.0]
+
     def test_non_integral_float_times(self):
         with self.raises(ParseError, "tick times must be integers on the grid"):
             make_series("s", [0.0, 1.5], [1.0, 1.0], [1.0, 1.0])
