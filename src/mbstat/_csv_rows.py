@@ -1,0 +1,57 @@
+"""The canonical CSV rows of a trade series, in numpy: each ``t`` as
+``str`` writes it, each price and volume as ``"%.17g"`` writes it, by
+``_grid17.float_words``, with ``.0`` on an integral value in fixed
+notation, so that every float cell holds a point.  17 significant digits
+read back as the same double.
+
+``mbstat.trade_series.serialize`` imports this module on first use.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ._grid17 import AREA, ZEROS, U, digits8, float_words, layout, nonzero_bytes, row_template
+
+_POWERS = np.array([10**j for j in range(1, 20)], U)
+# Rows per block of the CSV body, one matrix of words each.  On a 250k-tick
+# series (2-core Xeon) 8,192 and 16,384 rows took 0.17-0.20 s, 4,096 rows
+# 0.19-0.24 s: a block makes some 200 numpy calls.
+_BLOCK_ROWS = 8192
+
+
+def _int_words(t: np.ndarray, out: np.ndarray) -> None:
+    """Fill the ``(n, 3)`` uint64 rows ``out`` with ``str(v)`` of each int64
+    ``v`` of ``t``, NUL-padded: the sign in byte 0, the digits right-aligned
+    in the 24 bytes."""
+    u = t.view(U)
+    u = np.where(t < 0, U(0) - u, u)  # |t|, also for -2**63
+    lead = u // U(10**16)  # at most 922
+    rest = u - lead * U(10**16)
+    mid = rest // U(10**8)
+    digits = digits8(np.stack([lead, mid, rest - mid * U(10**8)]))
+    # The leading zeros of the 24 digits stay NUL.
+    first = AREA - 1 - np.searchsorted(_POWERS, u, side="right")
+    digits |= ZEROS ^ np.take(layout(True).zeros, first, axis=1)
+    out[:] = digits.T
+    out[:, 0] |= np.where(t < 0, U(ord("-")), U(0))
+
+
+def csv_rows(t: np.ndarray, price: np.ndarray, volume: np.ndarray) -> bytes:
+    """The row ``t,price,volume`` and an LF for each int64 ``t`` and finite
+    float64 ``price`` and ``volume``, in blocks of rows.  A block is one
+    ``row_template`` matrix of 12 words per row (``t``, ``,``, price, ``,``,
+    volume, LF), written out by ``nonzero_bytes``."""
+    t = np.asarray(t, np.int64)
+    price, volume = np.asarray(price, np.float64), np.asarray(volume, np.float64)
+    row, (at_t, at_price, at_volume) = row_template((b"", b",", b",", b"\n"))
+    mat = np.tile(row, (min(len(t), _BLOCK_ROWS), 1))
+    parts = []
+    for b0 in range(0, len(t), _BLOCK_ROWS):
+        span = slice(b0, b0 + _BLOCK_ROWS)
+        block = mat[: len(t[span])]
+        _int_words(t[span], block[:, at_t : at_t + 3])
+        for x, at in ((price[span], at_price), (volume[span], at_volume)):
+            float_words(x, block[:, at : at + 3], layout(True))
+        parts.append(nonzero_bytes(block))
+    return b"".join(parts)

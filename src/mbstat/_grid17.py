@@ -5,9 +5,8 @@ found on it, in numpy.
 comparison with ``10**(k + 1)``; ``|x| * 10**(16 - k)`` is a double-double:
 Dekker's TwoProduct of ``|x|`` with the double ``hi`` nearest the power,
 plus ``|x| * lo`` for the rest.  ``decimal_17`` rounds that to 17 digits,
-``_format_repr`` finds the shortest that read back, and ``float_words``
-writes either's text in uint64 words (SWAR), into rows of text from
-``row_template``.  Tables are built on first use.
+and ``float_words`` writes their ``"%.17g"`` text in uint64 words (SWAR),
+into rows of text from ``row_template``.  Tables are built on first use.
 """
 
 from __future__ import annotations
@@ -66,33 +65,28 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def grid_17(x: np.ndarray):
-    """``(ki, a, hi, p, r, in_table)`` for finite float64 ``x``: ``|x| *
-    10**(16 - k)`` in ``[10**16, 10**17)``, ``k = ki + _K_MIN``, is ``p + r``
-    to 1e-14, ``p`` integer-valued; ``a = |x|``, ``hi`` as above.  Not
-    ``in_table`` (zero, subnormals, k outside): ``a``, ``p``, ``r`` are 0."""
+def decimal_17(x: np.ndarray):
+    """``(ki, digits, fast)`` for finite float64 ``x``: where ``fast``,
+    ``|x|`` rounded to 17 digits is ``digits * 10**(k - 16)``, ``k = ki +
+    _K_MIN``.  Zero is fast, with ``digits`` 0 and k 0; ``digits`` is below
+    ``10**18`` throughout.
+
+    ``|x| * 10**(16 - k)``, in ``[10**16, 10**17)``, is ``p + r`` to 1e-14,
+    ``p`` integer-valued.  Subnormals and a k outside the table are not
+    fast, and are taken as 0."""
     tab = _tables()
     a = np.abs(x)
     biased = a.view(np.int64) >> 52
     ki = tab.k_low[biased]
     ki = np.where(a >= tab.k_step[biased], ki + 1, ki)
-    in_table = tab.in_table[biased]
-    a[~in_table] = 0.0
+    fast = tab.in_table[biased]
+    a[~fast] = 0.0
     hi, lo, hh, hl = (power[ki] for power in tab.powers)
     p = a * hi
     t = a * _SPLIT
     ah = t - (t - a)
     al = a - ah
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
-    return ki, a, hi, p, r, in_table
-
-
-def decimal_17(x: np.ndarray):
-    """``(ki, digits, fast)`` for finite float64 ``x``: where ``fast``,
-    ``|x|`` rounded to 17 digits is ``digits * 10**(k - 16)``, ``k = ki +
-    _K_MIN``.  Zero is fast, with ``digits`` 0 and k 0; ``digits`` is below
-    ``10**18`` throughout."""
-    ki, _, _, p, r, fast = grid_17(x)
     near = np.rint(r)
     digits = p.astype(np.int64) + near.astype(np.int64)
     fast &= digits < 10**17  # else the rounding carried, or k is past _K_MAX
@@ -102,13 +96,13 @@ def decimal_17(x: np.ndarray):
 
 
 @functools.cache
-def layout(last_fixed: int, point_zero: bool) -> SimpleNamespace:
-    """Per decade k, a format's layout: fixed notation for ``-4 <= k <=
-    last_fixed`` (``.0`` on integral values if ``point_zero``), else
-    ``d.ddde+XX``."""
+def layout(point_zero: bool) -> SimpleNamespace:
+    """Per decade k, the layout of ``"%.17g"``: fixed notation for ``-4 <= k
+    <= 16``, else ``d.ddde+XX``; with ``point_zero``, ``.0`` on integral
+    values in fixed notation, as ``repr`` writes them."""
     point, keep, head, exponent = [], [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        fixed, small = 0 <= k <= last_fixed, -4 <= k < 0
+        fixed, small = 0 <= k <= 16, -4 <= k < 0
         point.append(k if fixed else AREA - 1 if small else 0)
         keep.append(k + 1 + point_zero if fixed else 1)
         head.append(b"0." + b"0" * (-k - 1) if small else b"")
@@ -158,12 +152,12 @@ _BIT = np.array([[0], [64], [128]])
 _TOP = 8 - 1023 + _BIT
 
 
-def float_words(x, out, found, fallback, lay) -> None:
+def float_words(x, out, lay) -> None:
     """Fill the ``(n, 3)`` rows ``out`` with the NUL-padded text of each
-    finite float64 of ``x``: where ``fast`` of ``found = (ki, digits,
-    fast)``, ``digits < 10**17`` at ``k = ki + _K_MIN`` laid out by ``lay``,
-    else ``fallback(v)``."""
-    ki, digits, fast = found
+    finite float64 of ``x``, laid out by ``lay``: the digits of
+    ``decimal_17`` where it is fast, else ``"%.17g" % v`` (never integral in
+    fixed notation: there the 17 digits are exact, so no ``.0`` is due)."""
+    ki, digits, fast = decimal_17(x)
     # The 17 digits as bytes 0-16 of three words: 0-7, 8-15, 16.
     d = digits.view(U)
     s = np.empty((3, len(x)), U)
@@ -203,21 +197,16 @@ def float_words(x, out, found, fallback, lay) -> None:
     area[0] |= lay.head[at]
     out[:] = area.T
     for i in np.flatnonzero(~fast).tolist():
-        out[i] = np.frombuffer(fallback(float(x[i])).ljust(AREA, b"\0"), WORD)
+        out[i] = np.frombuffer((b"%.17g" % float(x[i])).ljust(AREA, b"\0"), WORD)
 
 
-def float_texts(values, find, fallback, lay) -> list:
-    """The texts of ``float_words`` for each finite float64 ``x`` in
-    ``values``, with ``found = find(x)``, as a list of bytes."""
+def float_texts(values, lay) -> list:
+    """The texts of ``float_words`` for each finite float64 in ``values``, as
+    a list of bytes."""
     x = np.asarray(values, dtype=np.float64).ravel()
     words = np.empty((len(x), 3), WORD)
-    float_words(x, words, find(x), fallback, lay)
+    float_words(x, words, lay)
     return words.view("S24").ravel().tolist()
-
-
-def format_17g(values) -> list:
-    """``b"%.17g" % v`` for each finite float64 in ``values``."""
-    return float_texts(values, decimal_17, b"%.17g".__mod__, layout(16, False))
 
 
 def row_template(pieces):

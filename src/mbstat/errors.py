@@ -38,7 +38,8 @@ class EmptyWindow(MbstatError):
 
 
 class LagNotOnGrid(MbstatError):
-    """A lag is not a whole (and, where required, positive) number of grid steps."""
+    """A lag, or a window's start or count, is not a whole (and, where
+    required, positive) number of grid steps."""
 
 
 class MissingHistory(MbstatError):

@@ -69,7 +69,7 @@ def _write_records(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChun
                    record: Callable[[RollingPlan, str], str], sep: str) -> None:
     """Write the records of ``chunks``, each after ``sep`` but the first,
     one write per block; a row holds a position's records."""
-    from ._grid17 import decimal_17, float_words, layout, nonzero_bytes, row_template
+    from ._grid17 import float_words, layout, nonzero_bytes, row_template
 
     pieces = "".join(sep + record(plan, family) for family in plan.families).split("%s")
     row, at = row_template([piece.encode() for piece in pieces])
@@ -91,7 +91,7 @@ def _write_records(out: IO[str], plan: RollingPlan, chunks: Iterable[RollingChun
             rows = m[: block.shape[1]]
             text = np.empty((len(rows), len(block), 3), row.dtype)
             x = block.T.ravel()
-            float_words(x, text.reshape(-1, 3), decimal_17(x), b"%.17g".__mod__, layout(16, False))
+            float_words(x, text.reshape(-1, 3), layout(False))
             rows[:, words] = text[:, where].reshape(len(rows), -1)
             out.write(nonzero_bytes(rows)[skip:].decode())
             skip = 0

@@ -44,7 +44,7 @@ from .market_core import (  # the family names stay importable from here
     pair_forms,
     shifted_means,
 )
-from .trade_series import TradeSeries, build_leg
+from .trade_series import TradeSeries, build_leg, whole_steps
 
 _ANCHOR_INTERVAL = 4096
 
@@ -113,9 +113,12 @@ def _legs(families) -> set[str]:
     return {leg for family in families for leg in FAMILY_LEGS[family]}
 
 
-def check_request(window: int, stride: int, alpha: int, beta: int, families) -> tuple[str, ...]:
+def check_request(window: int, stride: int, alpha: int, beta: int, families):
     """The window, stride, lag and family rules of a request, checked before
-    any input is read; returns the families without repeats."""
+    any input is read; returns ``(window, stride, alpha, beta, families)``,
+    the steps as ints and the families without repeats."""
+    window, stride, alpha, beta = (whole_steps(n, what, InvalidConfig) for n, what in (
+        (window, "window"), (stride, "stride"), (alpha, "alpha"), (beta, "beta")))
     if window < 1:
         raise InvalidConfig(f"window must be >= 1, got {window}")
     if stride < 1:
@@ -133,7 +136,7 @@ def check_request(window: int, stride: int, alpha: int, beta: int, families) -> 
         raise InvalidConfig("alpha must be >= 1 when leg-1 return statistics are requested")
     if "r2" in legs and beta < 1:
         raise InvalidConfig("beta must be >= 1 when leg-2 return statistics are requested")
-    return families
+    return window, stride, alpha, beta, families
 
 
 def make_plan(
@@ -147,7 +150,7 @@ def make_plan(
     families: tuple[str, ...] = FAMILIES,
 ) -> RollingPlan:
     """Validate a rolling request against the pair and fix its geometry."""
-    families = check_request(window, stride, alpha, beta, families)
+    window, stride, alpha, beta, families = check_request(window, stride, alpha, beta, families)
     legs = _legs(families)
 
     if s1.epsilon != s2.epsilon:

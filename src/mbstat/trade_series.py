@@ -7,7 +7,7 @@ errors; filling them would invent trades with fictitious volumes and poison
 every volume-weighted statistic downstream.
 
 CSV input is read in chunks of whole rows.  A chunk whose cells are all
-plain (digits, one '.' in each float cell, at most 18 digits, no sign and
+plain (digits, one '.' in each float cell, at most 19 bytes, no sign and
 no exponent) is read in numpy: each cell's digits as one integer, from one
 gather and a SWAR fold, and each float as that integer over a power of ten,
 correctly rounded through its exact residual (Clinger 1990, *How to read
@@ -66,9 +66,10 @@ _COMMA, _LF, _POINT = ord(","), ord("\n"), ord(".")
 _COLUMNS = (("t", int, np.int64), ("price", float, np.float64),
             ("volume", float, np.float64), ("value", float, np.float64))
 
-# Plain cells, read without int() or float(): a t cell of at most 18 digits,
-# and a float cell of at most 18 digits and one '.'.
-_PLAIN_DIGITS = 18
+# Plain cells, read without int() or float(): at most 19 bytes, so a t cell
+# of at most 19 digits below 2**63, and a float cell of at most 18 digits and
+# one '.'.
+_PLAIN_BYTES = 19
 # A cell is read from the 8, 16 or 24 bytes that end where it ends, as
 # uint64 words.  A digit's byte reads as its low nibble; bit 4 (0x10) sets
 # digits apart from '.', ',' and LF, which read as 0.  The padding covers the
@@ -80,7 +81,7 @@ _BIT4, _FOUR, _FIFTEEN = np.uint64(0x0101010101010101), np.uint64(4), np.uint64(
 _FOLDS = tuple((np.uint64(m), np.uint64(s), np.uint64(k)) for m, s, k in (
     (10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF), (10000, 32, 0xFFFFFFFF)))
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-_TEN = np.array([float(10**k) for k in range(_PLAIN_DIGITS + 1)])  # exact doubles
+_TEN = np.array([float(10**k) for k in range(_PLAIN_BYTES)])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
 _TEN_HI = _TEN * _SPLIT - (_TEN * _SPLIT - _TEN)  # each power's halves, for TwoProduct
 _TEN_LO = _TEN - _TEN_HI
@@ -203,7 +204,7 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         declared = np.asarray(declared_values, dtype=np.float64)
         if declared.size != t.size:
             raise ParseError("value column differs in length")
-        bad = np.abs(declared - value) > VALUE_REL_TOL * np.abs(value)
+        bad = ~(np.abs(declared - value) <= VALUE_REL_TOL * np.abs(value))  # also NaN
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueMismatch(
@@ -338,10 +339,10 @@ def _plain_columns(raw: bytes, codes: np.ndarray, seps: np.ndarray, width: np.nd
                    ncols: int):
     """The column arrays of a chunk of well-formed rows whose cells are all
     plain, bit for bit what ``int()`` and ``float()`` give, or None when one
-    is not: a plain chunk holds no ``e`` (so no ``+``) and no ``-``, each t
-    cell has at most 18 digits, and each float cell one ``.`` and 1 to 18
-    digits.  ``seps`` are the offsets of the chunk's commas and LFs, and
-    ``width`` the bytes of each cell."""
+    is not: a plain chunk holds no ``e`` (so no ``+``) and no ``-``, each
+    cell has at most 19 bytes, each t cell reads below ``2**63``, and each
+    float cell has one ``.`` and a digit.  ``seps`` are the offsets of the
+    chunk's commas and LFs, and ``width`` the bytes of each cell."""
     if b"e" in raw or b"-" in raw:
         return None
     rows = len(seps) // ncols
@@ -354,10 +355,11 @@ def _plain_columns(raw: bytes, codes: np.ndarray, seps: np.ndarray, width: np.nd
         return None  # not one '.' in each float cell and none in a t cell
     widest = int(width.max())
     width = width.reshape(rows, ncols)
-    if (widest > _PLAIN_DIGITS + 1 or width[:, 0].max() > _PLAIN_DIGITS
-            or width[:, 1:].min() < 2):  # a float cell: its digits and the point
+    if widest > _PLAIN_BYTES or width[:, 1:].min() < 2:  # a float cell: a digit and the point
         return None
     value = _cell_values(raw, seps, width.ravel(), widest).reshape(rows, ncols)
+    if value[:, 0].max() >= np.uint64(2**63):  # left to int(), which names the row
+        return None
     frac = ends[:, 1:] - points - 1  # digits after the point
     # A float cell's value is i * 10**(frac + 1) + f, the point read as a 0;
     # its digits are i * 10**frac + f.
@@ -455,14 +457,13 @@ def _raise_first_bad_row(chunk: str, ncols: int, rows_before: int) -> NoReturn:
 
 
 def serialize(series: TradeSeries) -> str:
-    """Render the canonical CSV form: three columns, LF endings, shortest
-    round-trip-exact decimal for each float.  ``parse_trades(serialize(s))``
-    reproduces ``s`` bit-exactly.
+    """Render the canonical CSV form: three columns, LF endings, and each
+    float as ``"%.17g"`` writes it, with ``.0`` on an integral value in fixed
+    notation.  ``parse_trades(serialize(s))`` reproduces ``s`` bit-exactly.
 
-    Each row is ``f"{t},{price!r},{volume!r}"`` byte for byte, built in
-    numpy by ``_format_repr``, which is imported on first use so that a run
-    that writes no CSV does not compile it."""
-    from ._format_repr import csv_rows
+    The rows are built in numpy by ``_csv_rows``, which is imported on first
+    use so that a run that writes no CSV does not compile it."""
+    from ._csv_rows import csv_rows
 
     body = csv_rows(series.t, series.price, series.volume)
     return CSV_HEADER + "\n" + body.decode("ascii")
@@ -482,6 +483,8 @@ class Window:
     lag: int = 0
 
     def __post_init__(self):
+        for name in ("start", "count"):
+            object.__setattr__(self, name, whole_steps(getattr(self, name), name))
         if self.count < 1:
             raise EmptyWindow("window must contain at least one tick")
         if self.start + self.count > len(self.series):
@@ -524,13 +527,18 @@ class Window:
         return (float(self.times[0]) + float(self.times[-1])) / 2.0
 
 
-def _check_steps(lag, minimum: int, what: str) -> int:
-    if isinstance(lag, bool) or not (
-        isinstance(lag, (int, np.integer))
-        or (isinstance(lag, float) and lag.is_integer())
+def whole_steps(n, what: str, error: type = LagNotOnGrid) -> int:
+    """``n`` as an int: an int, or a float with an integral value; a bool is
+    refused, as ``error`` naming ``what``."""
+    if isinstance(n, bool) or not (
+        isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
     ):
-        raise LagNotOnGrid(f"{what} must be a whole number of grid steps, got {lag!r}")
-    lag = int(lag)
+        raise error(f"{what} must be a whole number of grid steps, got {n!r}")
+    return int(n)
+
+
+def _check_steps(lag, minimum: int, what: str) -> int:
+    lag = whole_steps(lag, what)
     if lag < minimum:
         raise LagNotOnGrid(f"{what} must be >= {minimum} grid steps, got {lag}")
     return lag

@@ -164,10 +164,13 @@ def test_powers_and_neighbours():
 
 
 def test_tick_time_cells():
+    """Up to 19 digits below ``2**63``, as epoch-nanosecond stamps have."""
     rng = np.random.default_rng(17)
-    times = ["007", "0", "000000000000000000", "999999999999999999", "123456789012345678"]
-    times += [f"{d:018d}"[-n:] for n, d in zip(rng.integers(1, 19, 20_000),
-                                               rng.integers(0, 10**18, 20_000))]
+    times = ["007", "0", "000000000000000000", "999999999999999999", "123456789012345678",
+             "0000000000000000000", "1234567890123456789", "1700000000000000000",
+             "9223372036854775807"]
+    times += [f"{d:019d}"[-n:] for n, d in zip(rng.integers(1, 20, 20_000),
+                                               rng.integers(0, 2**63, 20_000))]
     columns = _plain("".join(f"{t},1.5,2.5\n" for t in times))
     assert columns is not None and columns[0].dtype == np.int64
     assert columns[0].tolist() == [int(t) for t in times]
@@ -199,7 +202,9 @@ class TestFallback:
         columns = _convert_chunk(text.encode(), 3)
         assert [c.tolist() for c in columns] == [[0, 1], [1.5, float(cell)], [2.25, 3.0]]
 
-    @pytest.mark.parametrize("text", ["-1,1.5,2.5\n", "1,1.5,2.5\n1234567890123456789,1.5,2.5\n",
+    @pytest.mark.parametrize("text", ["-1,1.5,2.5\n", "1,1.5,2.5\n9223372036854775808,1.5,2.5\n",
+                                      "1,1.5,2.5\n9999999999999999999,1.5,2.5\n",
+                                      "1,1.5,2.5\n12345678901234567890,1.5,2.5\n",
                                       "1,1.5,2.5\n2,1.5.0,2\n", "1,1.5,2.5\n1.0,1.5,2.5\n",
                                       "1,1.5,2.5\n2,.,2.5\n", "1,1.5,2.5\n2,1.5.0,25\n",
                                       "1,1.5,2.5\n2.0,1.5,25\n"])

@@ -1,4 +1,6 @@
-"""The vectorized ``%.17g`` of ``mbstat._grid17`` against ``"%.17g" % v``."""
+"""The vectorized ``%.17g`` of ``mbstat._grid17`` against ``"%.17g" % v``,
+in both layouts: the reports' (``layout(False)``), and the CSV's
+(``layout(True)``), which adds ``.0`` to a text with no ``.`` and no ``e``."""
 
 import math
 import os
@@ -11,20 +13,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan, serialize
-from mbstat._grid17 import _K_MAX, _K_MIN, decimal_17, format_17g
+from mbstat._grid17 import _K_MAX, _K_MIN, decimal_17, float_texts, layout
 from mbstat.reports import _ARRAY_KEYS, _BLOCK
 
 
-def _expected(values):
-    return [b"%.17g" % v for v in np.ravel(values).tolist()]
+def _expected(values, point_zero):
+    texts = [b"%.17g" % v for v in np.ravel(values).tolist()]
+    return [t + b".0" if point_zero and b"." not in t and b"e" not in t else t for t in texts]
 
 
 def _assert_exact(values):
+    """Both layouts give the text of ``_expected``."""
     values = np.asarray(values, dtype=np.float64)
-    got, want = format_17g(values), _expected(values)
-    if got != want:
-        bad = [(v, g, e) for v, g, e in zip(values.tolist(), got, want) if g != e]
-        raise AssertionError(bad[:5])
+    for point_zero in (False, True):
+        got, want = float_texts(values, layout(point_zero)), _expected(values, point_zero)
+        if got != want:
+            bad = [(v, g, e) for v, g, e in zip(values.tolist(), got, want) if g != e]
+            raise AssertionError((point_zero, bad[:5]))
 
 
 def _fast(values):
@@ -91,12 +96,27 @@ def test_powers_of_ten_and_neighbours():
 
 
 def test_edge_values():
-    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17,
-             9999999999999999.0, 99999999999999990.0, 0.1, 1 / 3, 2.5, 1e-5, 1e-4, 123456789.0]
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e15, 1e16,
+             1e17, 9999999999999999.0, 99999999999999990.0, 0.1, 1 / 3, 2.5, 1e-5, 1e-4,
+             123456789.0, 123.0]
     _assert_exact(edges)
     _assert_exact([-v for v in edges])
-    assert format_17g(np.array([0.0, -0.0])) == [b"0", b"-0"]
+    assert float_texts([0.0, -0.0], layout(False)) == [b"0", b"-0"]
+    assert float_texts([0.0, -0.0, 1e16, 1e17, 123.0, 0.1, 1e-5], layout(True)) == [
+        b"0.0", b"-0.0", b"10000000000000000.0", b"1e+17", b"123.0", b"0.10000000000000001",
+        b"1.0000000000000001e-05"]
     assert _fast([0.0, -0.0, 1e16, 1e17, 0.1, 2.5]).all()
+
+
+def test_integral_values_in_fixed_notation_are_fast():
+    """Their 17 digits are exact, so the ``"%.17g"`` fallback, which writes
+    no ``.0``, never meets one."""
+    rng = np.random.default_rng(3)
+    whole = np.floor(10.0 ** rng.uniform(0, 17, 100_000))
+    whole = np.concatenate([whole, 10.0 ** np.arange(17), 2.0 ** np.arange(57), [1e17 - 16]])
+    assert (whole < 1e17).all()
+    assert _fast(whole).all()
+    assert _fast(-whole).all()
 
 
 def test_each_fallback_reason():
@@ -111,7 +131,7 @@ def test_each_fallback_reason():
     values = list(cases.values())
     assert not _fast(values).any()
     _assert_exact(values)
-    assert format_17g(np.array([1e-79])) == [b"1e-79"]
+    assert float_texts([1e-79], layout(True)) == [b"1e-79"]
 
 
 def test_dense_block_takes_the_fast_path():
@@ -147,9 +167,9 @@ def test_import_leaves_the_formatter_and_exact_arithmetic_out():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_analyze_imports_the_grid_and_leaves_the_repr_formatter_out(tmp_path):
+def test_analyze_imports_the_grid_and_leaves_the_csv_writer_out(tmp_path):
     """A report is laid out by ``_grid17`` alone: ``analyze`` never compiles
-    ``_format_repr``, the ``repr`` formatter of ``generate``."""
+    ``_csv_rows``, the CSV writer of ``generate``."""
     paths = []
     for k in range(2):
         series = gen_trades(SynthConfig(n_ticks=300, seed=7 + k), f"asset{k + 1}")
@@ -163,7 +183,7 @@ def test_analyze_imports_the_grid_and_leaves_the_repr_formatter_out(tmp_path):
         "from mbstat.cli import main\n"
         f"assert main({argv!r}) == 0\n"
         "assert 'mbstat._grid17' in sys.modules\n"
-        "assert 'mbstat._format_repr' not in sys.modules\n"
+        "assert 'mbstat._csv_rows' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -71,6 +71,23 @@ class TestPlan:
         with pytest.raises(MissingHistory):
             make_plan(s1, s2, window=3, alpha=5, families=("return_corr",), beta=1)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("window", 8.5), ("window", True), ("stride", 1.5), ("alpha", 1.5), ("beta", 0.5),
+    ])
+    def test_a_step_argument_must_be_a_whole_number(self, argument, value):
+        s1, s2 = synth_pair(20)
+        request = {"window": 8, "alpha": 1, "beta": 1, argument: value}
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"{argument} must be a whole number of grid steps, got {value!r}") + "$"):
+            make_plan(s1, s2, **request)
+
+    def test_integral_float_steps_are_stored_as_ints(self):
+        s1, s2 = synth_pair(20)
+        plan = make_plan(s1, s2, window=8.0, stride=2.0, alpha=1.0, beta=np.int64(1))
+        assert [plan.window, plan.stride, plan.alpha, plan.beta] == [8, 2, 1, 1]
+        assert {type(n) for n in (plan.window, plan.stride, plan.alpha, plan.beta)} == {int}
+        assert plan == make_plan(s1, s2, window=8, stride=2, alpha=1, beta=1)
+
     def test_flag_validation(self):
         s1, s2 = synth_pair(20)
         with pytest.raises(InvalidConfig):

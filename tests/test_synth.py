@@ -35,27 +35,41 @@ class TestDeterminism:
         assert np.array_equal(free.price, const.price)
 
 
-# SHA-256 of serialize(gen_trades(...)) at 2000 ticks.  GENERATOR_ID promises
-# the same bits on every platform; a change here means np.exp, np.log or np.cos
-# (or the generator itself) now gives other bits, and GENERATOR_ID must move.
+# SHA-256 at 2000 ticks of the series' bits (its t, price and volume as
+# little-endian int64 and float64, in that order), then of its CSV text,
+# serialize(gen_trades(...)).  GENERATOR_ID promises the same bits on every
+# platform: a change in the first pin means np.exp, np.log or np.cos (or the
+# generator itself) now gives other bits, and GENERATOR_ID must move.  A
+# change in the second alone means serialize writes other text for the same
+# bits.
 PINNED_DIGESTS = {
-    ("free", 1): "a22bbb57d3d23b1a8416e0ee41279094f8ad6d3e31883fe3a58573d85da4f65c",
-    ("free", 42): "78f14c257b2425fef647f70e807cbc675055aed291879f6f2a28adb42e9c6488",
-    ("free", 20260): "dbb54afca0aa4e20e0bf99421427b116f8bcb4604a48763520a76299ed454a71",
+    ("free", 1): ("73df1ba2ac8e1f1008dfa640255e3f56c977ef684c34bdb6554633ce4a0a6550",
+                  "333c0efd7f53caa95a65a0dffa4c4d666f15f8719d3ab483a5db6d09f2b89473"),
+    ("free", 42): ("389bd58d662cab6024232fc20794b1f7c31ed19a86b1c3f716a6f5b9ebfc8ca3",
+                   "07c077247d876a686f37b70eba73dce0117b4ee3b729a3bc04a5d91a4f723271"),
+    ("free", 20260): ("32c850131ef88b0a399c2dec23197447b403dc8e97ecd63ecbba8821ae805f82",
+                      "59019db90159c75e810253445bc820e702c5009cca208810bd6496974614ebcd"),
     ("constant_past_value", 1):
-        "ab9f51926675d974debce656ab7e37bb6461633cb35932955225272a55eb6389",
+        ("cd85ec0ccd880e9baabf3a3728a096962831fcff4a86ef32c29231357fed36df",
+         "a37aab859a3008d4f83e254a0c7cc7d30ee0a5ce518ac782a3e6dd24c504ded0"),
     ("constant_past_value", 42):
-        "b81b0bf87556feedc118372a4d2492ad0079f3a36dd8e852e76f5b65f281ae25",
+        ("3f5347e782034566782390af00101dfbe832a70190d71d338e85b89c57c68cf2",
+         "249928a1d3f23f854d97f4579f6ade768240756e43547d031efd915c8ff7f959"),
     ("constant_past_value", 20260):
-        "53db3d3893318365d3b11d12d84f3a6d4004eeb78fb3e87c0be2b7961df6b0a9",
+        ("ed188b9c142cc7383537ce63a6790067fbc3eaa773beb5b4d8eb40411f36c44d",
+         "333c1b168735311b007ed2b4e68b9744fe3f9073f5ffd3d2bbbd82677c2627f2"),
 }
 
 
 @pytest.mark.parametrize("mode, seed", sorted(PINNED_DIGESTS))
 def test_pinned_digest(mode, seed):
     extra = {"alpha": 2} if mode == "constant_past_value" else {}
-    text = serialize(gen_trades(SynthConfig(n_ticks=2000, seed=seed, mode=mode, **extra)))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[mode, seed]
+    series = gen_trades(SynthConfig(n_ticks=2000, seed=seed, mode=mode, **extra))
+    bits = hashlib.sha256()
+    for column, dtype in ((series.t, "<i8"), (series.price, "<f8"), (series.volume, "<f8")):
+        bits.update(column.astype(dtype).tobytes())
+    text = hashlib.sha256(serialize(series).encode())
+    assert (bits.hexdigest(), text.hexdigest()) == PINNED_DIGESTS[mode, seed]
 
 
 class TestModes:

@@ -117,7 +117,8 @@ class TestParse:
             with pytest.raises(ParseError, match=r"= 1e-160\*1e-160 at t=1 underflows to 1e-320"):
                 make_series("a", [0, 1], [2.0, 1e-160], [1.0, 1e-160])  # subnormal
 
-    @pytest.mark.parametrize("row", ["99999999999999999999,1.0,1.0", "-9223372036854775809,2,1"])
+    @pytest.mark.parametrize("row", ["99999999999999999999,1.0,1.0", "-9223372036854775809,2,1",
+                                     "9223372036854775808,1.5,2.5", "9999999999999999999,1.5,2.5"])
     def test_tick_time_outside_int64_rejected(self, row):
         with pytest.raises(ParseError, match=r"row 2: tick time .* outside the 64-bit"):
             parse_trades(f"t,price,volume\n0,1,1\n{row}")
@@ -416,6 +417,23 @@ class TestBoundaryRules:
         assert w.lag == 1 and type(w.lag) is int
         assert list(w.price) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("start, count, message", [
+        (0.5, 2, "start must be a whole number of grid steps, got 0.5"),
+        (True, 2, "start must be a whole number of grid steps, got True"),
+        (0, 2.5, "count must be a whole number of grid steps, got 2.5"),
+        (0, True, "count must be a whole number of grid steps, got True"),
+    ])
+    def test_window_start_and_count_off_the_grid(self, start, count, message):
+        s = make_series("a", np.arange(4), [1.0, 2.0, 4.0, 3.0], [1.0, 2.0, 1.0, 3.0])
+        with self.raises(LagNotOnGrid, message):
+            Window(s, start=start, count=count)
+
+    def test_window_start_and_count_are_stored_as_ints(self):
+        s = make_series("a", np.arange(4), [1.0, 2.0, 4.0, 3.0], [1.0, 2.0, 1.0, 3.0])
+        w = Window(s, start=1.0, count=np.int64(2))
+        assert (w.start, w.count) == (1, 2) and type(w.start) is type(w.count) is int
+        assert list(w.price) == [2.0, 4.0]
+
     def test_non_integral_float_times(self):
         with self.raises(ParseError, "tick times must be integers on the grid"):
             make_series("s", [0.0, 1.5], [1.0, 1.0], [1.0, 1.0])
@@ -431,6 +449,12 @@ class TestBoundaryRules:
     def test_declared_values_of_another_length(self):
         with self.raises(ParseError, "value column differs in length"):
             make_series("s", [0, 1], [1.0, 2.0], [1.0, 1.0], declared_values=[1.0])
+
+    def test_a_nan_declared_value_is_a_mismatch(self):
+        with self.raises(ValueMismatch, "declared value nan at t=1 deviates from "
+                                        "price*volume=2.0 by more than 1e-09 relative"):
+            make_series("s", [0, 1, 2], [1.0, 2.0, 3.0], [1.0] * 3,
+                        declared_values=[1.0, np.nan, 3.0])
 
     @pytest.mark.parametrize("times", [[3, 3, 4], [3, 2, 1]])
     def test_first_step_not_increasing(self, times):
