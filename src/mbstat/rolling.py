@@ -11,7 +11,8 @@ results near 1e-10 of full recomputation.
 
 This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
 ``build_leg``, which builds it over one anchor block's span at a time (a
-price leg is a view, a return leg a block-sized array).  The kernel takes
+price leg's volumes and prices are views of its series, its trade values and
+a return leg's arrays are block-sized).  The kernel takes
 the window sums ``sum_specs`` asks for (35 per anchor block for all seven
 families) and runs ``closed_form`` once per leg pair (5 for all seven
 families), under the first family in plan order that needs it, just before

@@ -29,6 +29,7 @@ from .errors import (
     EmptyInput,
     EmptyWindow,
     LagNotOnGrid,
+    MbstatError,
     MissingHistory,
     NonPositivePrice,
     NonPositiveVolume,
@@ -93,21 +94,21 @@ _TIE = 2.0**-24
 
 @dataclass(frozen=True)
 class TradeSeries:
-    """A uniformly spaced sequence of trades for one asset.
+    """A uniformly spaced sequence of trades for one asset: the tick times,
+    prices and volumes it was read from, as read-only numpy arrays.
 
-    The per-tick columns are stored as read-only numpy arrays.  ``epsilon``
-    is the constant spacing between consecutive tick times.
+    The trade value ``price * volume`` and the grid step ``epsilon`` are
+    derived from them on each read, not stored, so neither can contradict
+    the columns.
     """
 
     asset_id: str
     t: np.ndarray
     price: np.ndarray
     volume: np.ndarray
-    value: np.ndarray = field(repr=False)
-    epsilon: int = 1
 
     def __post_init__(self):
-        for arr in (self.t, self.price, self.volume, self.value):
+        for arr in (self.t, self.price, self.volume):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -117,12 +118,22 @@ class TradeSeries:
     def start_time(self) -> int:
         return int(self.t[0])
 
+    @property
+    def epsilon(self) -> int:
+        """The constant spacing between consecutive tick times (1 for a
+        single tick)."""
+        return int(self.t[1] - self.t[0]) if len(self.t) > 1 else 1
+
+    @property
+    def value(self) -> np.ndarray:
+        """The trade values ``price * volume``, formed by :func:`build_leg`."""
+        return build_leg(self, 0, len(self))[0]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TradeSeries):
             return NotImplemented
         return (
             self.asset_id == other.asset_id
-            and self.epsilon == other.epsilon
             and np.array_equal(self.t, other.t)
             and np.array_equal(self.price, other.price)
             and np.array_equal(self.volume, other.volume)
@@ -137,10 +148,11 @@ def _first_outside_range(arr: np.ndarray) -> int | None:
     return int(np.argmax(~((arr >= _TINY) & (arr < math.inf))))
 
 
-def _spacing(t: np.ndarray) -> int:
-    """The one constant step of tick times ``t`` (1 for a single tick)."""
+def _check_spacing(t: np.ndarray) -> None:
+    """Refuse tick times ``t`` that are not strictly increasing with one
+    constant step (a single tick has none to check)."""
     if t.size < 2:
-        return 1  # single tick: spacing is vacuous
+        return
     steps = np.diff(t)
     epsilon = int(steps[0])
     if epsilon <= 0:
@@ -154,17 +166,17 @@ def _spacing(t: np.ndarray) -> int:
             f"spacing {int(steps[i])} between t={t[i]} and t={t[i + 1]} "
             f"differs from epsilon={epsilon}"
         )
-    return epsilon
 
 
 def make_series(asset_id, times, prices, volumes, declared_values=None) -> TradeSeries:
     """Validate raw columns and build a :class:`TradeSeries`.
 
     Times must be strictly increasing with one constant integer spacing;
-    prices and volumes strictly positive, their product (the trade value)
-    finite.  A declared value column, if given, is checked against
-    price*volume and then discarded: the stored value is always the exact
-    float product, so the trade identity holds bit-exactly.
+    prices and volumes finite and strictly positive, their product (the
+    trade value) a positive normal float.  The product is formed here only
+    to check it, and a declared value column, if given, against it; both
+    are then dropped, and every reader forms the value again from the
+    prices and volumes, so the trade identity holds bit-exactly.
     """
     t_raw = np.asarray(times)
     if t_raw.dtype.kind == "f" and not np.all(t_raw == np.floor(t_raw)):
@@ -181,10 +193,10 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         raise EmptyInput("series must contain at least one tick")
     if not (t.size == price.size == volume.size):
         raise ParseError("time/price/volume columns differ in length")
-    if not np.all(np.isfinite(price)):
-        raise ParseError("non-finite price")
-    if not np.all(np.isfinite(volume)):
-        raise ParseError("non-finite volume")
+    for name, column in (("price", price), ("volume", volume)):
+        if not np.all(np.isfinite(column)):
+            i = int(np.argmin(np.isfinite(column)))
+            raise ParseError(f"{name} {column[i]} at t={t[i]} is not finite")
     if np.any(price <= 0.0):
         i = int(np.argmax(price <= 0.0))
         raise NonPositivePrice(f"price {price[i]} at t={t[i]} must be > 0")
@@ -192,7 +204,7 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         i = int(np.argmax(volume <= 0.0))
         raise NonPositiveVolume(f"volume {volume[i]} at t={t[i]} must be > 0")
 
-    epsilon = _spacing(t)
+    _check_spacing(t)
     with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the row
         value = price * volume
     i = _first_outside_range(value)
@@ -212,9 +224,7 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
                 f"price*volume={value[i]} by more than {VALUE_REL_TOL:g} relative"
             )
 
-    return TradeSeries(
-        asset_id=asset_id, t=t, price=price, volume=volume, value=value, epsilon=epsilon
-    )
+    return TradeSeries(asset_id=asset_id, t=t, price=price, volume=volume)
 
 
 def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
@@ -223,8 +233,8 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     ``source`` is a binary stream (a file opened in ``"rb"`` mode), or the
     text, which is encoded whole as UTF-8 and read as a stream.  The stream
     is read twice in chunks: a first pass checks that it is ASCII (a
-    ``ParseError`` names the stream and the offset of the first other byte,
-    before any other rule) and counts its rows, a second fills the columns;
+    ``ParseError`` names the offset of the first other byte, before any
+    other rule) and counts its rows, a second fills the columns;
     neither holds more than one chunk of it.  A stream that cannot seek is
     read into memory first.
 
@@ -235,10 +245,24 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     ``int()`` (the ``t`` column, in the 64-bit range) or ``float()`` reads.
     The first row that breaks a rule is named in the ``ParseError``.  The
     grid spacing is inferred from the first two rows.
+
+    Each error's message starts with the stream's name, its path for a
+    file and ``input`` for any other source, so of two files read it says
+    which one broke the rule.
     """
     if isinstance(source, str):  # a lone surrogate is then refused as not ASCII
         source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
-    header, size, chunks = _stream_chunks(source)
+    name = source.name if isinstance(getattr(source, "name", None), str) else "input"
+    try:
+        return make_series(asset_id, *_read_columns(source))
+    except MbstatError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
+def _read_columns(stream) -> list[np.ndarray]:
+    """The columns of a binary stream of CSV bytes, ``t``, ``price``,
+    ``volume`` and a declared ``value`` if the header has one."""
+    header, size, chunks = _stream_chunks(stream)
     if header == CSV_HEADER:
         ncols = 3
     elif header == CSV_HEADER + ",value":
@@ -259,14 +283,13 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
         for column, arr in zip(columns, arrays):
             column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
-    return make_series(asset_id, *columns)
+    return columns
 
 
 def _stream_chunks(stream):
     """``(header, rows, chunks)`` of a binary stream of CSV bytes: its first
     line, the number of rows after it, and the chunks of the rest, after a
     first pass that checks the whole stream is ASCII and counts its LFs."""
-    name = stream.name if isinstance(getattr(stream, "name", None), str) else "input"
     if not stream.seekable():
         stream = io.BytesIO(stream.read())
     start = stream.tell()
@@ -276,7 +299,7 @@ def _stream_chunks(stream):
     while length := stream.readinto(buf):
         block = codes[:length]
         if block.max() > 0x7F:
-            raise ParseError(f"{name}: byte {size + int(np.argmax(block > 0x7F))} is not ASCII")
+            raise ParseError(f"byte {size + int(np.argmax(block > 0x7F))} is not ASCII")
         lfs += np.count_nonzero(block == _LF)
         size += length
         last = block[-1]
@@ -487,6 +510,8 @@ class Window:
             object.__setattr__(self, name, whole_steps(getattr(self, name), name))
         if self.count < 1:
             raise EmptyWindow("window must contain at least one tick")
+        if self.start < 0:
+            raise EmptyWindow(f"window starts at index {self.start}, before the series start")
         if self.start + self.count > len(self.series):
             raise EmptyWindow("window extends past the end of the series")
         object.__setattr__(self, "lag", _check_steps(self.lag, 0, "lag"))
@@ -516,7 +541,7 @@ class Window:
 
     @property
     def value(self) -> np.ndarray:
-        return self.series.value[self._lo : self._lo + self.count]
+        return build_leg(self.series, self._lo, self.count)[0]
 
     @property
     def asset_id(self) -> str:
@@ -602,15 +627,18 @@ class ReturnView:
 
 def build_leg(series: TradeSeries, start: int, count: int, horizon: int = 0):
     """A leg's ``(value, carrier, x)`` over ``count`` ticks of ``series`` from
-    index ``start``: volumes and prices for a price leg (``horizon`` 0), past
-    values ``p(t - horizon*eps) * volume(t)`` and returns
-    ``p(t) / p(t - horizon*eps)`` for a return leg.  The one place either is
-    derived; each must be a positive normal float, or a ParseError names it."""
+    index ``start``: the trade values ``price * volume``, then volumes and
+    prices for a price leg (``horizon`` 0), past values
+    ``p(t - horizon*eps) * volume(t)`` and returns ``p(t) / p(t - horizon*eps)``
+    for a return leg.  The one place any of them is derived.  The trade
+    values were range-checked by ``make_series``; each past value and return
+    must be a positive normal float, or a ParseError names it."""
     if start - horizon < 0:
         raise MissingHistory(f"horizon {horizon} reaches before the start of "
                              f"{series.asset_id!r}")
     span = slice(start, start + count)
-    value, carrier, x = series.value[span], series.volume[span], series.price[span]
+    carrier, x = series.volume[span], series.price[span]
+    value = x * carrier
     if horizon:
         then = series.price[start - horizon : start - horizon + count]
         with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the tick
@@ -631,5 +659,5 @@ def compute_returns(window: Window, alpha) -> ReturnView:
     """
     steps = _check_steps(alpha, 1, "alpha")
     value, c_past, r = build_leg(window.series, window._lo, window.count, steps)
-    return ReturnView(r=r, c_past=c_past, value=value.copy(), alpha=steps,
+    return ReturnView(r=r, c_past=c_past, value=value, alpha=steps,
                       asset_id=window.asset_id, times=window.times.copy())

@@ -282,7 +282,8 @@ class TestAnalyze:
         out = str(tmp_path / "out.json")
         assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "1",
                      "--stats", "price_vol", "--output", out]) == 4
-        assert "error[ParseError]: row 2: tick time 99999999999999999999" in capsys.readouterr().err
+        assert (f"error[ParseError]: {p1}: row 2: tick time 99999999999999999999"
+                in capsys.readouterr().err)
 
     def test_overflowing_trade_value_is_a_parse_error(self, tmp_path, capsys):
         rows = "".join(f"{t},{1e300 if t == 5 else 2.0!r},{1e9 if t == 5 else 1.0!r}\n"
@@ -301,7 +302,7 @@ class TestAnalyze:
         out = str(tmp_path / "out.json")
         assert main(["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "4",
                      "--stats", "return_vol", "--alpha", "1", "--output", out]) == 4
-        assert ("error[ParseError]: trade value price*volume = 1e-200*1e-200 at t=5 "
+        assert (f"error[ParseError]: {p1}: trade value price*volume = 1e-200*1e-200 at t=5 "
                 "underflows to 0.0") in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -702,7 +703,27 @@ def test_non_canonical_cell_exit_4_naming_its_row(tmp_path, capsys, command, cel
         argv += ["--output", str(tmp_path / "out.json")]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
-        f"error[ParseError]: row 3: price {cell!r} is not a canonical decimal number\n")
+        f"error[ParseError]: {p1}: row 3: price {cell!r} is not a canonical decimal number\n")
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("asset", [0, 1], ids=["asset1", "asset2"])
+@pytest.mark.parametrize("row, message", [
+    ("1,x,2", "row 2: price 'x' is not a canonical decimal number"),
+    ("1,1e999,2", "price inf at t=1 is not finite"),
+    ("1,4,1e999", "volume inf at t=1 is not finite"),
+], ids=["bad-cell", "inf-price", "inf-volume"])
+def test_an_input_error_names_its_file(tmp_path, capsys, command, asset, row, message):
+    paths = write_pair(tmp_path)
+    with open(paths[asset], "w") as fh:
+        fh.write(f"t,price,volume\n0,2,1\n{row}\n2,3,1\n")
+    argv = [command, "--asset1-path", paths[0], "--asset2-path", paths[1], "--window", "2",
+            "--stats", "price_corr"]
+    if command == "analyze":
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error[ParseError]: {paths[asset]}: {message}\n"
     assert not os.path.exists(tmp_path / "out.json")
 
 
@@ -717,7 +738,8 @@ def test_crlf_file_exit_4(tmp_path, capsys, command):
     if command == "analyze":
         argv += ["--output", str(tmp_path / "out.json")]
     assert main(argv) == 4
-    assert "error[ParseError]: unexpected header 't,price,volume\\r'" in capsys.readouterr().err
+    assert (f"error[ParseError]: {p1}: unexpected header 't,price,volume\\r'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -67,7 +67,7 @@ def _series(t, price, volume) -> TradeSeries:
     """A series built without validation, so that any int64 times serialize."""
     t = np.asarray(t, np.int64)
     price, volume = np.asarray(price, np.float64), np.asarray(volume, np.float64)
-    return TradeSeries("s", t, price, volume, price * volume)
+    return TradeSeries("s", t, price, volume)
 
 
 @settings(max_examples=50, deadline=None)

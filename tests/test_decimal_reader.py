@@ -286,5 +286,5 @@ class TestMixedChunks:
         monkeypatch.setattr(trade_series, "_CHUNK_CHARS", 100)
         rows = [f"{t},{1 + t / 7!r},{2.5 if t < 50 else 2.5e-7}" for t in range(100)]
         rows[row - 1] = f"{row - 1},{bad},1.5"
-        with pytest.raises(ParseError, match=f"^{re.escape(f'row {row}: {message}')}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'input: row {row}: {message}')}$"):
             parse_trades("\n".join(["t,price,volume", *rows]))

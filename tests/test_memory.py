@@ -1,6 +1,7 @@
 """Working-set bounds, measured with ``tracemalloc`` (numpy reports its
 buffers to it): reading a file holds its columns and a few chunks, not its
-text, and a rolling drain holds one anchor block, not a series-long leg."""
+text, and keeps three columns, not the trade value; a rolling drain holds one
+anchor block, not a series-long leg."""
 
 import tracemalloc
 
@@ -13,13 +14,15 @@ from mbstat.trade_series import parse_trades
 N = 100_000
 
 
-def _peak(run) -> int:
-    """Bytes ``run()`` allocates at its peak, above what was allocated before."""
+def _traced(run) -> tuple[int, int]:
+    """Bytes allocated when ``run()`` returns, its result still held, and at
+    its peak, above what was allocated before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
+        result = run()  # noqa: F841 - held while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+        return held - base, peak - base
     finally:
         tracemalloc.stop()
 
@@ -31,20 +34,37 @@ def long_pair():
             gen_trades(SynthConfig(n_ticks=2 * N, seed=12, **config), asset_id="two"))
 
 
-def test_reading_a_file_holds_its_columns_and_a_few_chunks(tmp_path, long_pair):
-    path = tmp_path / "long.csv"
+@pytest.fixture(scope="module")
+def long_file(tmp_path_factory, long_pair):
+    path = tmp_path_factory.mktemp("memory") / "long.csv"
     path.write_text(serialize(long_pair[0]))
-    rows = len(long_pair[0])
-    columns = 4 * 8 * rows  # t, price, volume and value
+    return path, len(long_pair[0])
 
-    def read():
-        with open(path, "rb") as fh:
-            assert len(parse_trades(fh)) == rows
 
-    peak = _peak(read)
+def _read(path, rows):
+    with open(path, "rb") as fh:
+        series = parse_trades(fh)
+    assert len(series) == rows
+    return series
+
+
+def test_reading_a_file_holds_its_columns_and_a_few_chunks(long_file):
+    path, rows = long_file
+    columns = 4 * 8 * rows  # t, price, volume and the trade value, checked once
+
+    _, peak = _traced(lambda: _read(path, rows))
     assert peak < columns + 8 * trade_series._CHUNK_CHARS, (peak, columns)
     # the text alone is larger than the margin over the columns
     assert path.stat().st_size > 8 * trade_series._CHUNK_CHARS
+
+
+def test_a_parsed_series_keeps_three_columns(long_file):
+    # The trade value is formed to check it and then dropped.
+    path, rows = long_file
+    columns = 3 * 8 * rows  # t, price and volume
+
+    held, _ = _traced(lambda: _read(path, rows))
+    assert held < columns + trade_series._CHUNK_CHARS, (held, columns)
 
 
 def test_a_rolling_drain_allocates_no_array_as_long_as_the_series(long_pair):
@@ -58,5 +78,5 @@ def test_a_rolling_drain_allocates_no_array_as_long_as_the_series(long_pair):
         for _ in iter_rolling_stats(s1, s2, plan):
             pass
 
-    peak = _peak(drain)
+    _, peak = _traced(drain)
     assert peak < 8 * len(s1), peak

@@ -1,9 +1,12 @@
-"""The example scripts run end to end on small inputs."""
+"""The example scripts and README's library example run end to end on
+small inputs."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,3 +18,20 @@ def test_convention_gap_demo_exits_0():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_library_example_gives_its_commented_values():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    # What each "# value" comment stands for.
+    commented = {"0.375": 0.375, "0.333...": 1 / 3, "3.25": 3.25}
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        shown = comment.split()[0]
+        assert eval(code, namespace) == pytest.approx(commented[shown], rel=1e-12), line
+        checked.append(shown)
+    assert checked == list(commented)

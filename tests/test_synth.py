@@ -152,8 +152,8 @@ class TestConfigValidation:
             SynthConfig(n_ticks=10, seed=-1)
 
     @pytest.mark.parametrize("fields, shown", [
-        ({"volume_log_mean": 1000.0}, "non-finite volume"),
-        ({"log_price_step_sd": 1e300}, "non-finite price"),
+        ({"volume_log_mean": 1000.0}, "volume inf at t=0 is not finite"),
+        ({"log_price_step_sd": 1e300}, "price inf at t=1 is not finite"),
         ({"mode": "constant_past_value", "alpha": 1, "volume_log_mean": -800.0},
          "volume 0.0 at t=0 must be > 0"),
         ({"mode": "constant_volume", "volume_log_mean": 1000.0}, "math range error"),

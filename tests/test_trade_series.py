@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import threading
@@ -12,6 +13,7 @@ from conftest import positive_floats, trade_windows
 from mbstat import (
     ReturnView,
     SynthConfig,
+    TradeSeries,
     Window,
     compute_returns,
     gen_trades,
@@ -53,7 +55,7 @@ class TestParse:
         assert list(s.value) == [2.0, 8.0]
 
     def test_value_column_recomputed(self):
-        # a declared value inside tolerance is replaced by the exact product
+        # a declared value inside tolerance is dropped: the value is the exact product
         p, u = 0.1, 0.3
         declared = p * u * (1 + 2e-10)
         s = parse_trades(f"t,price,volume,value\n0,{p!r},{u!r},{declared!r}")
@@ -134,6 +136,41 @@ class TestParse:
                 make_series("a", times, [1.0], [1.0])
 
 
+class TestDerivedColumns:
+    """A series stores the columns it was read from; the trade value and the
+    grid step are derived from them."""
+
+    def test_a_series_stores_four_fields(self):
+        assert [f.name for f in dataclasses.fields(TradeSeries)] == [
+            "asset_id", "t", "price", "volume"]
+
+    @pytest.mark.parametrize("derived", [{"value": np.ones(2)}, {"epsilon": 1}])
+    def test_value_and_epsilon_cannot_be_set(self, derived):
+        t, ones = np.arange(2), np.ones(2)
+        with pytest.raises(TypeError):
+            TradeSeries("s", t, ones, ones, **derived)
+
+    def test_value_is_the_product_bit_for_bit(self):
+        s = gen_trades(SynthConfig(n_ticks=2000, seed=4, price_start=1e4,
+                                   log_price_step_sd=1e-4, volume_log_sd=0.4))
+        product = s.price * s.volume
+        assert s.value.tobytes() == product.tobytes()
+        w = Window(s, start=700, count=300, lag=5)
+        assert w.value.tobytes() == product[695:995].tobytes()
+        assert build_leg(s, 700, 300, 5)[0].tobytes() == product[700:1000].tobytes()
+
+    @pytest.mark.parametrize("times, step", [([3, 8, 13], 5), ([-4, -3], 1), ([7], 1)])
+    def test_epsilon_is_the_step(self, times, step):
+        ones = [1.0] * len(times)
+        s = make_series("s", times, ones, ones)
+        assert s.epsilon == step and type(s.epsilon) is int
+
+    def test_equal_series_compare_their_columns(self):
+        s = make_series("s", [0, 2], [1.0, 2.0], [3.0, 4.0])
+        assert s == TradeSeries("s", s.t.copy(), s.price.copy(), s.volume.copy())
+        assert s != make_series("s", [0, 2], [1.0, 2.0], [3.0, 5.0])
+
+
 # Cells outside the canonical form; int() or float() reads most of them.
 NON_CANONICAL_CELLS = ["1_0.5", " 10", "+0", "10\r", "1E5", "inf", "nan", "", "0x1p3"]
 
@@ -162,7 +199,7 @@ class TestStrictParse:
         cells = lines[row].split(",")
         cells[column] = data.draw(st.sampled_from(NON_CANONICAL_CELLS), label="cell")
         lines[row] = ",".join(cells)
-        with pytest.raises(ParseError, match=f"^row {row}: "):
+        with pytest.raises(ParseError, match=f"^input: row {row}: "):
             parse_trades("\n".join(lines))
 
     @pytest.mark.parametrize("text, message", [
@@ -180,7 +217,7 @@ class TestStrictParse:
         ("0,2,1\n1,4+1,2\n", "row 2: price '4+1' is not a canonical decimal number"),
     ])
     def test_first_bad_row_is_named(self, text, message):
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^input: {re.escape(message)}$"):
             parse_trades("t,price,volume\n" + text)
 
     def test_exponent_forms_are_read(self):
@@ -206,7 +243,7 @@ class TestStrictParse:
                 assert _columns_equal(parse_trades(text + ending, "c"), reference), (n, ending)
             if n >= 250:
                 rows[n - 20] = rows[n - 20].replace(",", ",+", 1)
-                with pytest.raises(ParseError, match=f"^row {n - 19}: price '\\+"):
+                with pytest.raises(ParseError, match=f"^input: row {n - 19}: price '\\+"):
                     parse_trades("\n".join([header, *rows]))
 
     def test_canonical_file_never_runs_the_row_loop(self, monkeypatch):
@@ -270,13 +307,15 @@ class TestStreamReader:
             offset = len(text) - len("\u00e9,1\n")
             assert want == (ParseError, f"input: byte {offset} is not ASCII")
             assert got == (ParseError, f"{path}: byte {offset} is not ASCII")
-        else:
-            assert isinstance(want, tuple) and got == want
+        else:  # the same error, each message naming its own stream
+            kind, message = want
+            assert message.startswith("input: ")
+            assert got == (kind, f"{path}: {message.removeprefix('input: ')}")
 
     def test_a_stream_that_cannot_seek_is_read(self):
         text = self.CASES["straddles-a-chunk"]
         assert _columns_equal(_through_a_pipe(text.encode()), parse_trades(text, "x"))
-        # A stream opened from a descriptor has its number as its name.
+        # A stream opened from a descriptor is named input.
         data = text.encode() + b"5000,\xff,1\n"
         assert _through_a_pipe(data) == (ParseError, f"input: byte {len(text) + 5} is not ASCII")
 
@@ -300,6 +339,26 @@ class TestStreamReader:
         message = f"{path}: byte {len(head)} is not ASCII"
         with open(path, "rb") as fh:
             assert _outcome(lambda: parse_trades(fh)) == (ParseError, message)
+
+    @pytest.mark.parametrize("text, kind, message", [
+        ("", EmptyInput, "empty CSV input"),
+        ("t,price,volume\n", EmptyInput, "CSV has a header but no rows"),
+        ("t,px\n0,1\n", ParseError, "unexpected header 't,px', want 't,price,volume[,value]'"),
+        (BAD_ROW, ParseError, "row 2: price '+4' is not a canonical decimal number"),
+        ("t,price,volume\n0,2,1\n1,1e999,1\n", ParseError, "price inf at t=1 is not finite"),
+        ("t,price,volume\n0,2,1\n1,-4,1\n", NonPositivePrice, "price -4.0 at t=1 must be > 0"),
+        ("t,price,volume\n0,2,1\n2,4,1\n3,4,1\n", NonUniformSpacing,
+         "spacing 1 between t=2 and t=3 differs from epsilon=2"),
+        ("t,price,volume,value\n0,2,1,3\n", ValueMismatch,
+         "declared value 3.0 at t=0 deviates from price*volume=2.0 by more than 1e-09 relative"),
+    ], ids=["empty", "header-only", "bad-header", "bad-row", "inf-price", "negative-price",
+            "gap", "value-mismatch"])
+    def test_every_error_names_its_stream_once(self, tmp_path, text, kind, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with open(path, "rb") as fh:
+            assert _outcome(lambda: parse_trades(fh)) == (kind, f"{path}: {message}")
+        assert _outcome(lambda: parse_trades(text)) == (kind, f"input: {message}")
 
     @pytest.mark.parametrize("cell", ["\uff11\uff10", "\ud800"], ids=["fullwidth-10", "surrogate"])
     def test_text_that_is_not_ascii_is_named_by_its_offset(self, cell):
@@ -394,6 +453,21 @@ class TestBoundaryRules:
         s = make_series("s", np.arange(3), [1.0, 2.0, 3.0], np.ones(3))
         with self.raises(EmptyWindow, "window must contain at least one tick"):
             Window(s, start=0, count=0)
+
+    def test_window_before_the_start(self):
+        s = make_series("s", np.arange(3), [1.0, 2.0, 3.0], np.ones(3))
+        with self.raises(EmptyWindow, "window starts at index -2, before the series start"):
+            Window(s, start=-2, count=2)
+
+    @pytest.mark.parametrize("price, volume, message", [
+        ([1.0, np.inf, 1.0], [1.0] * 3, "price inf at t=6 is not finite"),
+        ([1.0, 1.0, -np.inf], [1.0] * 3, "price -inf at t=7 is not finite"),
+        ([1.0, -1.0, np.nan], [1.0] * 3, "price nan at t=7 is not finite"),
+        ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], "volume nan at t=6 is not finite"),
+    ])
+    def test_a_non_finite_price_or_volume_names_its_tick(self, price, volume, message):
+        with self.raises(ParseError, message):
+            make_series("s", [5, 6, 7], price, volume)
 
     def test_window_past_the_end(self):
         s = make_series("s", np.arange(3), [1.0, 2.0, 3.0], np.ones(3))
