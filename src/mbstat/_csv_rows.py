@@ -4,14 +4,19 @@
 notation, so that every float cell holds a point.  17 significant digits
 read back as the same double.
 
-``mbstat.trade_series.serialize`` imports this module on first use.
+``mbstat.trade_series.serialize``, which joins the blocks of
+``csv_blocks``, and ``mbstat generate``, which writes them as they come,
+import this module on first use.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ._grid17 import AREA, ZEROS, U, digits8, float_words, layout, nonzero_bytes, row_template
+from .trade_series import CSV_HEADER, TradeSeries
 
 _POWERS = np.array([10**j for j in range(1, 20)], U)
 # Rows per block of the CSV body, one matrix of words each.  On a 250k-tick
@@ -37,21 +42,20 @@ def _int_words(t: np.ndarray, out: np.ndarray) -> None:
     out[:, 0] |= np.where(t < 0, U(ord("-")), U(0))
 
 
-def csv_rows(t: np.ndarray, price: np.ndarray, volume: np.ndarray) -> bytes:
-    """The row ``t,price,volume`` and an LF for each int64 ``t`` and finite
-    float64 ``price`` and ``volume``, in blocks of rows.  A block is one
-    ``row_template`` matrix of 12 words per row (``t``, ``,``, price, ``,``,
-    volume, LF), written out by ``nonzero_bytes``."""
-    t = np.asarray(t, np.int64)
-    price, volume = np.asarray(price, np.float64), np.asarray(volume, np.float64)
+def csv_blocks(series: TradeSeries) -> Iterator[bytes]:
+    """The canonical CSV of ``series``: its header line, then the row
+    ``t,price,volume`` and an LF for each tick, in blocks of rows.  A block
+    is one ``row_template`` matrix of 12 words per row (``t``, ``,``, price,
+    ``,``, volume, LF), written out by ``nonzero_bytes``."""
+    yield CSV_HEADER.encode() + b"\n"
+    t = np.asarray(series.t, np.int64)
+    price, volume = np.asarray(series.price, np.float64), np.asarray(series.volume, np.float64)
     row, (at_t, at_price, at_volume) = row_template((b"", b",", b",", b"\n"))
     mat = np.tile(row, (min(len(t), _BLOCK_ROWS), 1))
-    parts = []
     for b0 in range(0, len(t), _BLOCK_ROWS):
         span = slice(b0, b0 + _BLOCK_ROWS)
         block = mat[: len(t[span])]
         _int_words(t[span], block[:, at_t : at_t + 3])
         for x, at in ((price[span], at_price), (volume[span], at_volume)):
             float_words(x, block[:, at : at + 3], layout(True))
-        parts.append(nonzero_bytes(block))
-    return b"".join(parts)
+        yield nonzero_bytes(block)

@@ -23,7 +23,7 @@ from .oracle import oracle_corr_windows, relative_deviation
 from .reports import write_csv, write_json
 from .rolling import check_request, iter_rolling_stats, make_plan
 from .synth import MODES, SynthConfig, gen_trades
-from .trade_series import parse_trades, serialize
+from .trade_series import parse_trades
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -59,14 +59,17 @@ def _read_series(path: str, label: str):
 
 @contextmanager
 def _output(path: str):
-    """Text stream for ``path`` (``-`` is stdout).
+    """Binary stream for ``path``; ``-`` is stdout's buffer, flushed before
+    and after the body so that it keeps its order with printed text.
 
     A regular file is written to a temporary sibling that replaces ``path``
     only when the body succeeds: a failed run leaves no partial report, and
     a file already at ``path`` stays as it was.
     """
     if path == "-":
-        yield sys.stdout
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
         return
     target = os.path.realpath(path)
     try:
@@ -74,14 +77,14 @@ def _output(path: str):
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8", newline="") as out:  # e.g. /dev/null
+        with open(target, "wb") as out:  # e.g. /dev/null
             yield out
         return
     fd, tmp = tempfile.mkstemp(
         prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as out:
+        with os.fdopen(fd, "wb") as out:
             yield out
         if mode is None:  # the mode open() would give a new file
             umask = os.umask(0)
@@ -95,6 +98,8 @@ def _output(path: str):
 
 
 def run_generate(args) -> int:
+    from ._csv_rows import csv_blocks  # compiled only by a run that writes a CSV
+
     config = SynthConfig(
         n_ticks=args.n,
         seed=args.seed,
@@ -107,7 +112,8 @@ def run_generate(args) -> int:
     )
     series = gen_trades(config)
     with _output(args.out) as out:
-        out.write(serialize(series))
+        for block in csv_blocks(series):
+            out.write(block)
     return EXIT_OK
 
 

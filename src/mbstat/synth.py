@@ -72,9 +72,17 @@ class SynthConfig:
                 )
 
 
-def _normals(uniform01: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    # Box-Muller, cosine branch; 1-u keeps the log argument in (0, 1].
-    return np.sqrt(-2.0 * np.log1p(-uniform01)) * np.cos(2.0 * math.pi * phase)
+def _normals(u: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Box-Muller, cosine branch, in place: the uniforms ``u`` become the
+    normals, and ``phase`` is overwritten.  1-u keeps the log argument in
+    (0, 1]."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -2.0
+    np.sqrt(u, out=u)
+    phase *= 2.0 * math.pi
+    u *= np.cos(phase, out=phase)
+    return u
 
 
 def gen_trades(config: SynthConfig, asset_id: str | None = None) -> TradeSeries:
@@ -87,18 +95,25 @@ def gen_trades(config: SynthConfig, asset_id: str | None = None) -> TradeSeries:
         asset_id = f"synth-{GENERATOR_ID}-seed{config.seed}"
     try:
         with np.errstate(over="ignore", under="ignore"):
-            steps = _normals(rng.random(n - 1), rng.random(n - 1)) * config.log_price_step_sd
-            log_price = np.concatenate(([0.0], np.cumsum(steps)))
-            price = config.price_start * np.exp(log_price)
+            # The walk is built in place, in the arrays it ends in.
+            price, volume, phase = np.empty(n), np.empty(n), np.empty(n)
+            price[0] = 0.0  # the log prices: 0, then the sums of the steps
+            steps = _normals(rng.random(out=price[1:]), rng.random(out=phase[1:]))
+            steps *= config.log_price_step_sd
+            np.cumsum(steps, out=steps)
+            np.exp(price, out=price)
+            price *= config.price_start
             if config.mode == "free":
-                vol_normals = _normals(rng.random(n), rng.random(n))
-                volume = np.exp(config.volume_log_mean + config.volume_log_sd * vol_normals)
+                _normals(rng.random(out=volume), rng.random(out=phase))
+                volume *= config.volume_log_sd
+                volume += config.volume_log_mean
+                np.exp(volume, out=volume)
             elif config.mode == "constant_volume":
-                volume = np.full(n, math.exp(config.volume_log_mean))
+                volume[:] = math.exp(config.volume_log_mean)
             else:  # constant_past_value: past value p(t-alpha)*U(t) pinned to K
                 k = math.exp(config.volume_log_mean) * config.price_start
-                lagged = np.concatenate((price[: config.alpha], price[: n - config.alpha]))
-                volume = k / lagged
+                np.divide(k, price[: config.alpha], out=volume[: config.alpha])
+                np.divide(k, price[: n - config.alpha], out=volume[config.alpha :])
         return make_series(asset_id, np.arange(n, dtype=np.int64), price, volume)
     except (MbstatError, OverflowError) as exc:
         raise InvalidConfig(f"{config!r} gives no valid series: {exc}") from exc

@@ -484,12 +484,11 @@ def serialize(series: TradeSeries) -> str:
     float as ``"%.17g"`` writes it, with ``.0`` on an integral value in fixed
     notation.  ``parse_trades(serialize(s))`` reproduces ``s`` bit-exactly.
 
-    The rows are built in numpy by ``_csv_rows``, which is imported on first
-    use so that a run that writes no CSV does not compile it."""
-    from ._csv_rows import csv_rows
+    The text is the blocks of ``_csv_rows.csv_blocks``, which is imported on
+    first use so that a run that writes no CSV does not compile it."""
+    from ._csv_rows import csv_blocks
 
-    body = csv_rows(series.t, series.price, series.volume)
-    return CSV_HEADER + "\n" + body.decode("ascii")
+    return b"".join(csv_blocks(series)).decode("ascii")
 
 
 @dataclass(frozen=True)

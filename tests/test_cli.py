@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mbstat import FAMILIES, cli, errors, parse_trades, rolling
+from mbstat import (FAMILIES, SynthConfig, cli, errors, gen_trades, parse_trades, rolling,
+                    serialize)
 from mbstat.cli import main
 from mbstat.errors import ConsistencyError, MbstatError
 from mbstat.reports import RECORD_FIELDS
@@ -110,6 +111,35 @@ class TestGenerate:
         proc = subprocess.run([sys.executable, "-m", "mbstat", "generate", "--n", "1"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2 and "n_ticks" in proc.stderr
+
+
+def _mbstat(*argv) -> bytes:
+    """The stdout of ``python -m mbstat argv``, read from a pipe."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run([sys.executable, "-m", "mbstat", *argv], capture_output=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    return proc.stdout
+
+
+class TestBytePath:
+    """Reports and CSVs are written as bytes, to a file or to stdout's
+    buffer, and both carry the same bytes."""
+
+    def test_generate_to_stdout_and_to_a_file(self, tmp_path):
+        flags = ["--n", "20000", "--seed", "9", "--price-start", "1e4"]  # 3 blocks
+        out = tmp_path / "g.csv"
+        assert main(["generate", *flags, "--out", str(out)]) == 0
+        expected = serialize(gen_trades(SynthConfig(n_ticks=20000, seed=9, price_start=1e4)))
+        assert out.read_bytes() == expected.encode("ascii")
+        assert _mbstat("generate", *flags) == out.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_analyze_to_stdout_and_to_a_file(self, tmp_path, fmt):
+        p1, p2 = generate_pair(tmp_path, n=600)
+        flags = ["--asset1-path", p1, "--asset2-path", p2, "--window", "64", "--format", fmt]
+        out = tmp_path / ("report." + fmt)
+        assert main(["analyze", *flags, "--output", str(out)]) == 0
+        assert _mbstat("analyze", *flags, "--output", "-") == out.read_bytes()
 
 
 class TestAnalyze:

@@ -4,12 +4,13 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan
 from mbstat.errors import ConsistencyError
+from mbstat import reports
 from mbstat.reports import RECORD_FIELDS, write_csv, write_json
 from mbstat.rolling import (
     JOINT_PRICE_FAMILY,
@@ -85,6 +86,13 @@ def ref_write_csv(out, plan, chunks):
 
 
 def _render(writer, plan, chunks):
+    """The text ``writer`` writes to a binary stream."""
+    buf = io.BytesIO()
+    writer(buf, plan, chunks)
+    return buf.getvalue().decode("ascii")
+
+
+def _render_ref(writer, plan, chunks):
     buf = io.StringIO()
     writer(buf, plan, chunks)
     return buf.getvalue()
@@ -92,7 +100,7 @@ def _render(writer, plan, chunks):
 
 def _assert_same_bytes(plan, chunks):
     for new, ref in ((write_json, ref_write_json), (write_csv, ref_write_csv)):
-        expected = _render(ref, plan, chunks)
+        expected = _render_ref(ref, plan, chunks)
         got = _render(new, plan, iter(chunks))
         assert got.encode("utf-8") == expected.encode("utf-8"), new.__name__
 
@@ -110,12 +118,36 @@ def _rolled(pair, families, window=4, stride=7):
     return plan, list(iter_rolling_stats(*pair, plan))
 
 
+@pytest.fixture(params=[1, 7, reports._BLOCK], ids=lambda n: f"block{n}")
+def block(request, monkeypatch):
+    """The writers at 1 and 7 positions per block and at the default."""
+    monkeypatch.setattr(reports, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def long_chunk(synth_pair):
+    """All families at window 256, stride 1: one chunk of 2,744 positions,
+    21 whole blocks of 128 and a short one, and its reference texts."""
+    plan, chunks = _rolled(synth_pair, FAMILIES, window=256, stride=1)
+    assert [len(chunk) for chunk in chunks] == [2744]
+    return plan, chunks, {new: _render_ref(ref, plan, chunks)
+                          for new, ref in ((write_json, ref_write_json),
+                                           (write_csv, ref_write_csv))}
+
+
+@pytest.mark.usefixtures("block")
 class TestByteEquivalence:
     def test_all_families_across_anchor_blocks(self, synth_pair):
         plan, chunks = _rolled(synth_pair, FAMILIES)
-        assert len(chunks) >= 3
-        assert len(chunks[-1]) % 64 != 0
+        # Chunks of 55 positions: at 7 per block each ends on a short block.
+        assert [len(chunk) for chunk in chunks] == [55] * 7 + [43]
         _assert_same_bytes(plan, chunks)
+
+    @pytest.mark.parametrize("writer", [write_json, write_csv])
+    def test_a_chunk_of_many_blocks(self, long_chunk, writer):
+        plan, chunks, expected = long_chunk
+        assert _render(writer, plan, iter(chunks)) == expected[writer]
 
     def test_price_corr_only(self, synth_pair):
         plan, chunks = _rolled(synth_pair, (PRICE_FAMILY,))
@@ -154,8 +186,8 @@ class TestByteEquivalence:
 
 
 class TestNonFiniteRefusal:
-    def _chunk(self, plan, field, value, at):
-        values = np.linspace(1.0, 2.0, 100)
+    def _chunk(self, plan, field, value, at, positions=100):
+        values = np.linspace(1.0, 2.0, positions)
         families = {
             family: {src: values.copy() for src in _REF_SOURCES}
             for family in plan.families
@@ -174,7 +206,21 @@ class TestNonFiniteRefusal:
         plan, _ = _rolled(synth_pair, (PRICE_FAMILY, RETURN_FAMILY))
         chunk = self._chunk(plan, field, value, at=70)
         with pytest.raises(ConsistencyError, match="non-finite value " + shown):
-            writer(io.StringIO(), plan, iter([chunk]))
+            writer(io.BytesIO(), plan, iter([chunk]))
+
+    @pytest.mark.parametrize("writer", [write_json, write_csv])
+    def test_a_later_block_is_named(self, synth_pair, writer):
+        """A bad value in the third block is named as in the first, after
+        the two blocks before it were written."""
+        plan, _ = _rolled(synth_pair, (PRICE_FAMILY, RETURN_FAMILY))
+        chunk = self._chunk(plan, "cov_uc", float("nan"), at=2 * reports._BLOCK + 5,
+                            positions=3 * reports._BLOCK)
+        out = io.BytesIO()
+        with pytest.raises(ConsistencyError, match=r"non-finite value nan \(return_corr cov_UC\)"):
+            writer(out, plan, iter([chunk]))
+        lines = out.getvalue().count(b"\n")
+        head = 3 if writer is write_json else 1
+        assert lines == head + 2 * reports._BLOCK * len(plan.families) - (writer is write_json)
 
     @pytest.mark.parametrize("writer", [write_json, write_csv])
     @pytest.mark.parametrize(
@@ -198,7 +244,7 @@ class TestNonFiniteRefusal:
         if a1_at is not None:
             a1[a1_at] = float("-inf")
         with pytest.raises(ConsistencyError, match="non-finite value " + shown):
-            writer(io.StringIO(), plan, iter(chunks))
+            writer(io.BytesIO(), plan, iter(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +278,10 @@ def _random_chunks(draw, families):
     return chunks
 
 
+@pytest.mark.usefixtures("block")
 class TestRandomChunkBytes:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_writers_match_reference(self, synth_pair, data):
         plan = make_plan(*synth_pair, window=4, stride=1, alpha=1, beta=1,
