@@ -51,7 +51,7 @@ class LengthMismatch(MbstatError):
 
 
 class NonPositiveInvestment(MbstatError):
-    """A portfolio weight source (investment) is zero or negative."""
+    """A portfolio weight source (investment) is not finite and positive."""
 
 
 class NonPositiveInput(MbstatError):

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DegenerateDenominator,
+    EmptyInput,
     LengthMismatch,
     NonPositiveInvestment,
 )
@@ -359,9 +360,11 @@ def portfolio_return(r, investments) -> float:
     x = [float(v) for v in investments]
     if len(r) != len(x):
         raise LengthMismatch(f"returns and investments differ: {len(r)} vs {len(x)}")
+    if not x:
+        raise EmptyInput("a portfolio return needs at least one investment")
     for v in x:
-        if not v > 0.0:
-            raise NonPositiveInvestment(f"investments must be > 0, got {v}")
+        if not 0.0 < v < math.inf:
+            raise NonPositiveInvestment(f"investments must be finite and > 0, got {v}")
     return math.fsum(ri * xi for ri, xi in zip(r, x)) / math.fsum(x)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights
+from .errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights
 
 SINGLE_KINDS = ("volume", "past_value")
 PRODUCT_KINDS = ("volume_product", "past_value_product", "volume_past_value")
@@ -62,6 +62,8 @@ def _floats(seq) -> list[float]:
 
 def _check_positive(seq, name: str) -> list[float]:
     out = _floats(seq)
+    if not out:
+        raise EmptyInput(f"{name} entries are empty")
     for v in out:
         if not v > 0.0:
             raise NonPositiveInput(f"{name} entries must be > 0, got {v}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, MbstatError
-from .trade_series import TradeSeries, make_series
+from .trade_series import TradeSeries, make_series, whole_steps
 
 GENERATOR_ID = "pcg64-boxmuller-v1"
 
@@ -50,6 +50,8 @@ class SynthConfig:
     alpha: int = 0  # horizon pinned by constant_past_value mode
 
     def __post_init__(self):
+        for name in ("n_ticks", "seed", "alpha"):
+            object.__setattr__(self, name, whole_steps(getattr(self, name), name, InvalidConfig))
         if self.n_ticks < 2:
             raise InvalidConfig(f"n_ticks must be >= 2, got {self.n_ticks}")
         if self.seed < 0:

@@ -25,7 +25,6 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     EmptyInput,
     EmptyWindow,
     LagNotOnGrid,
@@ -41,10 +40,6 @@ from .errors import (
 # Declared `value` column may deviate from price*volume by at most this
 # relative amount before the row is rejected.
 VALUE_REL_TOL = 1e-9
-
-# value == return * past_value must hold to this relative tolerance for every
-# tick of a ReturnView (it is a two-rounding identity, so ~4e-16 in practice).
-RETURN_IDENTITY_REL_TOL = 1e-12
 
 CSV_HEADER = "t,price,volume"
 
@@ -594,34 +589,29 @@ def lag_view(window: Window, lag) -> Window:
 
 
 @dataclass(frozen=True)
-class ReturnView:
-    """Per-tick returns and past values of a window, for horizon ``alpha``.
-
-    ``r[i] = p(t_i) / p(t_i - alpha*eps)`` and
+class ReturnView(Window):
+    """A window read over the return horizon ``alpha``: its per-tick returns
+    ``r[i] = p(t_i) / p(t_i - alpha*eps)`` and past values
     ``c_past[i] = p(t_i - alpha*eps) * volume(t_i)``, so that
-    ``value[i] == r[i] * c_past[i]`` up to two float roundings.
+    ``value[i] == r[i] * c_past[i]`` up to two float roundings.  The three
+    arrays are formed once, by :func:`build_leg`, and are read-only;
+    everything else is the window's own.
     """
 
-    r: np.ndarray
-    c_past: np.ndarray
-    value: np.ndarray
-    alpha: int
-    asset_id: str
-    times: np.ndarray = field(repr=False)
+    alpha: int = field(kw_only=True)
+    _leg: tuple = field(init=False, repr=False, compare=False)  # (value, c_past, r)
 
     def __post_init__(self):
-        for arr in (self.r, self.c_past, self.value, self.times):
+        super().__post_init__()
+        object.__setattr__(self, "alpha", _check_steps(self.alpha, 1, "alpha"))
+        leg = build_leg(self.series, self._lo, self.count, self.alpha)
+        for arr in leg:
             arr.setflags(write=False)
-        err = np.max(np.abs(self.value - self.r * self.c_past) / self.value)
-        if not err <= RETURN_IDENTITY_REL_TOL:  # also refuses NaN
-            raise ConsistencyError(f"value != return * past_value (relative error {err:.3e})")
+        object.__setattr__(self, "_leg", leg)
 
-    def __len__(self) -> int:
-        return len(self.r)
-
-    @property
-    def t_center(self) -> float:
-        return (float(self.times[0]) + float(self.times[-1])) / 2.0
+    value = property(lambda self: self._leg[0])
+    c_past = property(lambda self: self._leg[1])
+    r = property(lambda self: self._leg[2])
 
 
 def build_leg(series: TradeSeries, start: int, count: int, horizon: int = 0):
@@ -656,7 +646,4 @@ def compute_returns(window: Window, alpha) -> ReturnView:
     ``alpha`` is the return horizon in grid steps (>= 1); history must exist
     ``alpha`` steps before every windowed tick.
     """
-    steps = _check_steps(alpha, 1, "alpha")
-    value, c_past, r = build_leg(window.series, window._lo, window.count, steps)
-    return ReturnView(r=r, c_past=c_past, value=value, alpha=steps,
-                      asset_id=window.asset_id, times=window.times.copy())
+    return ReturnView(window.series, window.start, window.count, window.lag, alpha=alpha)

@@ -13,6 +13,7 @@ from exact import values as exact_values
 from mbstat import (
     CorrelationReport,
     FAMILIES,
+    ReturnView,
     Window,
     compute_returns,
     cov,
@@ -36,6 +37,7 @@ from mbstat import (
 from mbstat.errors import (
     ConsistencyError,
     DegenerateDenominator,
+    EmptyInput,
     LengthMismatch,
     NonPositiveInvestment,
 )
@@ -103,6 +105,15 @@ class TestVawarAndPortfolio:
     def test_portfolio_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             portfolio_return([1.0, 2.0], [1.0])
+
+    def test_portfolio_rejects_empty(self):
+        with pytest.raises(EmptyInput):
+            portfolio_return([], [])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_portfolio_rejects_non_finite(self, bad):
+        with pytest.raises(NonPositiveInvestment, match=f"finite and > 0, got {bad}$"):
+            portfolio_return([1.0, 2.0], [1.0, bad])
 
     @given(return_view_pairs(min_n=2, max_n=24))
     def test_vawar_is_portfolio_return_exactly(self, pair):
@@ -590,7 +601,7 @@ def assert_matches_exact(w1, w2, rv1, rv2, floors=None):
         assert (result.asset1, result.asset2) == (src1.asset_id, src2.asset_id)
         assert result.t_center == src1.t_center
         assert (result.alpha, result.beta) == tuple(
-            src.lag if isinstance(src, Window) else src.alpha for src in (src1, src2))
+            src.alpha if isinstance(src, ReturnView) else src.lag for src in (src1, src2))
 
 
 def lognormal_series(name, rng, n, price, step_sd, volumes="lognormal"):
@@ -780,3 +791,27 @@ def test_per_window_outcomes_keep_their_messages(scale, vols1, vols2, outcomes):
         else:
             got.append(repr(getattr(result, "market_value", result)))
     assert tuple(got) == outcomes
+
+
+class TestLegDispatch:
+    """A leg is read by its family's leg letter, not by the type passed."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(5)
+        s1, s2 = (lognormal_series(name, rng, 12, 100.0, 0.01) for name in "ab")
+        return Window(s1, 2, 8), Window(s2, 2, 8)
+
+    def test_a_return_view_as_a_price_leg_reads_its_window(self, pair):
+        w1, w2 = pair
+        rv1, rv2 = compute_returns(w1, 2), compute_returns(w2, 1)
+        assert mb_corr_prices(rv1, rv2) == mb_corr_prices(w1, w2)
+        assert mb_price_volatility(rv1) == mb_price_volatility(w1)
+        assert mb_corr_price_return(rv1, rv2) == mb_corr_price_return(w1, rv2)
+
+    def test_a_plain_window_is_no_return_leg(self, pair):
+        w1, w2 = pair
+        with pytest.raises(AttributeError, match="c_past"):
+            mb_corr_returns(w1, compute_returns(w2, 1))
+        with pytest.raises(AttributeError, match="c_past"):
+            mb_return_volatility(w1)

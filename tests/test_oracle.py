@@ -18,7 +18,7 @@ from mbstat import (
     vawar,
     vwap,
 )
-from mbstat.errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights
+from mbstat.errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights
 from mbstat import oracle
 from mbstat.oracle import oracle_corr_windows, relative_deviation
 
@@ -48,6 +48,13 @@ class TestMakeWeights:
     def test_nonpositive_input(self):
         with pytest.raises(NonPositiveInput):
             make_weights("volume", [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("kind, sequences", [
+        ("volume", ([],)), ("past_value", (np.array([]),)), ("volume_product", ([], [])),
+    ])
+    def test_empty_input(self, kind, sequences):
+        with pytest.raises(EmptyInput, match="entries are empty$"):
+            make_weights(kind, *sequences)
 
     def test_unknown_kind(self):
         with pytest.raises(NonPositiveInput):
@@ -388,5 +395,5 @@ class TestInputTypes:
         with open(oracle.__file__) as fh:
             imports = [ln for ln in fh if ln.startswith(("import ", "from "))]
         assert [ln for ln in imports if "from ." in ln] == [
-            "from .errors import LengthMismatch, NonPositiveInput, UnnormalizedWeights\n"
+            "from .errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights\n"
         ]

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,11 +99,22 @@ def _render_ref(writer, plan, chunks):
     return buf.getvalue()
 
 
+def _assert_same_text(got: str, expected: str, what: str) -> None:
+    """Fail unless ``got == expected``, naming the first character that
+    differs: pytest's own diff of two reports takes minutes."""
+    if got != expected:
+        i = len(os.path.commonprefix([got, expected]))
+        near = slice(max(0, i - 40), i + 40)
+        pytest.fail(f"{what}: the texts differ from character {i} "
+                    f"({len(got)} vs {len(expected)} characters): "
+                    f"{got[near]!r} != {expected[near]!r}")
+
+
 def _assert_same_bytes(plan, chunks):
     for new, ref in ((write_json, ref_write_json), (write_csv, ref_write_csv)):
         expected = _render_ref(ref, plan, chunks)
         got = _render(new, plan, iter(chunks))
-        assert got.encode("utf-8") == expected.encode("utf-8"), new.__name__
+        _assert_same_text(got, expected, new.__name__)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +159,7 @@ class TestByteEquivalence:
     @pytest.mark.parametrize("writer", [write_json, write_csv])
     def test_a_chunk_of_many_blocks(self, long_chunk, writer):
         plan, chunks, expected = long_chunk
-        assert _render(writer, plan, iter(chunks)) == expected[writer]
+        _assert_same_text(_render(writer, plan, iter(chunks)), expected[writer], writer.__name__)
 
     def test_price_corr_only(self, synth_pair):
         plan, chunks = _rolled(synth_pair, (PRICE_FAMILY,))
@@ -280,7 +292,10 @@ def _random_chunks(draw, families):
 
 @pytest.mark.usefixtures("block")
 class TestRandomChunkBytes:
+    # No shrink phase: shrinking a failure here takes minutes, and the first
+    # failing chunk set already names the bytes that differ.
     @settings(max_examples=25, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_writers_match_reference(self, synth_pair, data):

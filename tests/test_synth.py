@@ -147,6 +147,26 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
             SynthConfig(n_ticks=10, seed=0, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_ticks", 2.5), ("n_ticks", True), ("seed", 1.5), ("seed", True),
+        ("alpha", 1.5), ("alpha", True),
+    ])
+    def test_non_integral_count(self, field, value):
+        fields = {"n_ticks": 10, "seed": 1, "mode": "constant_past_value", "alpha": 1}
+        with pytest.raises(InvalidConfig, match=f"^{field} must be a whole number .*, "
+                                                f"got {value!r}$"):
+            SynthConfig(**{**fields, field: value})
+
+    def test_integral_floats_are_ints(self):
+        config = SynthConfig(n_ticks=10.0, seed=np.int64(7), mode="constant_past_value",
+                             alpha=2.0)
+        assert (config.n_ticks, config.seed, config.alpha) == (10, 7, 2)
+        assert all(type(v) is int for v in (config.n_ticks, config.seed, config.alpha))
+        series = gen_trades(config)
+        assert series == gen_trades(SynthConfig(n_ticks=10, seed=7, mode="constant_past_value",
+                                                alpha=2))
+        assert series.asset_id == f"synth-{GENERATOR_ID}-seed7"
+
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig, match="seed must be >= 0, got -1"):
             SynthConfig(n_ticks=10, seed=-1)

@@ -26,7 +26,6 @@ from mbstat import (
 from mbstat import trade_series
 from mbstat.trade_series import build_leg
 from mbstat.errors import (
-    ConsistencyError,
     EmptyInput,
     EmptyWindow,
     LagNotOnGrid,
@@ -603,13 +602,6 @@ class TestComputeReturns:
         err = np.max(np.abs(rv.value - rv.r * rv.c_past) / rv.value)
         assert err <= 1e-12
 
-    def test_identity_check_refuses_nan(self):
-        with pytest.raises(ConsistencyError, match=r"relative error nan"):
-            with np.errstate(invalid="ignore"):
-                ReturnView(r=np.array([np.inf, 1.0]), c_past=np.array([0.0, 1.0]),
-                           value=np.array([1.0, 1.0]), alpha=1, asset_id="x",
-                           times=np.array([0, 1]))
-
     @pytest.mark.parametrize("prices, volumes, message", [
         ([1e-300, 1e10], [1.0, 1.0],
          "return inf at t=1 over horizon 1 is not a positive normal float"),
@@ -649,3 +641,80 @@ class TestComputeReturns:
                 else:
                     accepted += 1
         assert refused > 0 and accepted > 0
+
+
+class TestReturnView:
+    """A return view is its window read over a horizon: a frozen ``Window``
+    with one more field, ``alpha``."""
+
+    @pytest.fixture
+    def series(self):
+        return make_series("a", np.arange(5), [1.0, 2.0, 4.0, 2.0, 8.0],
+                           [1.0, 1.0, 1.0, 2.0, 0.5])
+
+    def test_equality(self, series):
+        w = Window(series, 2, 3)
+        rv = compute_returns(w, 1)
+        assert rv == compute_returns(w, 1)
+        assert rv == ReturnView(series, 2.0, 3, alpha=1.0)
+        assert rv != compute_returns(w, 2)
+        assert rv != compute_returns(Window(series, 2, 3, lag=1), 1)
+        assert rv != w and w != rv
+
+    @pytest.mark.parametrize("alpha", [0, 1.5, True, -1])
+    def test_horizon_validation(self, series, alpha):
+        with pytest.raises(LagNotOnGrid, match="^alpha "):
+            ReturnView(series, 2, 3, alpha=alpha)
+
+    def test_window_rules_come_first(self, series):
+        with pytest.raises(EmptyWindow):
+            ReturnView(series, 3, 3, alpha=1)
+        with pytest.raises(LagNotOnGrid, match="^lag "):
+            ReturnView(series, 2, 3, lag=0.5, alpha=1)
+
+    def test_missing_history(self, series):
+        with pytest.raises(MissingHistory, match="horizon 1 reaches before the start of 'a'"):
+            ReturnView(series, 0, 3, alpha=1)
+        with pytest.raises(MissingHistory, match="horizon 2 reaches before the start of 'a'"):
+            ReturnView(series, 2, 3, lag=1, alpha=2)
+
+    @pytest.mark.parametrize("prices, volumes, shown", [
+        ([1e-300, 1e10], [1.0, 1.0], "return inf"),
+        ([1e-200, 1.0], [1.0, 1e-200], "past value 0.0"),
+    ], ids=["return-overflows", "past-value-underflows"])
+    def test_out_of_range_leg_names_its_tick(self, prices, volumes, shown):
+        s = make_series("a", [0, 1], prices, volumes)
+        with pytest.raises(ParseError, match=f"^{shown} at t=1 over horizon 1 is not a "):
+            ReturnView(s, 1, 1, alpha=1)
+
+    def test_arrays_are_not_arguments(self, series):
+        with pytest.raises(TypeError):
+            ReturnView(series, 2, 3, alpha=1, r=np.ones(3))
+        with pytest.raises(TypeError):
+            ReturnView(series, 2, 3, alpha=1, _leg=None)
+        with pytest.raises(TypeError):
+            ReturnView(series, 2, 3)  # alpha has no default
+        with pytest.raises(TypeError):
+            ReturnView(series, 2, 3, 0, 1)  # alpha is keyword-only
+
+    def test_frozen_and_read_only(self, series):
+        rv = ReturnView(series, 2, 3, alpha=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rv.alpha = 2
+        for arr in (rv.value, rv.c_past, rv.r):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_reads_its_own_window(self, series, lag):
+        w = Window(series, 3, 2, lag=lag)
+        rv = compute_returns(w, 1)
+        assert isinstance(rv, Window) and (rv.lag, rv.alpha) == (lag, 1)
+        for name in ("times", "price", "volume", "value"):
+            assert np.array_equal(getattr(rv, name), getattr(w, name)), name
+        assert (len(rv), rv.asset_id, rv.t_center) == (len(w), w.asset_id, w.t_center)
+        then = series.price[2 - lag : 4 - lag]
+        assert np.array_equal(rv.r, w.price / then)
+        assert np.array_equal(rv.c_past, then * w.volume)
+
