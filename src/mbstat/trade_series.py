@@ -552,7 +552,7 @@ def whole_steps(n, what: str, error: type = LagNotOnGrid) -> int:
     if isinstance(n, bool) or not (
         isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
     ):
-        raise error(f"{what} must be a whole number of grid steps, got {n!r}")
+        raise error(f"{what} must be a whole number, got {n!r}")
     return int(n)
 
 

@@ -78,7 +78,7 @@ class TestPlan:
         s1, s2 = synth_pair(20)
         request = {"window": 8, "alpha": 1, "beta": 1, argument: value}
         with pytest.raises(InvalidConfig, match=re.escape(
-                f"{argument} must be a whole number of grid steps, got {value!r}") + "$"):
+                f"{argument} must be a whole number, got {value!r}") + "$"):
             make_plan(s1, s2, **request)
 
     def test_integral_float_steps_are_stored_as_ints(self):
