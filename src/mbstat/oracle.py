@@ -2,9 +2,10 @@
 
 Every market-based closed form in :mod:`mbstat.market_core` must equal a
 direct weighted mean of per-tick deviation products.  This module computes
-those weighted means from the raw per-tick sequences with its own plain
-sequential summation, on purpose sharing no arithmetic helpers with the code
-it checks: an oracle built from the same intermediates would prove nothing.
+those weighted means from the raw per-tick sequences, each window with its
+own weight sum and no cumulative sums, on purpose sharing no arithmetic
+helpers with the code it checks: an oracle built from the same
+intermediates would prove nothing.
 
 Weight kinds (each normalized to sum 1 over the window):
 
@@ -14,9 +15,12 @@ Weight kinds (each normalized to sum 1 over the window):
 - ``past_value_product``:   Co1_i*Co2_i / sum(...)     (return-return)
 - ``volume_past_value``:    U1_i*Co2_i / sum(...)      (price-return)
 
-:func:`oracle_corr_windows` takes the same definition over many windows at
-once, for ``verify``: numpy evaluates one block of windows per array
-operation, still with each window's own weight sum and no cumulative sums.
+One weight rule (:func:`_weights`) checks the carriers and the
+normalization, over rows of windows.  :func:`oracle_corr_windows` applies
+it and the weighted mean to one block of windows per numpy operation, for
+``verify``; the public scalar functions are the same code at one window:
+:func:`make_weights` is the rule on one row, :func:`oracle_corr` one window
+of :func:`oracle_corr_windows`, and :func:`em_expectation` one dot product.
 """
 
 from __future__ import annotations
@@ -45,31 +49,6 @@ _CORR_WEIGHT_KIND = {
 }
 
 
-def _plain_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total
-
-
-def _floats(seq) -> list[float]:
-    """``[float(v) for v in seq]``.  A 1-D float64 array gives the same list
-    from one ``tolist`` call, without a numpy scalar per element."""
-    if getattr(seq, "dtype", None) == "float64" and seq.ndim == 1:
-        return seq.tolist()
-    return [float(v) for v in seq]
-
-
-def _check_positive(seq, name: str) -> list[float]:
-    out = _floats(seq)
-    if not out:
-        raise EmptyInput(f"{name} entries are empty")
-    for v in out:
-        if not v > 0.0:
-            raise NonPositiveInput(f"{name} entries must be > 0, got {v}")
-    return out
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Normalized weights of one of the five kinds."""
@@ -81,48 +60,68 @@ class WeightVector:
         return len(self.weights)
 
 
-def make_weights(kind: str, first, second=None) -> WeightVector:
-    """Build normalized weights of the requested kind.
+def _weights(names, carriers) -> np.ndarray:
+    """The weight rule, on one or two carrier arrays whose rows are windows.
 
-    Single-sequence kinds take one positive sequence; product kinds take two
-    of equal length.  The denominator is the plain sum of the (products of)
-    entries.
+    Each carrier in turn must be non-empty (else EmptyInput) with every entry
+    > 0 (else NonPositiveInput naming the first that is not), and the two
+    must be of one length (else LengthMismatch).  Each row of their product,
+    divided by its own sum, must then sum to 1 within ``WEIGHT_SUM_ABS_TOL``;
+    a row that does not, or whose sum is not finite, is an
+    UnnormalizedWeights.  Returns the normalized rows.
     """
+    for name, c in zip(names, carriers):
+        if not c.shape[-1]:
+            raise EmptyInput(f"{name} entries are empty")
+        bad = ~(c > 0)
+        if bad.any():
+            raise NonPositiveInput(f"{name} entries must be > 0, got {c[bad][0]}")
+    if carriers[0].shape != carriers[-1].shape:
+        raise LengthMismatch(f"weight inputs differ in length: {carriers[0].shape[-1]} vs "
+                             f"{carriers[-1].shape[-1]}")
+    with np.errstate(all="ignore"):  # an overflowing sum is refused just below
+        w = carriers[0] * (carriers[1] if len(carriers) == 2 else 1.0)
+        w /= w.sum(axis=-1, keepdims=True)
+        spread = np.abs(w.sum(axis=-1) - 1.0)
+    drifted = spread[~(spread <= WEIGHT_SUM_ABS_TOL)]
+    if len(drifted):
+        raise UnnormalizedWeights(f"normalization drifted by {drifted[0]:.3e}")
+    return w
+
+
+def make_weights(kind: str, first, second=None) -> WeightVector:
+    """Build normalized weights of the requested kind: the weight rule on one
+    row.  Single-sequence kinds take one positive sequence; product kinds
+    take two of equal length."""
     if kind in SINGLE_KINDS:
         if second is not None:
             raise LengthMismatch(f"kind {kind!r} takes a single sequence")
-        raw = _check_positive(first, kind)
+        names, carriers = (kind,), (first,)
     elif kind in PRODUCT_KINDS:
         if second is None:
             raise LengthMismatch(f"kind {kind!r} takes two sequences")
-        a = _check_positive(first, kind + "[1]")
-        b = _check_positive(second, kind + "[2]")
-        if len(a) != len(b):
-            raise LengthMismatch(
-                f"weight inputs differ in length: {len(a)} vs {len(b)}"
-            )
-        raw = [x * y for x, y in zip(a, b)]
+        names, carriers = (kind + "[1]", kind + "[2]"), (first, second)
     else:
         raise NonPositiveInput(f"unknown weight kind {kind!r}")
-    total = _plain_sum(raw)
-    weights = tuple(v / total for v in raw)
-    spread = abs(_plain_sum(weights) - 1.0)
-    if spread > WEIGHT_SUM_ABS_TOL:
-        raise UnnormalizedWeights(f"normalization drifted by {spread:.3e}")
-    return WeightVector(kind=kind, weights=weights)
+    rows = [np.asarray(c, dtype=np.float64)[None] for c in carriers]
+    return WeightVector(kind=kind, weights=tuple(_weights(names, rows)[0].tolist()))
 
 
 def em_expectation(values, weights: WeightVector) -> float:
-    """Weighted mean ``sum(values_i * weights_i)`` under a weight vector."""
-    vals = _floats(values)
-    if len(vals) != len(weights):
-        raise LengthMismatch(
-            f"values and weights differ in length: {len(vals)} vs {len(weights)}"
-        )
-    drift = abs(_plain_sum(weights.weights) - 1.0)
-    if drift > WEIGHT_SUM_CHECK_TOL:
+    """Weighted mean ``sum(values_i * weights_i)`` under a weight vector.
+
+    The weights may come from any caller, so their length and their sum are
+    checked: a sum off 1 by more than ``WEIGHT_SUM_CHECK_TOL``, or not
+    finite, is an UnnormalizedWeights.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    w = np.asarray(weights.weights, dtype=np.float64)
+    if len(vals) != len(w):
+        raise LengthMismatch(f"values and weights differ in length: {len(vals)} vs {len(w)}")
+    drift = abs(w.sum() - 1.0)
+    if not drift <= WEIGHT_SUM_CHECK_TOL:
         raise UnnormalizedWeights(f"weights sum to 1{drift:+.3e}")
-    return _plain_sum(v * w for v, w in zip(vals, weights.weights))
+    return float(vals @ w)
 
 
 def relative_deviation(x, y, floor=0.0):
@@ -156,18 +155,17 @@ def oracle_corr(kind: str, x1, x2, carrier1, carrier2, avg1: float, avg2: float)
     ``carrier1``/``carrier2`` the weight-bearing sequences (volumes for a
     price leg, past values for a return leg), and ``avg1``/``avg2`` the
     market-based averages (VWAP or value-weighted average return) the
-    deviations are taken against.
+    deviations are taken against.  It is :func:`oracle_corr_windows` over
+    one window of all four sequences.
     """
-    w = make_weights(_weight_kind(kind), carrier1, carrier2)
-    a = _floats(x1)
-    b = _floats(x2)
-    if not (len(a) == len(b) == len(w)):
-        raise LengthMismatch(
-            f"sequence lengths differ: {len(a)}, {len(b)}, weights {len(w)}"
-        )
-    return _plain_sum(
-        (ai - avg1) * (bi - avg2) * wi for ai, bi, wi in zip(a, b, w.weights)
-    )
+    weight_kind = _weight_kind(kind)
+    arrays = [np.asarray(a, dtype=np.float64) for a in (x1, x2, carrier1, carrier2)]
+    n1, n2, n = (len(a) for a in arrays[:3])
+    if not n or {n1, n2, len(arrays[3])} != {n}:
+        # The carriers' own errors, as make_weights raises them, come first.
+        make_weights(weight_kind, carrier1, carrier2)
+        raise LengthMismatch(f"sequence lengths differ: {n1}, {n2}, weights {n}")
+    return float(oracle_corr_windows(kind, *arrays, [avg1], [avg2], window=n, stride=1)[0])
 
 
 def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
@@ -176,13 +174,12 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
     ``avg1``/``avg2``, as a float64 array.
 
     Position ``i``'s window is ``[i*stride, i*stride + window)`` of each of the
-    four per-tick arrays.  Each window's product weights are normalized by that
-    window's own sum, and the weighted mean of its deviation products is one
-    row of an ``einsum``.  The checks are the scalar oracle's, per window: an
-    unknown kind or a carrier entry that is not > 0 is a NonPositiveInput, a
-    normalization drift above ``WEIGHT_SUM_ABS_TOL`` an UnnormalizedWeights.
-    Windows are taken in blocks, so that no temporary holds more than
-    ``_BLOCK_ELEMENTS`` floats (or one window, if that is longer).
+    four per-tick arrays.  Each block of windows passes the weight rule
+    (:func:`_weights`, with each window normalized by its own sum), and the
+    weighted mean of each window's deviation products is one row of an
+    ``einsum``.  An unknown kind is a NonPositiveInput.  Windows are taken in
+    blocks, so that no temporary holds more than ``_BLOCK_ELEMENTS`` floats
+    (or one window, if that is longer).
     """
     weight_kind = _weight_kind(kind)
     avg1, avg2 = np.asarray(avg1, dtype=np.float64), np.asarray(avg2, dtype=np.float64)
@@ -193,24 +190,17 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
     if any(len(a) < max(end, window) for a in arrays):
         raise LengthMismatch(f"sequence lengths {[len(a) for a in arrays]} end before "
                              f"the last window's end {end}")
-    # Row i of each view is position i's window; the views copy nothing.
-    v1, v2, c1, c2 = (sliding_window_view(a, window)[::stride] for a in arrays)
+    # Row i of each view is position i's window, over one copy of the four
+    # arrays' spans (one view of four arrays costs less than four views).
+    spans = np.stack([a[:max(end, window)] for a in arrays])
+    v1, v2, c1, c2 = sliding_window_view(spans, window, axis=1)[:, ::stride]
     names = (weight_kind + "[1]", weight_kind + "[2]")
     out = np.empty(len(avg1), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // window)
     with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
         for b in range(0, len(out), step):
             rows = slice(b, min(b + step, len(out)))
-            for name, c in zip(names, (c1[rows], c2[rows])):
-                bad = ~(c > 0)
-                if bad.any():
-                    raise NonPositiveInput(f"{name} entries must be > 0, got {c[bad][0]}")
-            w = c1[rows] * c2[rows]
-            w /= w.sum(axis=1, keepdims=True)
-            spread = np.abs(w.sum(axis=1) - 1.0)
-            drifted = spread[spread > WEIGHT_SUM_ABS_TOL]
-            if len(drifted):
-                raise UnnormalizedWeights(f"normalization drifted by {drifted[0]:.3e}")
+            w = _weights(names, (c1[rows], c2[rows]))
             d = v1[rows] - avg1[rows, None]
             d *= v2[rows] - avg2[rows, None]
             out[rows] = np.einsum("ij,ij->i", d, w)

@@ -84,16 +84,18 @@ class RollingPlan:
         return self.t_origin + (start + (self.window - 1) / 2.0) * self.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RollingChunk:
-    """One anchor block of results: parallel arrays per family."""
+    """One anchor block of results: parallel arrays per family.  A chunk
+    compares and hashes by identity, as its arrays of results give no one
+    truth value."""
 
     first_position: int
     t_center: np.ndarray
     families: dict[str, dict[str, np.ndarray]]
     #: The block's :func:`leg_sequences`: position ``first_position + j``'s
     #: window is ``[j*stride, j*stride + window)`` of each array.
-    legs: dict[str, tuple] | None = field(default=None, repr=False, compare=False)
+    legs: dict[str, tuple] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.t_center)

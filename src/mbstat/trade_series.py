@@ -87,15 +87,18 @@ _EXPONENT = np.uint64(0x7FF << 52)
 _TIE = 2.0**-24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeSeries:
     """A uniformly spaced sequence of trades for one asset: the tick times,
     prices and volumes it was read from, as read-only numpy arrays.
 
     The trade value ``price * volume`` and the grid step ``epsilon`` are
     derived from them on each read, not stored, so neither can contradict
-    the columns.
+    the columns.  A series compares by value, its arrays included, and so
+    is not hashable; nor are the windows and return views over it.
     """
+
+    __hash__ = None
 
     asset_id: str
     t: np.ndarray
@@ -494,6 +497,8 @@ class Window:
     where ``t_i`` runs over the window's own (unlagged) tick times.
     """
 
+    __hash__ = None  # it compares its series by value
+
     series: TradeSeries
     start: int  # index of the first windowed tick, before applying lag
     count: int
@@ -597,6 +602,8 @@ class ReturnView(Window):
     arrays are formed once, by :func:`build_leg`, and are read-only;
     everything else is the window's own.
     """
+
+    __hash__ = None  # as Window's; a dataclass would generate one
 
     alpha: int = field(kw_only=True)
     _leg: tuple = field(init=False, repr=False, compare=False)  # (value, c_past, r)

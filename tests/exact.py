@@ -147,3 +147,15 @@ def errors(got: dict[str, float], exact: dict[str, Fraction],
             out[key] = (float(diff / Fraction(scale[key])),
                         float(diff / abs(exact[key])) if exact[key] else math.inf)
     return out
+
+
+def weighted_cov(x1, x2, w1, w2, g1: float, g2: float) -> Fraction:
+    """The exact weighted covariance ``sum(W1*W2*(x1-g1)*(x2-g2)) / sum(W1*W2)``
+    of four equally long windows of doubles at the float averages ``g1`` and
+    ``g2``: the oracle's definition, with no rounding."""
+    (m1, e1), (m2, e2) = (_dyadic([float(v) for v in x] + [float(g)])
+                          for x, g in ((x1, g1), (x2, g2)))
+    (u1, f1), (u2, f2) = (_dyadic([float(v) for v in w]) for w in (w1, w2))
+    ww = [a * b for a, b in zip(u1, u2)]
+    num = sum(w * (a - m1[-1]) * (b - m2[-1]) for w, a, b in zip(ww, m1[:-1], m2[:-1]))
+    return _scaled(num, e1 + e2 + f1 + f2) / _scaled(sum(ww), f1 + f2)

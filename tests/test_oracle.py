@@ -1,5 +1,6 @@
-import inspect
 import math
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import return_view_pairs, trade_windows, window_pairs
+import exact
 from direct import returns_of
 from mbstat import (
     WeightVector,
@@ -224,8 +226,110 @@ class TestOracleCorr:
             )
 
 
+BIG, INF, NAN = [1e300, 1e300], math.inf, math.nan
+
+# (function, arguments, error class, whole message).  Where an input breaks two
+# rules, the row names the error that wins.
+SCALAR_ERRORS = [
+    (make_weights, ("volume", [1.0], [2.0]), LengthMismatch,
+     "kind 'volume' takes a single sequence"),
+    (make_weights, ("past_value", []), EmptyInput, "past_value entries are empty"),
+    (make_weights, ("volume_product", [1.0]), LengthMismatch,
+     "kind 'volume_product' takes two sequences"),
+    (make_weights, ("nope", [1.0]), NonPositiveInput, "unknown weight kind 'nope'"),
+    (make_weights, ("nope", [], [0.0]), NonPositiveInput, "unknown weight kind 'nope'"),
+    (make_weights, ("volume", [2.0, 0.0, -1.0]), NonPositiveInput,
+     "volume entries must be > 0, got 0.0"),
+    (make_weights, ("volume", [1, -3]), NonPositiveInput, "volume entries must be > 0, got -3.0"),
+    (make_weights, ("past_value", [1.0, NAN]), NonPositiveInput,
+     "past_value entries must be > 0, got nan"),
+    (make_weights, ("volume_product", [], [1.0]), EmptyInput,
+     "volume_product[1] entries are empty"),
+    (make_weights, ("volume_product", [1.0], []), EmptyInput,
+     "volume_product[2] entries are empty"),
+    (make_weights, ("volume_past_value", [], [-1.0]), EmptyInput,
+     "volume_past_value[1] entries are empty"),
+    (make_weights, ("volume_past_value", [0.0], [-1.0]), NonPositiveInput,
+     "volume_past_value[1] entries must be > 0, got 0.0"),
+    (make_weights, ("volume_product", [1.0, 0.0], [1.0]), NonPositiveInput,
+     "volume_product[1] entries must be > 0, got 0.0"),
+    (make_weights, ("volume_product", [1.0], [1.0, -2.0]), NonPositiveInput,
+     "volume_product[2] entries must be > 0, got -2.0"),
+    (make_weights, ("past_value_product", [1.0, 2.0, 3.0], [1.0, 2.0]), LengthMismatch,
+     "weight inputs differ in length: 3 vs 2"),
+    (make_weights, ("volume_product", BIG * 2, [1e8, 1e8]), LengthMismatch,
+     "weight inputs differ in length: 4 vs 2"),
+    (make_weights, ("volume", [1e308, 1e308]), UnnormalizedWeights,
+     "normalization drifted by 1.000e+00"),
+    (make_weights, ("volume_product", BIG, [1e8, 1e8]), UnnormalizedWeights,
+     "normalization drifted by 1.000e+00"),
+    (em_expectation, ([1.0, 2.0, 3.0], WeightVector("volume", (0.5, 0.5))), LengthMismatch,
+     "values and weights differ in length: 3 vs 2"),
+    (em_expectation, ([1.0], WeightVector("volume", (0.5, 0.4))), LengthMismatch,
+     "values and weights differ in length: 1 vs 2"),
+    (em_expectation, ([1.0, 2.0], WeightVector("volume", (0.5, 0.4))), UnnormalizedWeights,
+     "weights sum to 1+1.000e-01"),
+    (em_expectation, ([], WeightVector("volume", ())), UnnormalizedWeights,
+     "weights sum to 1+1.000e+00"),
+    (oracle_corr, ("nope", [1.0], [1.0], [0.0], [1.0], 1.0, 1.0), NonPositiveInput,
+     "unknown correlation kind 'nope'"),
+    (oracle_corr, ("price_price", [], [], [], [], 1.0, 1.0), EmptyInput,
+     "volume_product[1] entries are empty"),
+    (oracle_corr, ("price_price", [1.0], [1.0], [], [], 1.0, 1.0), EmptyInput,
+     "volume_product[1] entries are empty"),
+    (oracle_corr, ("return_return", [1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [1.0, 1.0], 1.0, 1.0),
+     NonPositiveInput, "past_value_product[1] entries must be > 0, got 0.0"),
+    (oracle_corr, ("price_return", [1.0], [1.0], [1.0], [NAN], 1.0, 1.0), NonPositiveInput,
+     "volume_past_value[2] entries must be > 0, got nan"),
+    (oracle_corr, ("price_price", [1.0, 2.0], [1.0, 2.0], [1.0, -1.0], [1.0], 1.0, 1.0),
+     NonPositiveInput, "volume_product[1] entries must be > 0, got -1.0"),
+    (oracle_corr, ("price_price", [1.0], [1.0, 2.0], [1.0, 0.0], [1.0, 1.0], 1.0, 1.0),
+     NonPositiveInput, "volume_product[1] entries must be > 0, got 0.0"),
+    (oracle_corr, ("price_price", [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0], 1.0, 1.0),
+     LengthMismatch, "weight inputs differ in length: 2 vs 1"),
+    (oracle_corr, ("price_price", [1.0, 2.0], [1.0], [1.0, 1.0], [1.0, 1.0], 1.0, 1.0),
+     LengthMismatch, "sequence lengths differ: 2, 1, weights 2"),
+    (oracle_corr, ("price_price", [], [], [1.0], [1.0], 1.0, 1.0), LengthMismatch,
+     "sequence lengths differ: 0, 0, weights 1"),
+    (oracle_corr, ("price_price", [1.0, 1.0], [1.0, 1.0], BIG, [1e8, 1e8], 1.0, 1.0),
+     UnnormalizedWeights, "normalization drifted by 1.000e+00"),
+    (oracle_corr, ("price_price", [1.0], [1.0, 1.0], BIG, [1e8, 1e8], 1.0, 1.0),
+     UnnormalizedWeights, "normalization drifted by 1.000e+00"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", SCALAR_ERRORS,
+                         ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(SCALAR_ERRORS)])
+def test_scalar_errors(fn, args, error, message):
+    with pytest.raises(error) as caught:
+        fn(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+class TestNonFiniteWeights:
+    """A weight sum that is not finite fails the weight rule and the check in
+    em_expectation: ``spread <= tol`` is false for NaN."""
+
+    def test_an_infinite_carrier(self):
+        with pytest.raises(UnnormalizedWeights, match="^normalization drifted by nan$"):
+            make_weights("volume", [1.0, INF])
+
+    def test_an_overflowing_product(self):
+        # 1e200 * 1e200 overflows to inf: the weights are nan and 0.
+        args = [1.0, 2.0], [1.0, 2.0], [1e200, 1e200], [1e200, 1.0]
+        with pytest.raises(UnnormalizedWeights, match="^normalization drifted by nan$"):
+            oracle_corr("price_price", *args, 1.0, 1.0)
+        with pytest.raises(UnnormalizedWeights, match="^normalization drifted by nan$"):
+            oracle_corr_windows("price_price", *args, [1.0], [1.0], window=2, stride=1)
+
+    def test_a_nan_weight(self):
+        with pytest.raises(UnnormalizedWeights, match=r"^weights sum to 1\+nan$"):
+            em_expectation([1.0, 2.0], WeightVector("volume", (NAN, 1.0)))
+
+
 class TestOracleCorrWindows:
-    """The batched oracle against the scalar one, window by window."""
+    """The batched oracle and the scalar one, window by window, against the
+    exact reference."""
 
     KINDS = ("price_price", "return_return", "price_return")
 
@@ -240,7 +344,7 @@ class TestOracleCorrWindows:
         return out
 
     @given(st.data())
-    def test_matches_the_scalar_oracle(self, data):
+    def test_matches_the_exact_reference(self, data):
         window = data.draw(st.integers(1, 24), label="window")
         stride = data.draw(st.integers(1, 8), label="stride")
         first = data.draw(st.integers(0, 4), label="first")
@@ -251,7 +355,7 @@ class TestOracleCorrWindows:
             np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
             for _ in range(4)]
         # The averages verify passes: each leg's carrier-weighted mean over
-        # the window, so the deviations are on the scale of |g1*g2|.
+        # the window.
         starts = (first + np.arange(k)) * stride
         avg1, avg2 = (np.array([np.dot(c[lo:lo + window], x[lo:lo + window])
                                 / np.sum(c[lo:lo + window]) for lo in starts])
@@ -262,10 +366,20 @@ class TestOracleCorrWindows:
                 # arrays cut at the first one's start.
                 got = oracle_corr_windows(kind, *(a[first * stride:] for a in arrays), avg1,
                                           avg2, window=window, stride=stride)
-            want = self.scalar(kind, arrays, avg1, avg2, window, stride, first)
             assert got.shape == (k,)
-            for g, w, g1, g2 in zip(got.tolist(), want, avg1, avg2):
-                assert abs(g - w) <= 1e-13 * abs(g1 * g2)
+            by_window = self.scalar(kind, arrays, avg1, avg2, window, stride, first)
+            for lo, g, s, g1, g2 in zip(starts, got.tolist(), by_window, avg1, avg2):
+                span = slice(lo, lo + window)
+                want = exact.weighted_cov(x1[span], x2[span], c1[span], c2[span], g1, g2)
+                # Each weight carries at most window + 2 roundings, each
+                # deviation product 3 and the weighted sum window more:
+                # bounded, with room to spare, by 4 * (window + 4) ulps of
+                # the weighted mean of |(x1 - g1) * (x2 - g2)|.
+                w = c1[span] * c2[span]
+                size = math.fsum(w * np.abs((x1[span] - g1) * (x2[span] - g2))) / math.fsum(w)
+                bound = 4 * (window + 4) * exact.EPS * size
+                assert abs(Fraction(g) - want) <= bound
+                assert abs(Fraction(s) - want) <= bound
 
     def test_blocks_split_at_the_element_bound(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -388,12 +502,21 @@ class TestInputTypes:
         )
 
     def test_imports_no_mbstat_arithmetic(self):
-        # numpy serves the batched oracle and relative_deviation; the scalar
-        # oracle runs on plain floats.
-        for fn in (make_weights, em_expectation, oracle_corr):
-            assert "np." not in inspect.getsource(fn)
+        # Every oracle function runs with the rest of mbstat, the package
+        # included, unimportable: none reaches another module's arithmetic,
+        # not even through an import inside a function.
+        others = {name: None for name in sys.modules if name.split(".")[0] == "mbstat"
+                  and name not in ("mbstat.oracle", "mbstat.errors")}
+        ones = np.ones(4)
+        with mock.patch.dict(sys.modules, others):
+            w = make_weights("volume_product", [1.0, 2.0], [2.0, 1.0])
+            assert em_expectation([2.0, 8.0], w) == 5.0
+            assert oracle_corr("price_return", [1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                               1.5, 1.5) == -0.25
+            assert oracle_corr_windows("price_price", ones, ones, ones, ones, [1.0], [1.0],
+                                       window=4, stride=1).tolist() == [0.0]
         with open(oracle.__file__) as fh:
             imports = [ln for ln in fh if ln.startswith(("import ", "from "))]
-        assert [ln for ln in imports if "from ." in ln] == [
+        assert [ln for ln in imports if "from ." in ln or "mbstat" in ln] == [
             "from .errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights\n"
         ]

@@ -204,6 +204,14 @@ class TestChunking:
             for key in a.families[family]:
                 assert np.array_equal(a.families[family][key], b.families[family][key])
 
+    def test_a_chunk_compares_and_hashes_by_identity(self):
+        s1, s2 = synth_pair(100)
+        plan = make_plan(s1, s2, window=12, alpha=1, beta=1)
+        a = collect_rolling_stats(s1, s2, plan)
+        b = collect_rolling_stats(s1, s2, plan)
+        assert a == a and a != b  # equal contents, two chunks
+        assert {a: 1, b: 2}[a] == 1
+
     def test_all_outputs_finite(self):
         s1, s2 = synth_pair(300, volume_log_sd=1.0)
         plan = make_plan(s1, s2, window=9, alpha=2, beta=3)

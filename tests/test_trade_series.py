@@ -706,3 +706,13 @@ class TestReturnView:
         assert np.array_equal(rv.r, w.price / then)
         assert np.array_equal(rv.c_past, then * w.volume)
 
+
+@pytest.mark.parametrize("build", [
+    lambda s: s, lambda s: Window(s, 2, 3), lambda s: compute_returns(Window(s, 2, 3), 1),
+], ids=["TradeSeries", "Window", "ReturnView"])
+def test_value_types_are_not_hashable(build):
+    # Each compares its arrays by value, which a hash could not follow.
+    value = build(make_series("a", np.arange(5), [1.0, 2.0, 4.0, 2.0, 8.0], [1.0] * 5))
+    assert type(value).__hash__ is None
+    with pytest.raises(TypeError, match=f"^unhashable type: '{type(value).__name__}'$"):
+        hash(value)
