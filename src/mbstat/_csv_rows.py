@@ -19,10 +19,14 @@ from ._grid17 import AREA, ZEROS, U, digits8, float_words, layout, nonzero_bytes
 from .trade_series import CSV_HEADER, TradeSeries
 
 _POWERS = np.array([10**j for j in range(1, 20)], U)
-# Rows per block of the CSV body, one matrix of words each.  On a 250k-tick
-# series (2-core Xeon) 8,192 and 16,384 rows took 0.17-0.20 s, 4,096 rows
-# 0.19-0.24 s: a block makes some 200 numpy calls.
-_BLOCK_ROWS = 8192
+# Rows per block of the CSV body, one matrix of words each, written out
+# _TEXT_ROWS at a time.  A block makes some 200 numpy calls: on a 250k-tick
+# series (2-core Xeon) 4,096 rows took 5-10% longer than 8,192, and 6,144
+# rows 2-4% longer.  With 6,144 the matrix and the formatter's temporaries,
+# or a third of the matrix's bytes and their NUL mask, stay below one
+# series-long column of a 200k-tick series.
+_BLOCK_ROWS = 6144
+_TEXT_ROWS = 2048
 
 
 def _int_words(t: np.ndarray, out: np.ndarray) -> None:
@@ -31,13 +35,19 @@ def _int_words(t: np.ndarray, out: np.ndarray) -> None:
     in the 24 bytes."""
     u = t.view(U)
     u = np.where(t < 0, U(0) - u, u)  # |t|, also for -2**63
-    lead = u // U(10**16)  # at most 922
-    rest = u - lead * U(10**16)
-    mid = rest // U(10**8)
-    digits = digits8(np.stack([lead, mid, rest - mid * U(10**8)]))
+    digits = np.empty((3, len(t)), U)  # |t| as 8-digit groups, filled in place
+    lead, mid, rest = digits
+    np.floor_divide(u, U(10**16), out=lead)  # at most 922
+    np.multiply(lead, U(10**16), out=rest)
+    np.subtract(u, rest, out=rest)
+    np.floor_divide(rest, U(10**8), out=mid)
+    rest -= mid * U(10**8)
+    digits8(digits)
     # The leading zeros of the 24 digits stay NUL.
     first = AREA - 1 - np.searchsorted(_POWERS, u, side="right")
-    digits |= ZEROS ^ np.take(layout(True).zeros, first, axis=1)
+    shown = np.take(layout(True).zeros, first, axis=1)
+    shown ^= ZEROS
+    digits |= shown
     out[:] = digits.T
     out[:, 0] |= np.where(t < 0, U(ord("-")), U(0))
 
@@ -46,16 +56,18 @@ def csv_blocks(series: TradeSeries) -> Iterator[bytes]:
     """The canonical CSV of ``series``: its header line, then the row
     ``t,price,volume`` and an LF for each tick, in blocks of rows.  A block
     is one ``row_template`` matrix of 12 words per row (``t``, ``,``, price,
-    ``,``, volume, LF), written out by ``nonzero_bytes``."""
+    ``,``, volume, LF), written out by ``nonzero_bytes``; the tick times of
+    a block are built from the series' grid."""
     yield CSV_HEADER.encode() + b"\n"
-    t = np.asarray(series.t, np.int64)
+    n = len(series)
     price, volume = np.asarray(series.price, np.float64), np.asarray(series.volume, np.float64)
     row, (at_t, at_price, at_volume) = row_template((b"", b",", b",", b"\n"))
-    mat = np.tile(row, (min(len(t), _BLOCK_ROWS), 1))
-    for b0 in range(0, len(t), _BLOCK_ROWS):
+    mat = np.tile(row, (min(n, _BLOCK_ROWS), 1))
+    for b0 in range(0, n, _BLOCK_ROWS):
         span = slice(b0, b0 + _BLOCK_ROWS)
-        block = mat[: len(t[span])]
-        _int_words(t[span], block[:, at_t : at_t + 3])
+        block = mat[: len(price[span])]
+        _int_words(series.times(b0, len(block)), block[:, at_t : at_t + 3])
         for x, at in ((price[span], at_price), (volume[span], at_volume)):
             float_words(x, block[:, at : at + 3], layout(True))
-        yield nonzero_bytes(block)
+        for r0 in range(0, len(block), _TEXT_ROWS):
+            yield nonzero_bytes(block[r0 : r0 + _TEXT_ROWS])

@@ -75,22 +75,33 @@ def decimal_17(x: np.ndarray):
     ``p`` integer-valued.  Subnormals and a k outside the table are not
     fast, and are taken as 0."""
     tab = _tables()
+    hi, lo, hh, hl = tab.powers
     a = np.abs(x)
     biased = a.view(np.int64) >> 52
     ki = tab.k_low[biased]
-    ki = np.where(a >= tab.k_step[biased], ki + 1, ki)
+    ki += a >= tab.k_step[biased]
     fast = tab.in_table[biased]
+    del biased  # in place from here, and each power gathered where it is used
     a[~fast] = 0.0
-    hi, lo, hh, hl = (power[ki] for power in tab.powers)
-    p = a * hi
-    t = a * _SPLIT
-    ah = t - (t - a)
+    p = a * hi[ki]
+    ah = a * _SPLIT
+    ah -= ah - a  # t - (t - a), t = a * _SPLIT
     al = a - ah
-    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    hh, hl = hh[ki], hl[ki]
+    r = ah * hh  # ((ah*hh - p) + ah*hl + al*hh) + al*hl + a*lo
+    r -= p
+    r += ah * hl
+    del ah
+    r += al * hh
+    r += al * hl
+    del al, hh, hl
+    r += a * lo[ki]
     near = np.rint(r)
-    digits = p.astype(np.int64) + near.astype(np.int64)
+    digits = p.astype(np.int64)
+    digits += near.astype(np.int64)
     fast &= digits < 10**17  # else the rounding carried, or k is past _K_MAX
-    fast &= np.abs(r - near) < 0.5 - _TIE
+    r -= near
+    fast &= np.abs(r) < 0.5 - _TIE
     fast |= x == 0.0
     return ki, digits, fast
 
@@ -158,13 +169,16 @@ def float_words(x, out, lay) -> None:
     ``decimal_17`` where it is fast, else ``"%.17g" % v`` (never integral in
     fixed notation: there the 17 digits are exact, so no ``.0`` is due)."""
     ki, digits, fast = decimal_17(x)
-    # The 17 digits as bytes 0-16 of three words: 0-7, 8-15, 16.
+    # The 17 digits as bytes 0-16 of three words: 0-7, 8-15, 16.  Each
+    # temporary is dropped once used, so that a block of n values peaks near
+    # 12 arrays of n words.
     d = digits.view(U)
     s = np.empty((3, len(x)), U)
     high = d // U(10)
     s[2] = d - high * U(10)
     s[0] = high // U(10**8)
     s[1] = high - s[0] * U(10**8)
+    del d, digits, high
     digits8(s[:2])
     # The digits written: up to the last nonzero one, and at least lay.keep.
     last = s.astype(np.float64).view(np.int64)
@@ -172,6 +186,7 @@ def float_words(x, out, lay) -> None:
     last += _TOP
     last >>= 3
     keep = np.maximum(last.max(axis=0), lay.keep[ki])
+    del last
     point = lay.point[ki]
     point[point + 1 >= keep] = AREA - 1  # "1e+16", not "1.e+16"
     s |= np.take(lay.zeros, keep, axis=1)  # ASCII for the digits written
@@ -179,23 +194,29 @@ def float_words(x, out, lay) -> None:
     # after digit `point`, the bytes after it one byte on (in place: large
     # temporaries cost page faults).
     at = 8 * keep - _BIT
+    del keep
     e = lay.exponent[ki]
-    s |= e << at.view(U)
+    part = e << at.view(U)
+    s |= part
     at *= -1
-    s |= e >> at.view(U)
+    np.right_shift(e, at.view(U), out=part)
+    s |= part
+    del at, e, part
     moved = s << U(8)
     moved[1:] |= s[:-1] >> U(56)
     moved &= np.take(lay.above, point, axis=1)
     s &= np.take(lay.below, point, axis=1)
     s |= moved
+    del moved
     s |= np.take(lay.dot, point, axis=1)
     # The sign and "0.000" before them.
     at = ki + np.signbit(x) * len(lay.keep)
     shift = lay.shift[at]
-    area = s << shift
-    area[1:] |= s[:-1] >> (U(64) - shift)
-    area[0] |= lay.head[at]
-    out[:] = area.T
+    carry = s[:-1] >> (U(64) - shift)
+    s <<= shift
+    s[1:] |= carry
+    s[0] |= lay.head[at]
+    out[:] = s.T
     for i in np.flatnonzero(~fast).tolist():
         out[i] = np.frombuffer((b"%.17g" % float(x[i])).ljust(AREA, b"\0"), WORD)
 

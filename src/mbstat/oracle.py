@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights
+from .errors import (EmptyInput, InvalidConfig, LengthMismatch, NonPositiveInput,
+                     UnnormalizedWeights)
 
 SINGLE_KINDS = ("volume", "past_value")
 PRODUCT_KINDS = ("volume_product", "past_value_product", "volume_past_value")
@@ -177,10 +178,14 @@ def oracle_corr_windows(kind: str, x1, x2, carrier1, carrier2, avg1, avg2, *,
     four per-tick arrays.  Each block of windows passes the weight rule
     (:func:`_weights`, with each window normalized by its own sum), and the
     weighted mean of each window's deviation products is one row of an
-    ``einsum``.  An unknown kind is a NonPositiveInput.  Windows are taken in
-    blocks, so that no temporary holds more than ``_BLOCK_ELEMENTS`` floats
-    (or one window, if that is longer).
+    ``einsum``.  A window or stride below 1 is an InvalidConfig, and an
+    unknown kind a NonPositiveInput.  Windows are taken in blocks, so that no
+    temporary holds more than ``_BLOCK_ELEMENTS`` floats (or one window, if
+    that is longer).
     """
+    for name, steps in (("window", window), ("stride", stride)):
+        if steps < 1:
+            raise InvalidConfig(f"{name} must be >= 1, got {steps}")
     weight_kind = _weight_kind(kind)
     avg1, avg2 = np.asarray(avg1, dtype=np.float64), np.asarray(avg2, dtype=np.float64)
     if len(avg1) != len(avg2):

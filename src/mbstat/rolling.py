@@ -161,15 +161,15 @@ def make_plan(
             f"grid spacings differ: {s1.epsilon} vs {s2.epsilon}"
         )
     eps = s1.epsilon
-    if (int(s1.t[0]) - int(s2.t[0])) % eps != 0:
+    if (s1.start_time - s2.start_time) % eps != 0:
         raise NonUniformSpacing("the two grids are offset by a fraction of a step")
 
-    t_lo = max(int(s1.t[0]), int(s2.t[0]))
-    t_hi = min(int(s1.t[-1]), int(s2.t[-1]))
+    t_lo = max(s1.start_time, s2.start_time)
+    t_hi = min(s1.time_at(len(s1) - 1), s2.time_at(len(s2) - 1))
     if t_lo > t_hi:
         raise MissingHistory("the two series do not overlap in time")
-    off1 = (t_lo - int(s1.t[0])) // eps
-    off2 = (t_lo - int(s2.t[0])) // eps
+    off1 = (t_lo - s1.start_time) // eps
+    off2 = (t_lo - s2.start_time) // eps
     length = (t_hi - t_lo) // eps + 1
 
     need1 = alpha if "r1" in legs else 0

@@ -1,8 +1,9 @@
 """Tick-level trade data: parsing, validation, windowing, lagging, returns.
 
 A trade series lives on a uniform time grid: integer tick times with one
-constant spacing ``epsilon`` between consecutive trades.  All lags and window
-widths are expressed in grid steps.  Gaps and duplicate timestamps are hard
+constant spacing ``epsilon`` between consecutive trades, of which it keeps
+only the first time and the spacing.  All lags and window widths are
+expressed in grid steps.  Gaps and duplicate timestamps are hard
 errors; filling them would invent trades with fictitious volumes and poison
 every volume-weighted statistic downstream.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -89,38 +91,60 @@ _TIE = 2.0**-24
 
 @dataclass(frozen=True, eq=False)
 class TradeSeries:
-    """A uniformly spaced sequence of trades for one asset: the tick times,
-    prices and volumes it was read from, as read-only numpy arrays.
+    """A uniformly spaced sequence of trades for one asset: its grid, the
+    first tick time ``start_time`` and the step ``epsilon`` (1 for a single
+    tick), and the prices and volumes it was read from, as read-only numpy
+    arrays.
 
-    The trade value ``price * volume`` and the grid step ``epsilon`` are
-    derived from them on each read, not stored, so neither can contradict
-    the columns.  A series compares by value, its arrays included, and so
-    is not hashable; nor are the windows and return views over it.
+    The tick times ``t[i] == start_time + i*epsilon`` and the trade values
+    ``price * volume`` are derived on each read, not stored, so neither can
+    contradict the grid or the columns.  A series compares by value, its
+    arrays included, and so is not hashable; nor are the windows and return
+    views over it.
     """
 
     __hash__ = None
 
     asset_id: str
-    t: np.ndarray
+    start_time: int
+    epsilon: int
     price: np.ndarray
     volume: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.t, self.price, self.volume):
+        for name in ("start_time", "epsilon"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.epsilon < 1:
+            raise NonUniformSpacing(f"epsilon must be >= 1, got {self.epsilon}")
+        if not -(2**63) <= self.start_time <= self.time_at(max(len(self) - 1, 0)) < 2**63:
+            raise ParseError(f"a grid of {len(self)} ticks from t={self.start_time} in steps "
+                             f"of {self.epsilon} leaves the 64-bit integer range")
+        for arr in (self.price, self.volume):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.price)
+
+    def time_at(self, i: int) -> int:
+        """The tick time at index ``i``, as an int."""
+        return self.start_time + i * self.epsilon
+
+    def times(self, start: int, count: int) -> np.ndarray:
+        """The tick times of ``count`` ticks from index ``start``, as a new
+        read-only int64 array."""
+        # Modulo 2**64, so a grid near either end of the int64 range needs no
+        # intermediate inside it.
+        t = np.arange(start, start + count, dtype=np.uint64)
+        t *= np.uint64(self.epsilon)
+        t += np.uint64(self.start_time % 2**64)
+        t = t.view(np.int64)
+        t.setflags(write=False)
+        return t
 
     @property
-    def start_time(self) -> int:
-        return int(self.t[0])
-
-    @property
-    def epsilon(self) -> int:
-        """The constant spacing between consecutive tick times (1 for a
-        single tick)."""
-        return int(self.t[1] - self.t[0]) if len(self.t) > 1 else 1
+    def t(self) -> np.ndarray:
+        """All tick times, built from the grid on each read."""
+        return self.times(0, len(self))
 
     @property
     def value(self) -> np.ndarray:
@@ -132,7 +156,8 @@ class TradeSeries:
             return NotImplemented
         return (
             self.asset_id == other.asset_id
-            and np.array_equal(self.t, other.t)
+            and self.start_time == other.start_time
+            and self.epsilon == other.epsilon
             and np.array_equal(self.price, other.price)
             and np.array_equal(self.volume, other.volume)
         )
@@ -146,11 +171,12 @@ def _first_outside_range(arr: np.ndarray) -> int | None:
     return int(np.argmax(~((arr >= _TINY) & (arr < math.inf))))
 
 
-def _check_spacing(t: np.ndarray) -> None:
-    """Refuse tick times ``t`` that are not strictly increasing with one
-    constant step (a single tick has none to check)."""
+def _check_spacing(t: np.ndarray) -> tuple[int, int]:
+    """The grid ``(start_time, epsilon)`` of tick times ``t``, as ints;
+    refuse times that are not strictly increasing with one constant step (a
+    single tick has none to check, and a step of 1)."""
     if t.size < 2:
-        return
+        return int(t[0]), 1
     steps = np.diff(t)
     epsilon = int(steps[0])
     if epsilon <= 0:
@@ -164,6 +190,17 @@ def _check_spacing(t: np.ndarray) -> None:
             f"spacing {int(steps[i])} between t={t[i]} and t={t[i + 1]} "
             f"differs from epsilon={epsilon}"
         )
+    # The steps wrap modulo 2**64: each equal to epsilon there is epsilon or
+    # epsilon - 2**64, a step back, and only with none does the grid end at
+    # the last time.
+    start_time = int(t[0])
+    if int(t[-1]) != start_time + (t.size - 1) * epsilon:
+        i = int(np.argmax(t[1:] < t[:-1]))
+        raise NonUniformSpacing(
+            f"tick times must be strictly increasing (duplicate or reversed "
+            f"timestamp after t={t[i]})"
+        )
+    return start_time, epsilon
 
 
 def make_series(asset_id, times, prices, volumes, declared_values=None) -> TradeSeries:
@@ -174,7 +211,8 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
     trade value) a positive normal float.  The product is formed here only
     to check it, and a declared value column, if given, against it; both
     are then dropped, and every reader forms the value again from the
-    prices and volumes, so the trade identity holds bit-exactly.
+    prices and volumes, so the trade identity holds bit-exactly.  Of the
+    times, the series keeps only its first time and the spacing.
     """
     t_raw = np.asarray(times)
     if t_raw.dtype.kind == "f" and not np.all(t_raw == np.floor(t_raw)):
@@ -202,7 +240,7 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         i = int(np.argmax(volume <= 0.0))
         raise NonPositiveVolume(f"volume {volume[i]} at t={t[i]} must be > 0")
 
-    _check_spacing(t)
+    start_time, epsilon = _check_spacing(t)
     with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the row
         value = price * volume
     i = _first_outside_range(value)
@@ -222,7 +260,8 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
                 f"price*volume={value[i]} by more than {VALUE_REL_TOL:g} relative"
             )
 
-    return TradeSeries(asset_id=asset_id, t=t, price=price, volume=volume)
+    return TradeSeries(asset_id=asset_id, start_time=start_time, epsilon=epsilon, price=price,
+                       volume=volume)
 
 
 def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
@@ -527,8 +566,9 @@ class Window:
 
     @property
     def times(self) -> np.ndarray:
-        """Unlagged tick times the window refers to."""
-        return self.series.t[self.start : self.start + self.count]
+        """Unlagged tick times the window refers to, built from the grid on
+        each read."""
+        return self.series.times(self.start, self.count)
 
     @property
     def price(self) -> np.ndarray:
@@ -548,7 +588,8 @@ class Window:
 
     @property
     def t_center(self) -> float:
-        return (float(self.times[0]) + float(self.times[-1])) / 2.0
+        first, last = (self.series.time_at(i) for i in (self.start, self.start + self.count - 1))
+        return (float(first) + float(last)) / 2.0
 
 
 def whole_steps(n, what: str, error: type = LagNotOnGrid) -> int:
@@ -581,7 +622,7 @@ def slice_window(series: TradeSeries, center, half_width) -> Window:
     hi_t = center + hw * eps
     i_lo = max(0, math.ceil((lo_t - t0) / eps))
     i_hi = min(len(series) - 1, math.floor((hi_t - t0) / eps))
-    if i_lo > i_hi or series.t[i_lo] < lo_t or series.t[i_hi] > hi_t:
+    if i_lo > i_hi or series.time_at(i_lo) < lo_t or series.time_at(i_hi) > hi_t:
         raise EmptyWindow(f"no ticks of {series.asset_id!r} inside [{lo_t}, {hi_t}]")
     return Window(series=series, start=i_lo, count=i_hi - i_lo + 1, lag=0)
 
@@ -642,7 +683,7 @@ def build_leg(series: TradeSeries, start: int, count: int, horizon: int = 0):
         for name, arr in (("past value", carrier), ("return", x)):
             i = _first_outside_range(arr)
             if i is not None:
-                raise ParseError(f"{name} {float(arr[i])!r} at t={series.t[start + i]} over "
+                raise ParseError(f"{name} {float(arr[i])!r} at t={series.time_at(start + i)} over "
                                  f"horizon {horizon} is not a positive normal float")
     return value, carrier, x
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from mbstat import SynthConfig, TradeSeries, gen_trades, make_series, parse_trades, serialize
 from mbstat import _csv_rows, trade_series
-from mbstat._grid17 import decimal_17
+from mbstat._grid17 import U, decimal_17
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -63,33 +63,50 @@ def test_generated_series_take_the_fast_paths(monkeypatch, seed, regime, mode):
     assert all(plain)
 
 
-def _series(t, price, volume) -> TradeSeries:
-    """A series built without validation, so that any int64 times serialize."""
-    t = np.asarray(t, np.int64)
-    price, volume = np.asarray(price, np.float64), np.asarray(volume, np.float64)
-    return TradeSeries("s", t, price, volume)
+# Tick times at the edges of each digit group and of the int64 range.
+TIME_EDGES = [-(2**63), -(2**63) + 1, -(10**18), -1234567890123456789, -10, -1, 0, 1, 9, 10,
+              99, 100, 10**8 - 1, 10**8, 10**15, 10**16 - 1, 10**16, 10**18,
+              1234567890123456789, 2**63 - 1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.int64, st.integers(0, 60), elements=st.integers(-(2**63), 2**63 - 1)))
+def test_int_words_matches_str(t):
+    """The ``t`` cells, over any int64 times: a series holds only times on a
+    grid, so ``_int_words`` is checked on its own."""
+    t = np.concatenate([t, TIME_EDGES])
+    out = np.zeros((len(t), 3), U)
+    _csv_rows._int_words(t, out)
+    assert [row.tobytes().replace(b"\0", b"") for row in out] == [
+        str(v).encode() for v in t.tolist()]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_serialize_matches_the_reference(data):
+    # Any grid inside int64, and any finite floats: the series is built
+    # without make_series, which would refuse most of them.
     n = data.draw(st.integers(0, 60))
-    t = data.draw(arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1)))
+    step = data.draw(st.integers(1, min(2**63 - 1, (2**64 - 1) // max(n - 1, 1))))
+    start = data.draw(st.integers(-(2**63), 2**63 - 1 - max(n - 1, 0) * step))
     price = data.draw(arrays(np.float64, n, elements=finite_floats))
     volume = data.draw(arrays(np.float64, n, elements=finite_floats))
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = _series(t, price, volume)
+    series = TradeSeries("s", start, step, price, volume)
     assert serialize(series) == reference_serialize(series)
 
 
-def test_serialize_time_column_edges():
-    t = [-(2**63), -(2**63) + 1, -(10**18), -1234567890123456789, -10, -1, 0, 1, 9, 10, 99,
-         100, 10**8 - 1, 10**8, 10**15, 10**16 - 1, 10**16, 10**18, 1234567890123456789,
-         2**63 - 1]
-    series = _series(t, np.linspace(0.5, 2.0, len(t)), np.full(len(t), 3.0))
-    assert serialize(series) == reference_serialize(series)
-    assert serialize(_series([], [], [])) == "t,price,volume\n"
-    assert serialize(_series([-3, 0], [100.25, 300.0], [0.1, 1e17])) == (
+@pytest.mark.parametrize("start, step, n", [
+    (-(2**63), 1, 30), (2**63 - 30, 1, 30), (-(2**63), 2**32 + 7, 30),
+    (2**63 - 1 - 29 * (2**40 + 3), 2**40 + 3, 30), (-(2**63), 2**63 - 1, 3)])
+def test_serialize_time_column_edges(start, step, n):
+    """Grids that start at -2**63 or end at 2**63 - 1, with steps above
+    2**32, round-trip through the CSV."""
+    rng = np.random.default_rng(n)
+    series = make_series("s", [start + i * step for i in range(n)],
+                         rng.uniform(0.5, 2.0, n), rng.uniform(1.0, 3.0, n))
+    _assert_round_trip(series)
+    assert serialize(TradeSeries("s", 0, 1, np.ones(0), np.ones(0))) == "t,price,volume\n"
+    assert serialize(TradeSeries("s", -3, 3, np.array([100.25, 300.0]), np.array([0.1, 1e17]))) == (
         "t,price,volume\n-3,100.25,0.10000000000000001\n0,300.0,1e+17\n")
 
 
@@ -101,9 +118,10 @@ def test_serialize_prices_below_1e300():
 
 def test_serialize_across_blocks(monkeypatch):
     monkeypatch.setattr(_csv_rows, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(_csv_rows, "_TEXT_ROWS", 3)
     rng = np.random.default_rng(11)
     price = np.exp(rng.normal(0, 30, 100))
-    series = _series(np.arange(-50, 50) * 10**14, price, np.exp(rng.normal(0, 3, 100)))
+    series = TradeSeries("s", -50 * 10**14, 10**14, price, np.exp(rng.normal(0, 3, 100)))
     assert serialize(series) == reference_serialize(series)
 
 

@@ -1,14 +1,16 @@
 """Working-set bounds, measured with ``tracemalloc`` (numpy reports its
 buffers to it): reading a file holds its columns and a few chunks, not its
-text, and keeps three columns, not the trade value; a rolling drain holds one
-anchor block, not a series-long leg."""
+text, and keeps two columns, not the tick times or the trade value; a
+rolling drain holds one anchor block, not a series-long leg, and writing a
+series' CSV one block of rows, not its tick times."""
 
 import tracemalloc
 
 import pytest
 
-from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan, serialize
-from mbstat import trade_series
+from mbstat import (FAMILIES, SynthConfig, Window, gen_trades, iter_rolling_stats, make_plan,
+                    serialize)
+from mbstat import _csv_rows, trade_series
 from mbstat.trade_series import parse_trades
 
 N = 100_000
@@ -67,6 +69,15 @@ def test_a_parsed_series_keeps_three_columns(long_file):
     assert held < columns + trade_series._CHUNK_CHARS, (held, columns)
 
 
+def test_a_parsed_series_keeps_two_columns(long_file):
+    # The tick times are read to check them and then dropped for the grid.
+    path, rows = long_file
+    columns = 2 * 8 * rows  # price and volume
+
+    held, _ = _traced(lambda: _read(path, rows))
+    assert held < columns + trade_series._CHUNK_CHARS, (held, columns)
+
+
 def test_a_rolling_drain_allocates_no_array_as_long_as_the_series(long_pair):
     # Window 8 keeps an anchor block at 761 positions, so one block's legs,
     # sums and records stay well below one series-long float array.
@@ -80,3 +91,33 @@ def test_a_rolling_drain_allocates_no_array_as_long_as_the_series(long_pair):
 
     _, peak = _traced(drain)
     assert peak < 8 * len(s1), peak
+
+
+def test_a_plan_and_its_drain_allocate_no_array_as_long_as_the_series(long_pair):
+    # The plan places the grids from their first times and steps, and no
+    # engine path builds a series' tick times.
+    s1, s2 = long_pair
+
+    def plan_and_drain():
+        plan = make_plan(s1, s2, window=8, stride=1, alpha=1, beta=1, families=FAMILIES)
+        for _ in iter_rolling_stats(s1, s2, plan):
+            pass
+
+    _, peak = _traced(plan_and_drain)
+    assert peak < 8 * len(s1), peak
+
+
+def test_a_window_builds_only_its_own_times(long_pair):
+    series = long_pair[0]
+    window = Window(series, 1000, 100)
+
+    held, peak = _traced(lambda: window.times)
+    assert held < 8 * 1000 and peak < 8 * 1000, (held, peak)
+
+
+def test_writing_a_series_csv_holds_no_series_long_column(long_pair):
+    series = long_pair[0]
+    assert len(series) == 2 * N
+
+    _, peak = _traced(lambda: sum(map(len, _csv_rows.csv_blocks(series))))
+    assert peak < 8 * len(series), peak

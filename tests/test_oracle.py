@@ -1,3 +1,4 @@
+import ast
 import math
 import sys
 from fractions import Fraction
@@ -20,7 +21,8 @@ from mbstat import (
     vawar,
     vwap,
 )
-from mbstat.errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights
+from mbstat.errors import (EmptyInput, InvalidConfig, LengthMismatch, NonPositiveInput,
+                           UnnormalizedWeights)
 from mbstat import oracle
 from mbstat.oracle import oracle_corr_windows, relative_deviation
 
@@ -381,6 +383,15 @@ class TestOracleCorrWindows:
                 assert abs(Fraction(g) - want) <= bound
                 assert abs(Fraction(s) - want) <= bound
 
+    @pytest.mark.parametrize("window, stride, message", [
+        (0, 1, "window must be >= 1, got 0"), (-2, 1, "window must be >= 1, got -2"),
+        (2, 0, "stride must be >= 1, got 0")])
+    def test_window_and_stride_are_checked_first(self, window, stride, message):
+        # Before the kind and the lengths, which are wrong here too.
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            oracle_corr_windows("bad kind", [1.0] * 4, [1.0] * 4, [1.0] * 4, [1.0], [1.0, 2.0],
+                                [1.0], window=window, stride=stride)
+
     def test_blocks_split_at_the_element_bound(self, monkeypatch):
         rng = np.random.default_rng(3)
         arrays = list(rng.uniform(0.5, 2.0, size=(4, 200)))
@@ -516,7 +527,9 @@ class TestInputTypes:
             assert oracle_corr_windows("price_price", ones, ones, ones, ones, [1.0], [1.0],
                                        window=4, stride=1).tolist() == [0.0]
         with open(oracle.__file__) as fh:
-            imports = [ln for ln in fh if ln.startswith(("import ", "from "))]
-        assert [ln for ln in imports if "from ." in ln or "mbstat" in ln] == [
-            "from .errors import EmptyInput, LengthMismatch, NonPositiveInput, UnnormalizedWeights\n"
-        ]
+            tree = ast.parse(fh.read())
+        modules = [(node.level, node.module) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)]
+        modules += [(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        assert [m for m in modules if m[0] or "mbstat" in m[1]] == [(1, "errors")]

@@ -136,18 +136,21 @@ class TestParse:
 
 
 class TestDerivedColumns:
-    """A series stores the columns it was read from; the trade value and the
-    grid step are derived from them."""
+    """A series stores its grid and the columns it was read from; the tick
+    times, the trade value and the grid step are derived from them."""
 
-    def test_a_series_stores_four_fields(self):
+    def test_a_series_stores_its_grid_and_two_columns(self):
         assert [f.name for f in dataclasses.fields(TradeSeries)] == [
-            "asset_id", "t", "price", "volume"]
+            "asset_id", "start_time", "epsilon", "price", "volume"]
 
-    @pytest.mark.parametrize("derived", [{"value": np.ones(2)}, {"epsilon": 1}])
-    def test_value_and_epsilon_cannot_be_set(self, derived):
-        t, ones = np.arange(2), np.ones(2)
+    @pytest.mark.parametrize("derived", [{"value": np.ones(2)}, {"t": np.arange(2)}])
+    def test_value_and_t_cannot_be_set(self, derived):
+        ones = np.ones(2)
         with pytest.raises(TypeError):
-            TradeSeries("s", t, ones, ones, **derived)
+            TradeSeries("s", 0, 1, ones, ones, **derived)
+        s = TradeSeries("s", 0, 1, ones, ones)
+        with pytest.raises(AttributeError):
+            setattr(s, *derived.popitem())
 
     def test_value_is_the_product_bit_for_bit(self):
         s = gen_trades(SynthConfig(n_ticks=2000, seed=4, price_start=1e4,
@@ -163,11 +166,68 @@ class TestDerivedColumns:
         ones = [1.0] * len(times)
         s = make_series("s", times, ones, ones)
         assert s.epsilon == step and type(s.epsilon) is int
+        assert s.start_time == times[0] and type(s.start_time) is int
 
-    def test_equal_series_compare_their_columns(self):
+    def test_t_is_built_from_the_grid_on_each_read(self):
+        s = make_series("s", [3, 8, 13, 18], [1.0] * 4, [1.0] * 4)
+        assert s.t.dtype == np.int64 and s.t.tolist() == [3, 8, 13, 18]
+        assert s.t is not s.t and not s.t.flags.writeable
+        assert s.times(1, 2).tolist() == [8, 13] and s.times(4, 0).tolist() == []
+        assert [s.time_at(i) for i in range(4)] == s.t.tolist()
+
+    @pytest.mark.parametrize("start, step, n", [
+        (-(2**63), 1, 5), (2**63 - 5, 1, 5), (-(2**63), 2**33 + 1, 7),
+        (2**63 - 1 - 6 * (2**33 + 1), 2**33 + 1, 7), (-(2**63), 2**63 - 1, 3),
+        (-3, 2**62, 3)])
+    def test_grids_at_the_ends_of_int64(self, start, step, n):
+        times = [start + i * step for i in range(n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            s = make_series("s", np.array(times, np.int64), [1.0] * n, [1.0] * n)
+            assert (s.start_time, s.epsilon) == (start, step)
+            assert s.t.tolist() == times
+            assert Window(s, 1, n - 1).times.tolist() == times[1:]
+            assert Window(s, 1, n - 1).t_center == (float(times[1]) + float(times[-1])) / 2
+
+    def test_errors_and_windows_read_times_off_the_grid(self):
+        s = make_series("s", [100, 105, 110, 115], [1.0, 1e300, 1e-300, 2.0], [1.0] * 4)
+        with pytest.raises(ParseError, match="^return 0.0 at t=110 over horizon 1 "):
+            build_leg(s, 1, 3, 1)
+        w = slice_window(s, center=110, half_width=1)
+        assert (w.start, w.count, w.times.tolist(), w.t_center) == (1, 3, [105, 110, 115], 110.0)
+
+    @pytest.mark.parametrize("times, after", [
+        ([2**63 - 1, -2], 2**63 - 1), ([0, 2**63 - 1, -2], 2**63 - 1),
+        ([-(2**63), 0, 2**63 - 1], -(2**63))])
+    def test_steps_that_wrap_around_int64_are_refused(self, times, after):
+        # Each step here equals the first modulo 2**64, but one goes back (or,
+        # at 2**63 and above, reads as a negative int64 step).
+        with pytest.raises(NonUniformSpacing, match=re.escape(
+                f"strictly increasing (duplicate or reversed timestamp after t={after})")):
+            make_series("s", np.array(times, np.int64), [1.0] * len(times), [1.0] * len(times))
+
+    @pytest.mark.parametrize("grid, error, message", [
+        ((0, 0), NonUniformSpacing, "epsilon must be >= 1, got 0"),
+        ((-(2**63) - 1, 1), ParseError, "a grid of 3 ticks from t=-9223372036854775809 in steps "
+                                        "of 1 leaves the 64-bit integer range"),
+        ((2**63 - 2, 1), ParseError, "a grid of 3 ticks from t=9223372036854775806 in steps "
+                                     "of 1 leaves the 64-bit integer range"),
+        ((0, 2**62), ParseError, "a grid of 3 ticks from t=0 in steps of 4611686018427387904 "
+                                 "leaves the 64-bit integer range"),
+    ])
+    def test_a_grid_outside_int64_cannot_be_built(self, grid, error, message):
+        ones = np.ones(3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            TradeSeries("s", *grid, ones, ones)
+        with pytest.raises(TypeError):
+            TradeSeries("s", 0.0, 1, ones, ones)  # a grid of whole numbers
+
+    def test_equal_series_compare_their_grids_and_columns(self):
         s = make_series("s", [0, 2], [1.0, 2.0], [3.0, 4.0])
-        assert s == TradeSeries("s", s.t.copy(), s.price.copy(), s.volume.copy())
+        assert s == TradeSeries("s", s.start_time, s.epsilon, s.price.copy(), s.volume.copy())
         assert s != make_series("s", [0, 2], [1.0, 2.0], [3.0, 5.0])
+        assert s != make_series("s", [1, 3], [1.0, 2.0], [3.0, 4.0])
+        assert s != make_series("s", [0, 3], [1.0, 2.0], [3.0, 4.0])
 
 
 # Cells outside the canonical form; int() or float() reads most of them.
