@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, MbstatError
-from .trade_series import TradeSeries, make_series, whole_steps
+from .trade_series import TradeSeries, _checked_series, whole_steps
 
 GENERATOR_ID = "pcg64-boxmuller-v1"
 
@@ -116,6 +116,6 @@ def gen_trades(config: SynthConfig, asset_id: str | None = None) -> TradeSeries:
                 k = math.exp(config.volume_log_mean) * config.price_start
                 np.divide(k, price[: config.alpha], out=volume[: config.alpha])
                 np.divide(k, price[: n - config.alpha], out=volume[config.alpha :])
-        return make_series(asset_id, np.arange(n, dtype=np.int64), price, volume)
+        return _checked_series(asset_id, 0, 1, price, volume)
     except (MbstatError, OverflowError) as exc:
         raise InvalidConfig(f"{config!r} gives no valid series: {exc}") from exc

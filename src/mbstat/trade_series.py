@@ -132,14 +132,7 @@ class TradeSeries:
     def times(self, start: int, count: int) -> np.ndarray:
         """The tick times of ``count`` ticks from index ``start``, as a new
         read-only int64 array."""
-        # Modulo 2**64, so a grid near either end of the int64 range needs no
-        # intermediate inside it.
-        t = np.arange(start, start + count, dtype=np.uint64)
-        t *= np.uint64(self.epsilon)
-        t += np.uint64(self.start_time % 2**64)
-        t = t.view(np.int64)
-        t.setflags(write=False)
-        return t
+        return _grid_times(self.start_time, self.epsilon, start, count)
 
     @property
     def t(self) -> np.ndarray:
@@ -163,6 +156,18 @@ class TradeSeries:
         )
 
 
+def _grid_times(start_time: int, epsilon: int, start: int, count: int) -> np.ndarray:
+    """The times ``start_time + i*epsilon`` of ``count`` indices ``i`` from
+    ``start``, as a new read-only int64 array: the one grid formula, modulo
+    2**64 so that a grid near either end of int64 needs no value outside it."""
+    t = np.arange(start, start + count, dtype=np.uint64)
+    t *= np.uint64(epsilon % 2**64)  # a single tick's step may be any int
+    t += np.uint64(start_time % 2**64)
+    t = t.view(np.int64)
+    t.setflags(write=False)
+    return t
+
+
 def _first_outside_range(arr: np.ndarray) -> int | None:
     """The first index of ``arr`` that is not a positive normal float (finite
     and at least ``np.finfo(float).tiny``), or None when there is none."""
@@ -171,48 +176,40 @@ def _first_outside_range(arr: np.ndarray) -> int | None:
     return int(np.argmax(~((arr >= _TINY) & (arr < math.inf))))
 
 
-def _check_spacing(t: np.ndarray) -> tuple[int, int]:
-    """The grid ``(start_time, epsilon)`` of tick times ``t``, as ints;
-    refuse times that are not strictly increasing with one constant step (a
-    single tick has none to check, and a step of 1)."""
-    if t.size < 2:
-        return int(t[0]), 1
-    steps = np.diff(t)
-    epsilon = int(steps[0])
-    if epsilon <= 0:
-        raise NonUniformSpacing(
-            f"tick times must be strictly increasing (duplicate or reversed "
-            f"timestamp after t={t[0]})"
-        )
-    if np.any(steps != epsilon):
-        i = int(np.argmax(steps != epsilon))
-        raise NonUniformSpacing(
-            f"spacing {int(steps[i])} between t={t[i]} and t={t[i + 1]} "
-            f"differs from epsilon={epsilon}"
-        )
-    # The steps wrap modulo 2**64: each equal to epsilon there is epsilon or
-    # epsilon - 2**64, a step back, and only with none does the grid end at
-    # the last time.
-    start_time = int(t[0])
-    if int(t[-1]) != start_time + (t.size - 1) * epsilon:
-        i = int(np.argmax(t[1:] < t[:-1]))
-        raise NonUniformSpacing(
-            f"tick times must be strictly increasing (duplicate or reversed "
-            f"timestamp after t={t[i]})"
-        )
+def _check_times(t: np.ndarray, grid: tuple[int, int] | None, first: int) -> tuple[int, int]:
+    """The grid ``(start_time, epsilon)`` of int64 tick times ``t`` at indices
+    from ``first``, whose earlier times are on ``grid`` (None for none).  The
+    first two times fix it, one time a step of 1; the first time that is not
+    ``start_time + i*epsilon`` inside int64 is refused."""
+    start_time, epsilon = grid or (int(t[0]), 1)
+    if first <= 1 < first + len(t):
+        epsilon = int(t[1 - first]) - start_time
+    if epsilon < 1:  # the second time is not after the first
+        i = 1 - first
+    else:
+        inside = min(len(t), (2**63 - 1 - start_time) // epsilon + 1 - first)
+        off = t[:inside] != _grid_times(start_time, epsilon, first, inside)
+        i = int(off.argmax()) if off.any() else inside
+    if i < len(t):
+        before, time = start_time + (first + i - 1) * epsilon, int(t[i])
+        if time <= before:
+            raise NonUniformSpacing(f"tick times must be strictly increasing (duplicate or "
+                                    f"reversed timestamp after t={before})")
+        raise NonUniformSpacing(f"spacing {time - before} between t={before} and t={time} "
+                                f"differs from epsilon={epsilon}")
     return start_time, epsilon
 
 
 def make_series(asset_id, times, prices, volumes, declared_values=None) -> TradeSeries:
     """Validate raw columns and build a :class:`TradeSeries`.
 
-    Times must be strictly increasing with one constant integer spacing;
-    prices and volumes finite and strictly positive, their product (the
-    trade value) a positive normal float.  The product is formed here only
-    to check it, and a declared value column, if given, against it; both
-    are then dropped, and every reader forms the value again from the
-    prices and volumes, so the trade identity holds bit-exactly.  Of the
-    times, the series keeps only its first time and the spacing.
+    Time ``i`` must be ``start_time + i*epsilon`` inside int64, on the grid
+    that the first two times fix (``epsilon >= 1``), and the series keeps
+    only that grid; prices and volumes finite and strictly positive, their
+    product (the trade value) a positive normal float.  The product is
+    formed only to check it, and a declared value column, if given, against
+    it; both are then dropped, and every reader forms the value again from
+    the prices and volumes, so the trade identity holds bit-exactly.
     """
     t_raw = np.asarray(times)
     if t_raw.dtype.kind == "f" and not np.all(t_raw == np.floor(t_raw)):
@@ -229,37 +226,39 @@ def make_series(asset_id, times, prices, volumes, declared_values=None) -> Trade
         raise EmptyInput("series must contain at least one tick")
     if not (t.size == price.size == volume.size):
         raise ParseError("time/price/volume columns differ in length")
+    return _checked_series(asset_id, *_check_times(t, None, 0), price, volume, declared_values)
+
+
+def _checked_series(asset_id, start_time: int, epsilon: int, price: np.ndarray,
+                    volume: np.ndarray, declared_values=None) -> TradeSeries:
+    """The series of float64 columns ``price`` and ``volume`` on a checked grid:
+    the column rules of :func:`make_series`, each naming its tick's time."""
     for name, column in (("price", price), ("volume", volume)):
         if not np.all(np.isfinite(column)):
             i = int(np.argmin(np.isfinite(column)))
-            raise ParseError(f"{name} {column[i]} at t={t[i]} is not finite")
-    if np.any(price <= 0.0):
-        i = int(np.argmax(price <= 0.0))
-        raise NonPositivePrice(f"price {price[i]} at t={t[i]} must be > 0")
-    if np.any(volume <= 0.0):
-        i = int(np.argmax(volume <= 0.0))
-        raise NonPositiveVolume(f"volume {volume[i]} at t={t[i]} must be > 0")
-
-    start_time, epsilon = _check_spacing(t)
+            raise ParseError(f"{name} {column[i]} at t={start_time + i * epsilon} is not finite")
+    for name, column, error in (("price", price, NonPositivePrice),
+                                ("volume", volume, NonPositiveVolume)):
+        if np.any(column <= 0.0):
+            i = int(np.argmax(column <= 0.0))
+            raise error(f"{name} {column[i]} at t={start_time + i * epsilon} must be > 0")
     with np.errstate(over="ignore", under="ignore"):  # refused just below, naming the row
         value = price * volume
     i = _first_outside_range(value)
     if i is not None:
+        why = "is not finite" if value[i] == math.inf else f"underflows to {float(value[i])!r}"
         raise ParseError(f"trade value price*volume = {float(price[i])!r}*{float(volume[i])!r} "
-                         f"at t={t[i]} " + ("is not finite" if value[i] == math.inf else
-                                            f"underflows to {float(value[i])!r}"))
+                         f"at t={start_time + i * epsilon} {why}")
     if declared_values is not None:
         declared = np.asarray(declared_values, dtype=np.float64)
-        if declared.size != t.size:
+        if declared.size != price.size:
             raise ParseError("value column differs in length")
         bad = ~(np.abs(declared - value) <= VALUE_REL_TOL * np.abs(value))  # also NaN
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ValueMismatch(
-                f"declared value {declared[i]} at t={t[i]} deviates from "
-                f"price*volume={value[i]} by more than {VALUE_REL_TOL:g} relative"
-            )
-
+            raise ValueMismatch(f"declared value {declared[i]} at t={start_time + i * epsilon} "
+                                f"deviates from price*volume={value[i]} by more than "
+                                f"{VALUE_REL_TOL:g} relative")
     return TradeSeries(asset_id=asset_id, start_time=start_time, epsilon=epsilon, price=price,
                        volume=volume)
 
@@ -281,7 +280,8 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     ``.``, ``e``, ``-`` and ``+``, with ``+`` only right after ``e``, that
     ``int()`` (the ``t`` column, in the 64-bit range) or ``float()`` reads.
     The first row that breaks a rule is named in the ``ParseError``.  The
-    grid spacing is inferred from the first two rows.
+    first two rows fix the time grid, and each chunk's times are checked
+    against it as the chunk is read.
 
     Each error's message starts with the stream's name, its path for a
     file and ``input`` for any other source, so of two files read it says
@@ -291,14 +291,15 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
         source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
     name = source.name if isinstance(getattr(source, "name", None), str) else "input"
     try:
-        return make_series(asset_id, *_read_columns(source))
+        return _checked_series(asset_id, *_read_columns(source))
     except MbstatError as exc:
         raise type(exc)(f"{name}: {exc}") from None
 
 
-def _read_columns(stream) -> list[np.ndarray]:
-    """The columns of a binary stream of CSV bytes, ``t``, ``price``,
-    ``volume`` and a declared ``value`` if the header has one."""
+def _read_columns(stream) -> tuple:
+    """``(start_time, epsilon, price, volume[, value])`` of a binary stream of
+    CSV bytes, with a declared ``value`` if the header has one: each chunk's
+    tick times are checked against the grid as the chunk is read."""
     header, size, chunks = _stream_chunks(stream)
     if header == CSV_HEADER:
         ncols = 3
@@ -311,16 +312,17 @@ def _read_columns(stream) -> list[np.ndarray]:
 
     # The columns are filled in place, so no chunk's arrays wait for a
     # concatenation.
-    columns = [np.empty(size, dtype) for _, _, dtype in _COLUMNS[:ncols]]
-    rows = 0
+    columns = [np.empty(size, np.float64) for _ in range(ncols - 1)]
+    grid, rows = None, 0
     for raw in chunks:
         arrays = _convert_chunk(raw, ncols)
         if arrays is None:
             _raise_first_bad_row(raw.decode("ascii"), ncols, rows)
-        for column, arr in zip(columns, arrays):
+        grid = _check_times(arrays[0], grid, rows)  # a first row may fill a chunk alone
+        for column, arr in zip(columns, arrays[1:]):
             column[rows : rows + len(arr)] = arr
         rows += len(arrays[0])
-    return columns
+    return *grid, *columns
 
 
 def _stream_chunks(stream):
@@ -616,13 +618,11 @@ def slice_window(series: TradeSeries, center, half_width) -> Window:
     grid steps.
     """
     hw = _check_steps(half_width, 0, "half_width")
-    eps = series.epsilon
-    t0 = series.start_time
-    lo_t = center - hw * eps
-    hi_t = center + hw * eps
-    i_lo = max(0, math.ceil((lo_t - t0) / eps))
-    i_hi = min(len(series) - 1, math.floor((hi_t - t0) / eps))
-    if i_lo > i_hi or series.time_at(i_lo) < lo_t or series.time_at(i_hi) > hi_t:
+    eps, t0 = series.epsilon, series.start_time
+    lo_t, hi_t = center - hw * eps, center + hw * eps
+    i_lo = max(0, -int((t0 - lo_t) // eps))  # exact ceil and floor, for int times
+    i_hi = min(len(series) - 1, int((hi_t - t0) // eps))
+    if i_lo > i_hi:
         raise EmptyWindow(f"no ticks of {series.asset_id!r} inside [{lo_t}, {hi_t}]")
     return Window(series=series, start=i_lo, count=i_hi - i_lo + 1, lag=0)
 

@@ -1,6 +1,6 @@
 """Working-set bounds, measured with ``tracemalloc`` (numpy reports its
-buffers to it): reading a file holds its columns and a few chunks, not its
-text, and keeps two columns, not the tick times or the trade value; a
+buffers to it): reading a file holds its float columns and a few chunks,
+not its text or its tick times, and keeps two columns, not the trade value; a
 rolling drain holds one anchor block, not a series-long leg, and writing a
 series' CSV one block of rows, not its tick times."""
 
@@ -58,6 +58,16 @@ def test_reading_a_file_holds_its_columns_and_a_few_chunks(long_file):
     assert peak < columns + 8 * trade_series._CHUNK_CHARS, (peak, columns)
     # the text alone is larger than the margin over the columns
     assert path.stat().st_size > 8 * trade_series._CHUNK_CHARS
+
+
+def test_reading_a_file_holds_no_tick_times(long_file):
+    # Each chunk's times are checked against the grid as it is read, so no
+    # column of them is held.
+    path, rows = long_file
+    columns = 3 * 8 * rows  # price, volume and the trade value, checked once
+
+    _, peak = _traced(lambda: _read(path, rows))
+    assert peak < columns + 8 * trade_series._CHUNK_CHARS, (peak, columns)
 
 
 def test_a_parsed_series_keeps_three_columns(long_file):

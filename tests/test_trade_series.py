@@ -189,6 +189,11 @@ class TestDerivedColumns:
             assert Window(s, 1, n - 1).times.tolist() == times[1:]
             assert Window(s, 1, n - 1).t_center == (float(times[1]) + float(times[-1])) / 2
 
+    def test_a_single_tick_has_its_time_at_any_step(self):
+        s = TradeSeries("s", 5, 2**64 + 3, np.ones(1), np.ones(1))
+        assert s.t.tolist() == Window(s, 0, 1).times.tolist() == [5]
+        assert serialize(s) == "t,price,volume\n5,1.0,1.0\n"
+
     def test_errors_and_windows_read_times_off_the_grid(self):
         s = make_series("s", [100, 105, 110, 115], [1.0, 1e300, 1e-300, 2.0], [1.0] * 4)
         with pytest.raises(ParseError, match="^return 0.0 at t=110 over horizon 1 "):
@@ -196,15 +201,38 @@ class TestDerivedColumns:
         w = slice_window(s, center=110, half_width=1)
         assert (w.start, w.count, w.times.tolist(), w.t_center) == (1, 3, [105, 110, 115], 110.0)
 
-    @pytest.mark.parametrize("times, after", [
-        ([2**63 - 1, -2], 2**63 - 1), ([0, 2**63 - 1, -2], 2**63 - 1),
-        ([-(2**63), 0, 2**63 - 1], -(2**63))])
-    def test_steps_that_wrap_around_int64_are_refused(self, times, after):
-        # Each step here equals the first modulo 2**64, but one goes back (or,
-        # at 2**63 and above, reads as a negative int64 step).
-        with pytest.raises(NonUniformSpacing, match=re.escape(
-                f"strictly increasing (duplicate or reversed timestamp after t={after})")):
+    @pytest.mark.parametrize("times, message", [
+        ([2**63 - 1, -2], f"strictly increasing (duplicate or reversed timestamp after "
+                          f"t={2**63 - 1})"),
+        ([0, 2**63 - 1, -2], f"strictly increasing (duplicate or reversed timestamp after "
+                             f"t={2**63 - 1})"),
+        ([-(2**63), 0, 2**63 - 1], f"spacing {2**63 - 1} between t=0 and t={2**63 - 1} "
+                                   f"differs from epsilon={2**63}"),
+    ], ids=["max-then-back", "zero-max-back", "min-zero-max"])
+    def test_steps_that_wrap_around_int64_are_refused(self, times, message):
+        # Each step here equals the first modulo 2**64, but one goes back, or
+        # the grid's next time lies past 2**63 - 1: a time off the grid.
+        with pytest.raises(NonUniformSpacing, match=re.escape(message)):
             make_series("s", np.array(times, np.int64), [1.0] * len(times), [1.0] * len(times))
+
+    def test_a_grid_from_one_end_of_int64_to_the_other(self):
+        ends = [-(2**63), 2**63 - 1]
+        ones = np.ones(2)
+        s = make_series("s", np.array(ends, np.int64), ones, ones)
+        assert s == TradeSeries("s", -(2**63), 2**64 - 1, ones, ones)
+        assert s.t.tolist() == ends
+        text = "t,price,volume\n" + "".join(f"{t},1.0,1.0\n" for t in ends)
+        assert parse_trades(text, "s") == s
+
+    def test_a_wrapped_step_is_named_by_its_true_value(self):
+        times = [-(2**63), -(2**63) + 1, 2**63 - 1]
+        message = (f"spacing {2**64 - 2} between t={-(2**63) + 1} and t={2**63 - 1} "
+                   "differs from epsilon=1")
+        with pytest.raises(NonUniformSpacing, match=f"^{re.escape(message)}$"):
+            make_series("s", np.array(times, np.int64), [1.0] * 3, [1.0] * 3)
+        text = "t,price,volume\n" + "".join(f"{t},1.0,1.0\n" for t in times)
+        with pytest.raises(NonUniformSpacing, match=f"^input: {re.escape(message)}$"):
+            parse_trades(text)
 
     @pytest.mark.parametrize("grid, error, message", [
         ((0, 0), NonUniformSpacing, "epsilon must be >= 1, got 0"),
@@ -314,6 +342,82 @@ class TestStrictParse:
         assert len(parse_trades(text)) == 5000
         with pytest.raises(AssertionError, match="per-row loop ran"):
             parse_trades(text.replace("\n4000,", "\n4000,+", 1))
+
+
+class TestTimesChunkByChunk:
+    """Each tick time is checked against the grid of the first two as its
+    chunk is read: ``parse_trades`` refuses a time off the grid with the error
+    ``make_series`` gives for the same columns, wherever the chunks fall."""
+
+    TIMES = [-7 + 3 * i for i in range(12)]
+
+    @staticmethod
+    def off_grid(times, k, fault):
+        times = list(times)
+        if fault == "gap":  # a tick missing before index k
+            times[k:] = [t + 3 for t in times[k:]]
+        elif fault == "duplicate":
+            times[k] = times[k - 1]
+        else:  # reversed
+            times[k] = times[k - 1] - 1
+        return times
+
+    @pytest.mark.parametrize("long_first_row", [False, True], ids=["short-rows", "long-first-row"])
+    @pytest.mark.parametrize("chunk", [8, 20, 33, 64])
+    def test_parse_and_make_series_agree_at_every_chunk_boundary(self, monkeypatch, chunk,
+                                                                 long_first_row):
+        # At 8 characters every row is a chunk; a first row longer than a
+        # chunk fills one alone, so the grid's second time is in the next.
+        monkeypatch.setattr(trade_series, "_CHUNK_CHARS", chunk)
+        n = len(self.TIMES)
+        cells = [repr(1.5 + i / 8) for i in range(n)]
+        if long_first_row:
+            cells[0] = "1." + "0" * (2 * chunk) + "1"
+        prices, volumes = [float(c) for c in cells], [2.5] * n
+
+        def text(times):
+            return "t,price,volume\n" + "".join(f"{t},{p},2.5\n" for t, p in zip(times, cells))
+
+        assert parse_trades(text(self.TIMES), "x") == make_series("x", self.TIMES, prices, volumes)
+        for fault in ("gap", "duplicate", "reversed"):
+            for k in range(1, n):
+                times = self.off_grid(self.TIMES, k, fault)
+                kind, message = _outcome(lambda: make_series("x", times, prices, volumes))
+                assert kind is NonUniformSpacing
+                assert _outcome(lambda: parse_trades(text(times))) == (kind, f"input: {message}")
+
+    @pytest.mark.parametrize("fault, k, message", [
+        ("gap", 5, "spacing 6 between t=5 and t=11 differs from epsilon=3"),
+        ("duplicate", 1, "tick times must be strictly increasing (duplicate or reversed "
+                         "timestamp after t=-7)"),
+        ("reversed", 9, "tick times must be strictly increasing (duplicate or reversed "
+                        "timestamp after t=17)"),
+    ])
+    def test_the_first_time_off_the_grid_is_named(self, fault, k, message):
+        times = self.off_grid(self.TIMES, k, fault)
+        with pytest.raises(NonUniformSpacing, match=f"^{re.escape(message)}$"):
+            make_series("x", times, [1.0] * len(times), [1.0] * len(times))
+
+    GAP = (NonUniformSpacing, "input: spacing 2 between t=5 and t=7 differs from epsilon=1")
+
+    @pytest.mark.parametrize("row, price, outcome", [
+        (2, "-2.5", GAP), (2, "1e999", GAP), (8, "-2.5", GAP), (8, "+2", GAP),
+        (5, "+2", (ParseError, "input: row 6: price '+2' is not a canonical decimal number")),
+    ], ids=["earlier-negative", "earlier-infinite", "later-negative", "later-bad-cell",
+            "earlier-bad-cell"])
+    def test_a_time_off_the_grid_is_named_when_its_chunk_is_read(self, monkeypatch, row, price,
+                                                                 outcome):
+        # One row a chunk; the gap is in row 7.  It comes before any price
+        # rule, and before a bad cell in a later chunk, but not an earlier one.
+        monkeypatch.setattr(trade_series, "_CHUNK_CHARS", 8)
+        times = [*range(6), *range(7, 11)]
+        rows = [f"{t},2.5,1.5" for t in times]
+        rows[row] = f"{times[row]},{price},1.5"
+        assert _outcome(lambda: parse_trades("\n".join(["t,price,volume", *rows]))) == outcome
+        if outcome is self.GAP and "+" not in price:
+            prices = [float(r.split(",")[1]) for r in rows]
+            assert _outcome(lambda: make_series("x", times, prices, [1.5] * 10)) == (
+                NonUniformSpacing, self.GAP[1].removeprefix("input: "))
 
 
 def _rows(n, first=0):
@@ -495,6 +599,22 @@ class TestSliceWindow:
         s = make_series("s", [0, 3, 6, 9], [1, 2, 3, 4], [1, 1, 1, 1])
         w = slice_window(s, center=3, half_width=1)
         assert list(w.times) == [0, 3, 6]
+
+    def test_bounds_are_exact_on_a_wide_grid(self):
+        # At steps of 2**51, (lo_t - t0) / eps as a float rounds up to the
+        # next whole step when lo_t lies one below a tick.
+        eps = 2**51
+        s = TradeSeries("s", 0, eps, np.ones(8), np.ones(8))
+        assert slice_window(s, 4 * eps - 1, 1).times.tolist() == [3 * eps, 4 * eps]
+        for center in (k * eps + d for k in range(-2, 11) for d in (-1, 0, 1)):
+            for hw in range(4):
+                lo, hi = center - hw * eps, center + hw * eps
+                inside = [i for i in range(8) if lo <= s.time_at(i) <= hi]
+                got = _outcome(lambda: slice_window(s, center, hw))
+                if inside:
+                    assert (got.start, got.count) == (inside[0], len(inside)), (center, hw)
+                else:
+                    assert got[0] is EmptyWindow, (center, hw)
 
     def test_fractional_half_width(self, five):
         with pytest.raises(LagNotOnGrid):
