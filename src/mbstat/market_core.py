@@ -44,7 +44,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import mean
+from .freq_stats import _fsum, _products, mean
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -356,16 +356,17 @@ def vwap(window: Window) -> float:
 
 def portfolio_return(r, investments) -> float:
     """Investment-weighted return ``sum(r_i * X_i) / sum(X_i)``."""
-    r = [float(v) for v in r]
-    x = [float(v) for v in investments]
+    r = np.asarray(r, dtype=np.float64)
+    x = np.asarray(investments, dtype=np.float64)
     if len(r) != len(x):
         raise LengthMismatch(f"returns and investments differ: {len(r)} vs {len(x)}")
-    if not x:
+    if not len(x):
         raise EmptyInput("a portfolio return needs at least one investment")
-    for v in x:
-        if not 0.0 < v < math.inf:
-            raise NonPositiveInvestment(f"investments must be finite and > 0, got {v}")
-    return math.fsum(ri * xi for ri, xi in zip(r, x)) / math.fsum(x)
+    bad = ~((x > 0.0) & (x < math.inf))  # also NaN
+    if bad.any():
+        v = float(x[np.argmax(bad)])
+        raise NonPositiveInvestment(f"investments must be finite and > 0, got {v}")
+    return _fsum(_products(r, x)) / _fsum(x)
 
 
 def vawar(returns: ReturnView) -> float:

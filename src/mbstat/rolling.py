@@ -45,7 +45,7 @@ from .market_core import (  # the family names stay importable from here
     pair_forms,
     shifted_means,
 )
-from .trade_series import TradeSeries, build_leg, whole_steps
+from .trade_series import TradeSeries, _grid_centers, build_leg, whole_steps
 
 _ANCHOR_INTERVAL = 4096
 
@@ -80,8 +80,10 @@ class RollingPlan:
         return self.off2 + position * self.stride
 
     def t_center(self, position: int) -> float:
-        start = position * self.stride
-        return self.t_origin + (start + (self.window - 1) / 2.0) * self.epsilon
+        """The center of window ``position``, or an int array of centers, as
+        :attr:`Window.t_center` gives it."""
+        eps = self.epsilon
+        return _grid_centers(self.t_origin, self.stride * eps, position, (self.window - 1) * eps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,6 +168,21 @@ def _grid_times(start_time: int, epsilon: int, start: int, count: int) -> np.nda
     return t
 
 
+def _grid_centers(start_time: int, step: int, first, span: int):
+    """The double nearest ``start_time + first*step + span/2``: the center of
+    a span of ``span`` time units from each grid time of index ``first``, an
+    int (a float back) or an int array (a float64 array).  Its floor, a grid
+    time moved by ``span // 2``, is formed in int64 modulo 2**64 as
+    :func:`_grid_times` forms a time; split at bit 32, both halves and the
+    half unit are exact doubles, so the sum is rounded once."""
+    c = np.array(first, np.uint64, ndmin=1)  # an array: a numpy scalar warns as it wraps
+    c *= np.uint64(step % 2**64)
+    c += np.uint64((start_time + span // 2) % 2**64)
+    c = c.view(np.int64)
+    center = (c >> 32) * 2.0**32 + ((c & 0xFFFFFFFF) + span % 2 / 2)
+    return center if np.ndim(first) else float(center[0])
+
+
 def _first_outside_range(arr: np.ndarray) -> int | None:
     """The first index of ``arr`` that is not a positive normal float (finite
     and at least ``np.finfo(float).tiny``), or None when there is none."""
@@ -590,8 +605,9 @@ class Window:
 
     @property
     def t_center(self) -> float:
-        first, last = (self.series.time_at(i) for i in (self.start, self.start + self.count - 1))
-        return (float(first) + float(last)) / 2.0
+        """The double nearest the midpoint of the first and last tick times."""
+        eps = self.series.epsilon
+        return _grid_centers(self.series.start_time, eps, self.start, (self.count - 1) * eps)
 
 
 def whole_steps(n, what: str, error: type = LagNotOnGrid) -> int:

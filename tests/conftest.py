@@ -9,6 +9,12 @@ from mbstat import Window, compute_returns, make_series
 # scale-aware tolerance checks in the properties stay meaningful.
 positive_floats = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
 
+# Grids (start, step, ticks) that reach an end of int64, or span it.
+INT64_END_GRIDS = [
+    (-(2**63), 1, 5), (2**63 - 5, 1, 5), (-(2**63), 2**33 + 1, 7),
+    (2**63 - 1 - 6 * (2**33 + 1), 2**33 + 1, 7), (-(2**63), 2**63 - 1, 3),
+    (-3, 2**62, 3)]
+
 
 @st.composite
 def trade_windows(draw, min_n=1, max_n=32, history=0):

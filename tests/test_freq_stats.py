@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -34,6 +35,25 @@ class TestMean:
     def test_total_sum_is_n_times_mean(self):
         xs = [2, 8, 3]
         assert len(xs) * mean(xs) == pytest.approx(13.0, rel=1e-15)
+
+
+_SUM_OVERFLOWS = "^the compensated sum of 2 terms overflows the float range$"
+_PRODUCT_OVERFLOWS = r"^the product 1e\+200\*1e\+200 of term 0 overflows the float range$"
+
+
+@pytest.mark.parametrize("stat, message", [
+    (lambda: mean([1e308, 1e308]), _SUM_OVERFLOWS),
+    (lambda: joint_moment([1e308, 1e308], [1.0, 1.0]), _SUM_OVERFLOWS),
+    (lambda: joint_moment([1e200, 1.0], [1e200, 1.0]), _PRODUCT_OVERFLOWS),
+    (lambda: cov([1e200, 1.0], [1e200, 1.0]), _PRODUCT_OVERFLOWS),
+    (lambda: moments([1e200, 1.0]), _PRODUCT_OVERFLOWS),
+], ids=["mean-sum", "joint-moment-sum", "joint-moment-product", "cov-product",
+        "moments-product"])
+def test_an_overflow_of_finite_terms_is_refused(stat, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(ConsistencyError, match=message):
+            stat()
 
 
 class TestJointMoment:

@@ -115,6 +115,21 @@ class TestVawarAndPortfolio:
         with pytest.raises(NonPositiveInvestment, match=f"finite and > 0, got {bad}$"):
             portfolio_return([1.0, 2.0], [1.0, bad])
 
+    @pytest.mark.parametrize("stat, message", [
+        (lambda: portfolio_return([1.0, 1.0], [1e308, 1e308]),
+         "^the compensated sum of 2 terms overflows the float range$"),
+        (lambda: portfolio_return([1e300, 1.0], [1e10, 1.0]),
+         r"^the product 1e\+300\*10000000000.0 of term 0 overflows the float range$"),
+        (lambda: vawar(compute_returns(Window(make_series("s", [0, 1, 2], [1e308] * 3, [1.0] * 3),
+                                              1, 2), 1)),
+         "^the compensated sum of 2 terms overflows the float range$"),
+    ], ids=["portfolio-sum", "portfolio-product", "vawar-sum"])
+    def test_an_overflow_of_finite_terms_is_refused(self, stat, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ConsistencyError, match=message):
+                stat()
+
     @given(return_view_pairs(min_n=2, max_n=24))
     def test_vawar_is_portfolio_return_exactly(self, pair):
         rv, _ = pair

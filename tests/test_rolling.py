@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import INT64_END_GRIDS
 from direct import direct_values, returns_of
 from exact import EPS, Leg, errors, scales, values
 from mbstat import (
@@ -15,6 +16,7 @@ from mbstat import (
     iter_rolling_stats,
     make_plan,
     make_series,
+    mb_corr_prices,
 )
 from mbstat import market_core, rolling
 from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
@@ -546,3 +548,47 @@ def _exact_errors(legs, family, arrays, j):
     got = {key: arrays[key][j] for key in RECORD_KEYS if key[0] not in "ah"}
     got.update(g1=arrays[slot1][j], g2=arrays[slot2][j])
     return errors(got, exact, scales(leg1, leg2, exact, 1.0 if leg1.n == 1 else EPS**2))
+
+
+_EPOCH_NS = 1_700_000_000_000_000_000  # 2023-11-14, in nanoseconds since 1970
+
+
+def _check_centers(s, window, stride):
+    """Every window's center, from the rolling engine, its plan and a
+    ``Window`` with the report over it, is ``(t_first + t_last) / 2`` of the
+    int tick times, which Python rounds once to the nearest double."""
+    plan = make_plan(s, s, window=window, stride=stride, families=("price_corr",))
+    firsts = [s.time_at(p * stride) for p in range(plan.n_positions)]
+    want = [(t + t + (window - 1) * s.epsilon) / 2 for t in firsts]
+    chunks = list(iter_rolling_stats(s, s, plan))
+    assert np.concatenate([c.t_center for c in chunks]).tolist() == want
+    centers = [plan.t_center(p) for p in range(plan.n_positions)]
+    assert centers == want and {type(c) for c in centers} == {float}
+    windows = [Window(s, p * stride, window) for p in range(plan.n_positions)]
+    assert [w.t_center for w in windows] == want
+    assert [mb_corr_prices(w, w).t_center for w in windows] == want
+
+
+class TestExactCenters:
+    """Tick times past 2**53 are not all doubles, and a window's center is
+    the double nearest its midpoint on both paths, at every position."""
+
+    # The doubles near 1.7e18 are 256 apart: a start 97 past one is not a
+    # double, and rounds 97 down, so the grid's times round both ways.
+    @pytest.mark.parametrize("start", [_EPOCH_NS, _EPOCH_NS + 97], ids=["1.7e18", "1.7e18+97"])
+    @pytest.mark.parametrize("step", [1, 10**3, 10**6], ids=["1ns", "1us", "1ms"])
+    @pytest.mark.parametrize("window, stride", [(1, 1), (2, 1), (256, 1), (64, 7)])
+    def test_every_position_on_an_epoch_nanosecond_grid(self, start, step, window, stride):
+        n = 1000
+        times = np.arange(n, dtype=np.int64) * step + start
+        s = make_series("s", times, np.linspace(1.0, 2.0, n), np.ones(n))
+        _check_centers(s, window, stride)
+
+    @pytest.mark.parametrize("start, step, n", INT64_END_GRIDS)
+    def test_every_window_on_grids_at_the_ends_of_int64(self, start, step, n):
+        s = make_series("s", np.array([start + i * step for i in range(n)], np.int64),
+                        [1.0] * n, [1.0] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            for window in range(1, n + 1):
+                _check_centers(s, window, 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import positive_floats, trade_windows
+from conftest import INT64_END_GRIDS, positive_floats, trade_windows
 from mbstat import (
     ReturnView,
     SynthConfig,
@@ -175,10 +175,7 @@ class TestDerivedColumns:
         assert s.times(1, 2).tolist() == [8, 13] and s.times(4, 0).tolist() == []
         assert [s.time_at(i) for i in range(4)] == s.t.tolist()
 
-    @pytest.mark.parametrize("start, step, n", [
-        (-(2**63), 1, 5), (2**63 - 5, 1, 5), (-(2**63), 2**33 + 1, 7),
-        (2**63 - 1 - 6 * (2**33 + 1), 2**33 + 1, 7), (-(2**63), 2**63 - 1, 3),
-        (-3, 2**62, 3)])
+    @pytest.mark.parametrize("start, step, n", INT64_END_GRIDS)
     def test_grids_at_the_ends_of_int64(self, start, step, n):
         times = [start + i * step for i in range(n)]
         with warnings.catch_warnings():
