@@ -11,11 +11,13 @@ Sums use ``math.fsum`` (exactly rounded compensated summation): windows can
 reach 10^6 ticks, and the raw moments here cancel in ``cov``, so naive
 accumulation would lose digits on top.  ``fsum`` is fed Python floats
 (``tolist``), not the array, so it does not box a numpy scalar per element;
-the floats and hence the sums are the same.  A sum of finite terms whose
-exact value is past the float range raises ``ConsistencyError`` rather than
-``fsum``'s bare ``OverflowError``, and so does a product of finite terms
+the floats and hence the sums are the same.  Every term must be finite: an
+infinite or NaN term is refused as ``ConsistencyError``, by its index, rather
+than giving ``nan`` or ``fsum``'s bare ``ValueError``.  A sum of finite terms
+whose exact value is past the float range raises ``ConsistencyError`` rather
+than ``fsum``'s bare ``OverflowError``, and so does a product of finite terms
 that overflows, rather than giving ``inf``.  ``market_core.portfolio_return``
-sums through the same two functions.
+checks its returns and sums through the same functions.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ def _as_floats(xs) -> np.ndarray:
         raise LengthMismatch(f"expected a 1-D sequence, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyInput("statistics of an empty sequence are undefined")
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray, what: str = "term") -> np.ndarray:
+    """``arr``, none of whose terms may be infinite or NaN."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConsistencyError(f"{what} {i} is {float(arr[i])!r}, not a finite number")
     return arr
 
 

@@ -44,7 +44,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import _fsum, _products, mean
+from .freq_stats import _finite, _fsum, _products, mean
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -54,6 +54,10 @@ DENOM_FLOOR = 1e-300
 # Internal agreement required between two algebraically identical evaluations
 # of the same joint moment (different arrangement, same compensated moments).
 JOINT_MOMENT_REL_TOL = 1e-12
+
+# The shortest segment :func:`window_means` sums before its cumulative sum:
+# below 4 ticks a row reduction costs more than the cumulative sum it saves.
+_MIN_SEGMENT = 4
 
 PRICE_FAMILY = "price_corr"
 RETURN_FAMILY = "return_corr"
@@ -223,19 +227,33 @@ def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
 
 def window_means(x, y, k: int, stride: int, n: int, buf: np.ndarray) -> np.ndarray:
     """Means of ``x`` (``y=None``) or ``x*y`` over the ``k`` windows ``[j*stride,
-    j*stride + n)``: the first summed in full, the others as the difference
-    of two strided slices of one cumulative sum; a one-tick window's mean is
-    its value.  ``buf``, as long as ``x``, is overwritten."""
-    seg = x if y is None else np.multiply(x, y, out=buf)
-    if n == 1:  # exact, so a one-tick covariance is exactly 0
-        return seg[::stride].copy()
-    first = np.add.reduce(seg[:n])
+    j*stride + n)``, ``x`` being their span.  Each window is a run of whole
+    segments of ``g = gcd(n, stride)`` ticks.  From ``g = 4`` on, the segments
+    are summed first, one row reduction each (a product needs no span-long
+    temporary), and the windows are read from the segment sums at window
+    ``n/g`` and stride ``stride/g``; below it a segment is a tick.  The first
+    window is summed in full, the others are the difference of two strided
+    slices of one cumulative sum; a one-segment window is its segment's sum,
+    so a one-tick covariance is exactly 0.  ``buf``, as long as ``x``, is
+    overwritten."""
+    g = math.gcd(n, stride)
+    if g < _MIN_SEGMENT:
+        g = 1
+        seg = x if y is None else np.multiply(x, y, out=buf)
+    elif y is None:
+        seg = np.einsum("ij->i", x.reshape(-1, g), out=buf[: len(x) // g])
+    else:
+        seg = np.einsum("ij,ij->i", x.reshape(-1, g), y.reshape(-1, g), out=buf[: len(x) // g])
+    step, m = stride // g, n // g
+    if m == 1:
+        return seg[::step] / n
+    first = np.add.reduce(seg[:m])
     if k == 1:
         return np.array([first / n])
-    c = np.cumsum(seg, out=buf)
+    c = np.cumsum(seg, out=buf[: len(seg)])
     out = np.empty(k)
     out[0] = first
-    np.subtract(c[stride + n - 1 :: stride], c[stride - 1 :: stride][: k - 1], out=out[1:])
+    np.subtract(c[step + m - 1 :: step], c[step - 1 :: step][: k - 1], out=out[1:])
     out /= n
     return out
 
@@ -366,7 +384,7 @@ def portfolio_return(r, investments) -> float:
     if bad.any():
         v = float(x[np.argmax(bad)])
         raise NonPositiveInvestment(f"investments must be finite and > 0, got {v}")
-    return _fsum(_products(r, x)) / _fsum(x)
+    return _fsum(_products(_finite(r, "return"), x)) / _fsum(x)
 
 
 def vawar(returns: ReturnView) -> float:

@@ -3,8 +3,10 @@
 The engine advances a fixed-size window over the common grid of two series
 and runs :mod:`mbstat.market_core`'s kernel once per anchor block: over the
 block's span each leg is shifted by the block's first window, every needed
-window mean is read from one cumulative sum by two strided slices, and each
-block starts from a fresh shift and a fresh full sum, which bounds drift.
+window mean is read by two strided slices from one cumulative sum (over the
+span's ticks, or over its segment sums of ``gcd(window, stride)`` ticks when
+those are 4 or more, see ``market_core.window_means``), and each block starts
+from a fresh shift and a fresh full sum, which bounds drift.
 The anchor interval is 4096 strides, shrunk only when ``stride`` or a small
 window would let the in-block span grow past what keeps the incremental
 results near 1e-10 of full recomputation.
@@ -108,7 +110,9 @@ def _anchor_interval(window: int, stride: int) -> int:
     # window relative to a window sum of positive data, and ~span^2 * eps /
     # window^2 relative to a covariance of data shifted by the block's first
     # window, whose deviations grow with the span (the second bound is the
-    # tighter below a window of 49).
+    # tighter below a window of 49).  Where the kernel sums segments of
+    # g = gcd(window, stride) ticks first, its cumulative sum runs over span/g
+    # segment sums; the rule is the same, so it is conservative there.
     span_limit = int(min(671.0 * math.sqrt(window), 96.0 * window))
     by_drift = (span_limit - window) // stride + 1
     return max(1, min(_ANCHOR_INTERVAL, by_drift))

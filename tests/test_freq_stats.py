@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import positive_floats
-from mbstat import cov, joint_moment, mean, moments
+from mbstat import cov, joint_moment, mean, moments, portfolio_return
 from mbstat.errors import ConsistencyError, EmptyInput, LengthMismatch
 
 seqs = st.lists(positive_floats, min_size=1, max_size=50)
@@ -53,6 +53,25 @@ def test_an_overflow_of_finite_terms_is_refused(stat, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning on the way
         with pytest.raises(ConsistencyError, match=message):
+            stat()
+
+
+@pytest.mark.parametrize("stat, message", [
+    (lambda: mean([math.inf, -math.inf]), "term 0 is inf"),
+    (lambda: mean([math.nan, 1.0]), "term 0 is nan"),
+    (lambda: mean([1.0, -math.inf]), "term 1 is -inf"),
+    (lambda: joint_moment([1.0, 2.0], [1.0, math.nan]), "term 1 is nan"),
+    (lambda: cov([1.0, math.inf], [1.0, 2.0]), "term 1 is inf"),
+    (lambda: moments([2.0, math.nan]), "term 1 is nan"),
+    (lambda: portfolio_return([math.inf, -math.inf], [1.0, 1.0]), "return 0 is inf"),
+    (lambda: portfolio_return([math.nan, 1.0], [1.0, 1.0]), "return 0 is nan"),
+], ids=["mean-inf-minus-inf", "mean-nan", "mean-minus-inf", "joint-moment-nan", "cov-inf",
+        "moments-nan", "portfolio-inf-minus-inf", "portfolio-nan"])
+def test_a_non_finite_term_is_refused_by_index(stat, message):
+    # Was a bare ValueError from fsum (inf - inf) or a nan result.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=f"^{message}, not a finite number$"):
             stat()
 
 

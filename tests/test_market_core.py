@@ -699,6 +699,30 @@ def test_overflowing_moment_is_refused_without_a_warning():
     assert str(raised.value) == "price_corr: carrier joint moment 0.0 is too small to divide by"
 
 
+@pytest.mark.parametrize("n, stride, k", [
+    (1, 1, 1), (1, 3, 7),  # one-tick windows
+    (7, 3, 9), (64, 1, 40), (6, 4, 9),  # g = gcd(n, stride) is 1, or 2: below a segment
+    (8, 8, 9), (32, 16, 1),  # g = n; one window
+    (96, 64, 7), (12, 8, 9),  # 1 < g < n
+    (64, 128, 5), (12, 20, 9),  # stride > n, at g = n and g < n
+])
+def test_window_means_are_window_sums_over_n(n, stride, k):
+    """Each window's mean is its exactly rounded sum over ``n`` to 1e-14, for
+    plain means and products, at every kind of segment the kernel takes."""
+    rng = np.random.default_rng(1000 * n + stride)
+    span = (k - 1) * stride + n
+    x = 1e4 * rng.lognormal(0.0, 1e-4, span)
+    y = rng.lognormal(0.0, 0.4, span)
+    buf = np.empty(span)
+    for got, terms in ((market_core.window_means(x, None, k, stride, n, buf), x),
+                       (market_core.window_means(x, y, k, stride, n, buf), x * y)):
+        want = [math.fsum(terms[j * stride : j * stride + n].tolist()) / n for j in range(k)]
+        assert got.shape == (k,) and not np.shares_memory(got, buf)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        if n == 1:  # a one-tick window is its value, bit for bit
+            assert np.array_equal(got, terms[::stride])
+
+
 def _count_window_sums(monkeypatch):
     """A counter of the kernel's window sums, one per distinct mean."""
     calls = [0]

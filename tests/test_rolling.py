@@ -231,9 +231,8 @@ class TestChunking:
 
     def test_mirrored_products_are_one_pass(self, monkeypatch):
         # (W_p1,D_p1)/(D_p1,W_p1) and (W_r1,D_r1)/(D_r1,W_r1) are one window sum
-        # each: 12 means of the four legs' shifted arrays and 23 products.
-        s1, s2 = synth_pair(9000)
-        plan = make_plan(s1, s2, window=8, alpha=1, beta=1)
+        # each: 12 means of the four legs' shifted arrays and 23 products.  So
+        # too at window 1024, stride 256, where a window sum reads segment sums.
         passes = 0
         window_sums = market_core.window_means
 
@@ -243,9 +242,13 @@ class TestChunking:
             return window_sums(*args)
 
         monkeypatch.setattr(market_core, "window_means", counting)
-        blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
-        assert blocks > 1
-        assert passes == 35 * blocks
+        for n_ticks, window, stride in ((9000, 8, 1), (23000, 1024, 256)):
+            s1, s2 = synth_pair(n_ticks)
+            plan = make_plan(s1, s2, window=window, stride=stride, alpha=1, beta=1)
+            passes = 0
+            blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
+            assert blocks > 1
+            assert passes == 35 * blocks
 
 
     def test_shared_slots_are_one_array(self):
