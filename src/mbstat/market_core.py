@@ -15,14 +15,16 @@ floats) and for many (arrays over window positions).  One kernel evaluates
 it for both paths, the per-window functions here and :mod:`mbstat.rolling`,
 in residual form (Chan, Golub & LeVeque 1983): :func:`shifted_means` shifts
 each leg by the first window of its span, ``D = C - g0*W`` and ``y = x -
-x0``, and takes the means :func:`sum_specs` names with :func:`window_means`;
-:func:`pair_forms` runs the closed form on them, which gives ``g - g0`` and
-the same market value, and reassembles ``g`` and the reported covariances;
-:func:`family_values` checks a family's values.  A per-window function is a
-one-position run over the window's own arrays, two-pass: 19 window sums for
-a correlation report or joint moment, 7 for a volatility.  ``x*y == y*x``
-bit for bit, so mirrored products are one sum and the specialization-chain
-identities hold bit-exactly.
+x0``, and takes the means :func:`sum_specs` names with :func:`window_means`,
+two per pass: the real and imaginary lanes of one ``complex128`` cumulative
+sum, each bit for bit its own float64 sum; :func:`pair_forms` runs the
+closed form on them, which gives ``g - g0`` and the same market value, and
+reassembles ``g`` and the reported covariances; :func:`family_values`
+checks a family's values.  A per-window function is a one-position run over
+the window's own arrays, two-pass: 19 window sums in 10 passes for a
+correlation report or joint moment, 7 in 4 for a volatility.  ``x*y ==
+y*x`` bit for bit, so mirrored products are one sum and the
+specialization-chain identities hold bit-exactly.
 
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
 of means).  A Pearson-style normalization is available only on the report
@@ -169,9 +171,15 @@ def _everywhere(cond) -> bool:
 
 
 def require_finite(family: str, **fields) -> None:
-    """Refuse a non-finite value (a float or an array of them), naming it."""
+    """Refuse a non-finite value (a float or an array of them), naming it.  An
+    array is read once; a float is compared, so that one window makes no
+    numpy call here."""
     for field, value in fields.items():
-        if not _everywhere(abs(value) < math.inf):
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:
+            finite = abs(value) < math.inf
+        if not finite:
             bad = float(np.extract(~np.isfinite(value), value)[0])
             raise ConsistencyError(f"{family}: non-finite {field} {bad!r}")
 
@@ -225,37 +233,52 @@ def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
             **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
-def window_means(x, y, k: int, stride: int, n: int, buf: np.ndarray) -> np.ndarray:
-    """Means of ``x`` (``y=None``) or ``x*y`` over the ``k`` windows ``[j*stride,
-    j*stride + n)``, ``x`` being their span.  Each window is a run of whole
-    segments of ``g = gcd(n, stride)`` ticks.  From ``g = 4`` on, the segments
-    are summed first, one row reduction each (a product needs no span-long
-    temporary), and the windows are read from the segment sums at window
-    ``n/g`` and stride ``stride/g``; below it a segment is a tick.  The first
-    window is summed in full, the others are the difference of two strided
-    slices of one cumulative sum; a one-segment window is its segment's sum,
-    so a one-tick covariance is exactly 0.  ``buf``, as long as ``x``, is
-    overwritten."""
+def window_means(terms, k: int, stride: int, n: int, buf: np.ndarray) -> list[np.ndarray]:
+    """Means over the ``k`` windows ``[j*stride, j*stride + n)`` of one or two
+    terms, each ``(x, None)`` for ``x`` or ``(x, y)`` for ``x*y``, ``x`` being
+    their span: one fresh array per term, both summed in one pass.  The terms
+    fill the real and imaginary lanes of ``buf``, a ``complex128`` array as
+    long as the span (overwritten); a lone term's partner lane is zeros.
+    Complex addition and subtraction are one IEEE operation per lane, so one
+    cumulative sum and one strided difference serve both lanes and give each
+    the bits of its own float64 sum.  Each window is a run of whole segments
+    of ``g = gcd(n, stride)`` ticks.  From ``g = 4`` on, the segments are
+    summed first, one row reduction each into the lane (a product needs no
+    span-long temporary), and the windows are read from the segment sums at
+    window ``n/g`` and stride ``stride/g``; below it a segment is a tick.
+    Each lane's first window is summed in full, the others are the difference
+    of two strided slices of the cumulative sum; a one-segment window is its
+    segment's sum, so a one-tick covariance is exactly 0.  Each lane is
+    divided by ``n`` on its own, as a complex-by-real division is not one
+    operation per lane."""
     g = math.gcd(n, stride)
     if g < _MIN_SEGMENT:
         g = 1
-        seg = x if y is None else np.multiply(x, y, out=buf)
-    elif y is None:
-        seg = np.einsum("ij->i", x.reshape(-1, g), out=buf[: len(x) // g])
-    else:
-        seg = np.einsum("ij,ij->i", x.reshape(-1, g), y.reshape(-1, g), out=buf[: len(x) // g])
+    seg = buf[: len(terms[0][0]) // g]
+    lanes = seg.real, seg.imag
+    if len(terms) == 1:
+        lanes[1][:] = 0.0
+    for lane, (x, y) in zip(lanes, terms):
+        if g == 1 and y is None:
+            np.copyto(lane, x)
+        elif g == 1:
+            np.multiply(x, y, out=lane)
+        elif y is None:
+            np.einsum("ij->i", x.reshape(-1, g), out=lane)
+        else:
+            np.einsum("ij,ij->i", x.reshape(-1, g), y.reshape(-1, g), out=lane)
     step, m = stride // g, n // g
     if m == 1:
-        return seg[::step] / n
-    first = np.add.reduce(seg[:m])
-    if k == 1:
-        return np.array([first / n])
-    c = np.cumsum(seg, out=buf[: len(seg)])
-    out = np.empty(k)
-    out[0] = first
-    np.subtract(c[step + m - 1 :: step], c[step - 1 :: step][: k - 1], out=out[1:])
-    out /= n
-    return out
+        sums = seg[::step]
+    else:
+        first = [np.add.reduce(lane[:m]) for lane in lanes[: len(terms)]]
+        if k == 1:
+            return [np.array([s / n]) for s in first]
+        sums = np.empty(k, np.complex128)
+        sums[0] = complex(*first)
+        c = np.cumsum(seg, out=seg)
+        np.subtract(c[step + m - 1 :: step], c[step - 1 :: step][: k - 1], out=sums[1:])
+    return [np.divide(lane, n) for lane in (sums.real, sums.imag)[: len(terms)]]
 
 
 def shifted_means(legs: dict, pairs, k: int, stride: int, n: int) -> tuple[dict, dict]:
@@ -263,18 +286,24 @@ def shifted_means(legs: dict, pairs, k: int, stride: int, n: int) -> tuple[dict,
     ``(C, W, x)`` over a span of ``k`` windows ``[j*stride, j*stride + n)``,
     shifted by the first: ``D = C - g0*W`` with ``g0 = sum(C)/sum(W)``, and
     ``y = x - mean(x)``.  Returns the means the closed forms of ``pairs`` read,
-    keyed by :func:`sum_specs` spec, and per leg its shift ``(g0, x0)``.
-    Warnings are the caller's to silence: the checks name a non-finite figure."""
+    keyed by :func:`sum_specs` spec, and per leg its shift ``(g0, x0)``.  The
+    distinct specs are taken two to a :func:`window_means` pass, in order; an
+    odd last one rides alone.  Warnings are the caller's to silence: the
+    checks name a non-finite figure."""
     arrays, shifts = {}, {}
     for leg, (c, w, x) in legs.items():
         g0 = np.add.reduce(c[:n]) / np.add.reduce(w[:n])
         x0 = np.add.reduce(x[:n]) / n
         shifts[leg] = g0, x0
         arrays[f"D{leg}"], arrays[f"W{leg}"], arrays[f"y{leg}"] = c - g0 * w, w, x - x0
-    buf = np.empty((k - 1) * stride + n)
-    specs = dict.fromkeys(spec for pair in pairs for spec in sum_specs(*pair).values())
-    return {(a, b): window_means(arrays[a], b and arrays[b], k, stride, n, buf)
-            for a, b in specs}, shifts
+    buf = np.empty((k - 1) * stride + n, np.complex128)
+    specs = list(dict.fromkeys(spec for pair in pairs for spec in sum_specs(*pair).values()))
+    means = {}
+    for i in range(0, len(specs), 2):
+        lane_specs = specs[i : i + 2]
+        terms = [(arrays[a], b and arrays[b]) for a, b in lane_specs]
+        means.update(zip(lane_specs, window_means(terms, k, stride, n, buf)))
+    return means, shifts
 
 
 def pair_forms(means: dict, shifts: dict, pairs: dict):

@@ -3,10 +3,11 @@
 The engine advances a fixed-size window over the common grid of two series
 and runs :mod:`mbstat.market_core`'s kernel once per anchor block: over the
 block's span each leg is shifted by the block's first window, every needed
-window mean is read by two strided slices from one cumulative sum (over the
+window mean is read by two strided slices from a cumulative sum (over the
 span's ticks, or over its segment sums of ``gcd(window, stride)`` ticks when
-those are 4 or more, see ``market_core.window_means``), and each block starts
-from a fresh shift and a fresh full sum, which bounds drift.
+those are 4 or more), two means to one ``complex128`` cumulative sum (see
+``market_core.window_means``), and each block starts from a fresh shift and
+a fresh full sum, which bounds drift.
 The anchor interval is 4096 strides, shrunk only when ``stride`` or a small
 window would let the in-block span grow past what keeps the incremental
 results near 1e-10 of full recomputation.
@@ -14,9 +15,9 @@ results near 1e-10 of full recomputation.
 This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
 ``build_leg``, which builds it over one anchor block's span at a time (a
 price leg's volumes and prices are views of its series, its trade values and
-a return leg's arrays are block-sized).  The kernel takes
-the window sums ``sum_specs`` asks for (35 per anchor block for all seven
-families) and runs ``closed_form`` once per leg pair (5 for all seven
+a return leg's arrays are block-sized).  The kernel takes the window sums
+``sum_specs`` asks for (35 per anchor block for all seven families, in 18
+passes of two) and runs ``closed_form`` once per leg pair (5 for all seven
 families), under the first family in plan order that needs it, just before
 that family's values and checks (``family_values``).  Results stream out
 chunk by chunk (one chunk per anchor block), so a million-position run never

@@ -514,6 +514,15 @@ def test_closed_form_of_unshifted_means(worked_price_pair):
     assert market == pytest.approx(0.375, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("box", [float, lambda v: np.array([1.0, v, math.nan])],
+                         ids=["float", "array"])
+def test_require_finite_names_the_first_non_finite_value(bad, box):
+    market_core.require_finite("price_corr", market_value=1.0, denominator=np.ones(3))
+    with pytest.raises(ConsistencyError, match=rf"^price_corr: non-finite cov_cc {bad!r}$"):
+        market_core.require_finite("price_corr", market_value=1.0, cov_cc=box(bad))
+
+
 @pytest.mark.parametrize("jm_ww", [math.nan, np.array([1.0, math.nan, 1e-310])],
                          ids=["float", "array"])
 def test_nan_denominator_is_non_finite_not_too_small(jm_ww):
@@ -713,9 +722,9 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
     span = (k - 1) * stride + n
     x = 1e4 * rng.lognormal(0.0, 1e-4, span)
     y = rng.lognormal(0.0, 0.4, span)
-    buf = np.empty(span)
-    for got, terms in ((market_core.window_means(x, None, k, stride, n, buf), x),
-                       (market_core.window_means(x, y, k, stride, n, buf), x * y)):
+    buf = np.empty(span, np.complex128)
+    means = market_core.window_means([(x, None), (x, y)], k, stride, n, buf)
+    for got, terms in zip(means, (x, x * y)):
         want = [math.fsum(terms[j * stride : j * stride + n].tolist()) / n for j in range(k)]
         assert got.shape == (k,) and not np.shares_memory(got, buf)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -723,14 +732,77 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
             assert np.array_equal(got, terms[::stride])
 
 
+def _one_sum_means(x, y, k, stride, n):
+    """The window means of ``x`` or ``x*y`` by the single-sum float64 rule
+    the kernel's lanes must match bit for bit: segment sums of ``g`` ticks
+    from ``g = 4`` on, the first window reduced in full, the others read from
+    one cumulative sum, and each divided by ``n``."""
+    g = math.gcd(n, stride)
+    if g < market_core._MIN_SEGMENT:
+        seg, g = (x if y is None else x * y), 1
+    elif y is None:
+        seg = np.einsum("ij->i", x.reshape(-1, g))
+    else:
+        seg = np.einsum("ij,ij->i", x.reshape(-1, g), y.reshape(-1, g))
+    step, m = stride // g, n // g
+    if m == 1:
+        return seg[::step] / n
+    c = np.cumsum(seg)
+    sums = np.concatenate([[np.add.reduce(seg[:m])],
+                           c[step + m - 1 :: step] - c[step - 1 :: step][: k - 1]])
+    return sums / n
+
+
+@pytest.mark.parametrize("n, stride, k", [
+    (1, 1, 1), (1, 7, 40),  # one-tick windows
+    (30, 1, 1), (256, 1, 300), (64, 3, 50),  # g = 1
+    (96, 64, 9), (8, 4, 30), (20, 5, 30), (64, 16, 30), (256, 64, 9),  # g = 32, 4, 5, 16, 64
+    (512, 256, 5), (256, 256, 6), (64, 128, 5),  # g = 256, one segment, stride > n
+])
+def test_each_lane_is_its_own_float64_sum(n, stride, k):
+    """Each lane of a pass is, bit for bit, the float64 rule run on its term
+    alone, whichever term shares the pass; a lone term gives the same bits."""
+    rng = np.random.default_rng(10 * n + stride)
+    span = (k - 1) * stride + n
+    x, y, z = (scale * rng.lognormal(0.0, sd, span) for scale, sd in
+               ((1e4, 1e-4), (1.0, 0.4), (1e-3, 1.0)))
+    buf = np.empty(span, np.complex128)
+    for terms in ([(x, None), (y, z)], [(y, z), (x, None)], [(x, y), (z, None)], [(z, x)]):
+        got = market_core.window_means(terms, k, stride, n, buf)
+        assert len(got) == len(terms)
+        for mean, (a, b) in zip(got, terms):
+            assert mean.shape == (k,) and mean.flags.c_contiguous
+            assert mean.tobytes() == _one_sum_means(a, b, k, stride, n).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("n, stride, k", [(16, 1, 40), (64, 16, 20)])
+def test_a_non_finite_lane_leaves_its_partner_alone(bad, n, stride, k):
+    """A non-finite term spoils its own windows only: the other lane of the
+    pass keeps the bits of its own float64 sum."""
+    rng = np.random.default_rng(7)
+    span = (k - 1) * stride + n
+    x, y = rng.lognormal(0.0, 0.4, span), rng.lognormal(0.0, 0.4, span)
+    x[span // 2] = bad
+    buf = np.empty(span, np.complex128)
+    with np.errstate(all="ignore"):  # inf - inf in the spoiled lane
+        for terms, spoiled in (([(x, y), (y, None)], 0), ([(y, None), (x, None)], 1)):
+            got = market_core.window_means(terms, k, stride, n, buf)
+            want = [_one_sum_means(a, b, k, stride, n) for a, b in terms]
+            assert got[1 - spoiled].tobytes() == want[1 - spoiled].tobytes()
+            assert not np.isfinite(got[spoiled]).all()
+            np.testing.assert_array_equal(got[spoiled], want[spoiled])  # NaN where NaN
+
+
 def _count_window_sums(monkeypatch):
-    """A counter of the kernel's window sums, one per distinct mean."""
+    """A counter of the kernel's window sums, one per distinct mean (a pass
+    of the kernel sums one or two)."""
     calls = [0]
     window_means = market_core.window_means
 
-    def counting(*args):
-        calls[0] += 1
-        return window_means(*args)
+    def counting(terms, *args):
+        calls[0] += len(terms)
+        return window_means(terms, *args)
 
     monkeypatch.setattr(market_core, "window_means", counting)
     return calls

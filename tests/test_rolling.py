@@ -1,6 +1,7 @@
 import functools
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mbstat import (
     make_plan,
     make_series,
     mb_corr_prices,
+    mb_price_volatility,
 )
 from mbstat import market_core, rolling
 from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
@@ -231,8 +233,11 @@ class TestChunking:
 
     def test_mirrored_products_are_one_pass(self, monkeypatch):
         # (W_p1,D_p1)/(D_p1,W_p1) and (W_r1,D_r1)/(D_r1,W_r1) are one window sum
-        # each: 12 means of the four legs' shifted arrays and 23 products.  So
-        # too at window 1024, stride 256, where a window sum reads segment sums.
+        # each: 12 means of the four legs' shifted arrays and 23 products, 35
+        # sums that take 18 passes of two lanes (the last one alone).  So too
+        # at window 1024, stride 256, where a window sum reads segment sums.
+        # A per-window report takes its 19 sums in 10 passes, a volatility
+        # its 7 in 4.
         passes = 0
         window_sums = market_core.window_means
 
@@ -248,8 +253,37 @@ class TestChunking:
             passes = 0
             blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
             assert blocks > 1
-            assert passes == 35 * blocks
+            assert passes == 18 * blocks
+        w1, w2 = Window(s1, 0, 30), Window(s2, 0, 30)
+        for fn, args, want in ((mb_corr_prices, (w1, w2), 10), (mb_price_volatility, (w1,), 4)):
+            passes = 0
+            fn(*args)
+            assert passes == want, fn.__name__
 
+    @pytest.mark.parametrize("window, stride", [(256, 1), (64, 3), (96, 64), (1, 7)])
+    def test_a_family_is_the_same_whatever_shares_its_passes(self, window, stride):
+        # The kernel sums two means per pass, so a sum's lane partner depends
+        # on which families are asked for.  Each family's records are the same
+        # bytes alone, beside others with an odd or an even number of sums,
+        # and among all seven (at 256/1 over two anchor blocks; at 64/3
+        # g = 1, at 96/64 g = 32 segment sums).  Every request runs the
+        # all-family plan's windows and blocks, so that only the passes differ.
+        s1, s2 = synth_pair(5000)
+        plan = make_plan(s1, s2, window=window, stride=stride, alpha=1, beta=1)
+        requests = [FAMILIES, *((family,) for family in FAMILIES),
+                    ("price_corr", "return_corr"), ("price_corr", "return_vol"),
+                    ("price_return_corr", "price_vol", "joint_return_moment")]
+        sums = [len({spec for family in families
+                     for spec in market_core.sum_specs(*FAMILY_LEGS[family]).values()})
+                for families in requests[len(FAMILIES) + 1 :]]
+        assert {count % 2 for count in sums} == {0, 1}, sums
+        runs = {families: collect_rolling_stats(s1, s2, replace(plan, families=families))
+                for families in requests}
+        for families, run in runs.items():
+            for family in families:
+                for key, arr in run.families[family].items():
+                    want = runs[FAMILIES].families[family][key]
+                    assert arr.tobytes() == want.tobytes(), (families, family, key)
 
     def test_shared_slots_are_one_array(self):
         # Dense 5k-tick pair, window 256, stride 1, all families: of a chunk's
