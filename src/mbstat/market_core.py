@@ -57,10 +57,6 @@ DENOM_FLOOR = 1e-300
 # of the same joint moment (different arrangement, same compensated moments).
 JOINT_MOMENT_REL_TOL = 1e-12
 
-# The shortest segment :func:`window_means` sums before its cumulative sum:
-# below 4 ticks a row reduction costs more than the cumulative sum it saves.
-_MIN_SEGMENT = 4
-
 PRICE_FAMILY = "price_corr"
 RETURN_FAMILY = "return_corr"
 PRICE_RETURN_FAMILY = "price_return_corr"
@@ -233,57 +229,73 @@ def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
             **{k: tuple(sorted(pair)) for k, pair in products.items()}}
 
 
-def window_means(terms, k: int, stride: int, n: int, buf: np.ndarray) -> list[np.ndarray]:
+def window_layout(window: int, stride: int) -> tuple[int, int]:
+    """The layout of a rolling plan's window sums, ``(anchor, segment)``: the
+    window positions per block, and the ticks per segment summed before the
+    cumulative sum (:func:`window_means`).  Every window is a run of whole
+    segments of ``g = gcd(window, stride)`` ticks; below ``g = 4`` a row
+    reduction costs more than the cumulative sum it saves, so a segment is a
+    tick.  A block's cumulative sum drifts by ~span^2 * eps / window of a
+    window sum and ~span^2 * eps / window^2 of a covariance of shifted data
+    (the tighter below a window of 49).  The span limit aims at 1e-10 of
+    ``max(|value|, S)``, conservatively over span/g segment sums, but over
+    ticks 96/65 reads 4.6e-10 and 96/63 3.0e-10 in the high regime."""
+    span_limit = int(min(671.0 * math.sqrt(window), 96.0 * window))
+    anchor = max(1, min(4096, (span_limit - window) // stride + 1))
+    g = math.gcd(window, stride)
+    return anchor, g if g >= 4 else 1
+
+
+def window_means(terms, k: int, stride: int, n: int, segment: int,
+                 buf: np.ndarray) -> list[np.ndarray]:
     """Means over the ``k`` windows ``[j*stride, j*stride + n)`` of one or two
     terms, each ``(x, None)`` for ``x`` or ``(x, y)`` for ``x*y``, ``x`` being
     their span: one fresh array per term, both summed in one pass.  The terms
-    fill the real and imaginary lanes of ``buf``, a ``complex128`` array as
-    long as the span (overwritten); a lone term's partner lane is zeros.
-    Complex addition and subtraction are one IEEE operation per lane, so one
-    cumulative sum and one strided difference serve both lanes and give each
-    the bits of its own float64 sum.  Each window is a run of whole segments
-    of ``g = gcd(n, stride)`` ticks.  From ``g = 4`` on, the segments are
-    summed first, one row reduction each into the lane (a product needs no
-    span-long temporary), and the windows are read from the segment sums at
-    window ``n/g`` and stride ``stride/g``; below it a segment is a tick.
+    fill the real and imaginary lanes of ``buf``, a ``complex128`` array of
+    one entry per segment of the span (overwritten); a lone term's partner
+    lane is zeros.  Complex addition and subtraction are one IEEE operation
+    per lane, so one cumulative sum and one strided difference serve both
+    lanes and give each the bits of its own float64 sum.  ``segment``
+    divides ``n`` and ``stride`` (:func:`window_layout`); above 1 the
+    segments are summed first, one row reduction each into the lane (a
+    product needs no span-long temporary), and the windows are read from the
+    segment sums at window ``n/segment`` and stride ``stride/segment``.
     Each lane's first window is summed in full, the others are the difference
     of two strided slices of the cumulative sum; a one-segment window is its
     segment's sum, so a one-tick covariance is exactly 0.  Each lane is
     divided by ``n`` on its own, as a complex-by-real division is not one
     operation per lane."""
-    g = math.gcd(n, stride)
-    if g < _MIN_SEGMENT:
-        g = 1
-    seg = buf[: len(terms[0][0]) // g]
-    lanes = seg.real, seg.imag
+    lanes = buf.real, buf.imag
     if len(terms) == 1:
         lanes[1][:] = 0.0
     for lane, (x, y) in zip(lanes, terms):
-        if g == 1 and y is None:
+        if segment == 1 and y is None:
             np.copyto(lane, x)
-        elif g == 1:
+        elif segment == 1:
             np.multiply(x, y, out=lane)
         elif y is None:
-            np.einsum("ij->i", x.reshape(-1, g), out=lane)
+            np.einsum("ij->i", x.reshape(-1, segment), out=lane)
         else:
-            np.einsum("ij,ij->i", x.reshape(-1, g), y.reshape(-1, g), out=lane)
-    step, m = stride // g, n // g
+            np.einsum("ij,ij->i", x.reshape(-1, segment), y.reshape(-1, segment), out=lane)
+    step, m = stride // segment, n // segment
     if m == 1:
-        sums = seg[::step]
+        sums = buf[::step]
     else:
         first = [np.add.reduce(lane[:m]) for lane in lanes[: len(terms)]]
         if k == 1:
             return [np.array([s / n]) for s in first]
         sums = np.empty(k, np.complex128)
         sums[0] = complex(*first)
-        c = np.cumsum(seg, out=seg)
+        c = np.cumsum(buf, out=buf)
         np.subtract(c[step + m - 1 :: step], c[step - 1 :: step][: k - 1], out=sums[1:])
     return [np.divide(lane, n) for lane in (sums.real, sums.imag)[: len(terms)]]
 
 
-def shifted_means(legs: dict, pairs, k: int, stride: int, n: int) -> tuple[dict, dict]:
+def shifted_means(legs: dict, pairs, k: int, stride: int, n: int,
+                  segment: int) -> tuple[dict, dict]:
     """The sums of the one kernel of both paths.  ``legs`` maps a leg to its
     ``(C, W, x)`` over a span of ``k`` windows ``[j*stride, j*stride + n)``,
+    summed in segments of ``segment`` ticks (:func:`window_layout`), and
     shifted by the first: ``D = C - g0*W`` with ``g0 = sum(C)/sum(W)``, and
     ``y = x - mean(x)``.  Returns the means the closed forms of ``pairs`` read,
     keyed by :func:`sum_specs` spec, and per leg its shift ``(g0, x0)``.  The
@@ -296,13 +308,13 @@ def shifted_means(legs: dict, pairs, k: int, stride: int, n: int) -> tuple[dict,
         x0 = np.add.reduce(x[:n]) / n
         shifts[leg] = g0, x0
         arrays[f"D{leg}"], arrays[f"W{leg}"], arrays[f"y{leg}"] = c - g0 * w, w, x - x0
-    buf = np.empty((k - 1) * stride + n, np.complex128)
+    buf = np.empty(((k - 1) * stride + n) // segment, np.complex128)
     specs = list(dict.fromkeys(spec for pair in pairs for spec in sum_specs(*pair).values()))
     means = {}
     for i in range(0, len(specs), 2):
         lane_specs = specs[i : i + 2]
         terms = [(arrays[a], b and arrays[b]) for a, b in lane_specs]
-        means.update(zip(lane_specs, window_means(terms, k, stride, n, buf)))
+        means.update(zip(lane_specs, window_means(terms, k, stride, n, segment, buf)))
     return means, shifts
 
 
@@ -356,7 +368,7 @@ def _forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
             (src.value, src.c_past, src.r) for leg, src in zip(FAMILY_LEGS[family], (src1, src2))}
     pairs = dict.fromkeys([FAMILY_LEGS[family], *((leg, leg) for leg in legs)], family)
     with np.errstate(all="ignore"):  # a non-finite figure is refused by name
-        means, shifts = shifted_means(legs, pairs, 1, 1, len(src1))
+        means, shifts = shifted_means(legs, pairs, 1, 1, len(src1), 1)
     means = {spec: mean.item() for spec, mean in means.items()}
     shifts = {leg: (float(g0), float(x0)) for leg, (g0, x0) in shifts.items()}
     return list(pair_forms(means, shifts, pairs))

@@ -3,14 +3,11 @@
 The engine advances a fixed-size window over the common grid of two series
 and runs :mod:`mbstat.market_core`'s kernel once per anchor block: over the
 block's span each leg is shifted by the block's first window, every needed
-window mean is read by two strided slices from a cumulative sum (over the
-span's ticks, or over its segment sums of ``gcd(window, stride)`` ticks when
-those are 4 or more), two means to one ``complex128`` cumulative sum (see
-``market_core.window_means``), and each block starts from a fresh shift and
-a fresh full sum, which bounds drift.
-The anchor interval is 4096 strides, shrunk only when ``stride`` or a small
-window would let the in-block span grow past what keeps the incremental
-results near 1e-10 of full recomputation.
+window mean is read by two strided slices from a cumulative sum, two means
+to one ``complex128`` cumulative sum (see ``market_core.window_means``), and
+each block starts from a fresh shift and a fresh full sum, which bounds
+drift.  The plan's block and segment lengths, ``anchor`` and ``segment``,
+are ``market_core.window_layout``'s, decided once per plan.
 
 This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
 ``build_leg``, which builds it over one anchor block's span at a time (a
@@ -26,7 +23,6 @@ holds more than one block of legs and records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +43,9 @@ from .market_core import (  # the family names stay importable from here
     family_values,
     pair_forms,
     shifted_means,
+    window_layout,
 )
 from .trade_series import TradeSeries, _grid_centers, build_leg, whole_steps
-
-_ANCHOR_INTERVAL = 4096
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,8 @@ class RollingPlan:
     Window ``i`` starts at common-grid index ``i * stride``; its first tick
     sits at index ``off1 + i*stride`` of series 1 and ``off2 + i*stride`` of
     series 2.  ``length`` counts usable common-grid ticks (enough history for
-    every requested lag exists at every index).
+    every requested lag exists at every index).  ``anchor`` and ``segment``
+    are the kernel's layout, :func:`~mbstat.market_core.window_layout`.
     """
 
     window: int
@@ -75,6 +71,7 @@ class RollingPlan:
     t_origin: int
     epsilon: int
     anchor: int
+    segment: int
 
     def start_index1(self, position: int) -> int:
         return self.off1 + position * self.stride
@@ -104,19 +101,6 @@ class RollingChunk:
 
     def __len__(self) -> int:
         return len(self.t_center)
-
-
-def _anchor_interval(window: int, stride: int) -> int:
-    # Keep the worst-case in-block cumsum drift near 1e-10: ~span^2 * eps /
-    # window relative to a window sum of positive data, and ~span^2 * eps /
-    # window^2 relative to a covariance of data shifted by the block's first
-    # window, whose deviations grow with the span (the second bound is the
-    # tighter below a window of 49).  Where the kernel sums segments of
-    # g = gcd(window, stride) ticks first, its cumulative sum runs over span/g
-    # segment sums; the rule is the same, so it is conservative there.
-    span_limit = int(min(671.0 * math.sqrt(window), 96.0 * window))
-    by_drift = (span_limit - window) // stride + 1
-    return max(1, min(_ANCHOR_INTERVAL, by_drift))
 
 
 def _legs(families) -> set[str]:
@@ -193,6 +177,7 @@ def make_plan(
             f"history for alpha={alpha}, beta={beta}; window needs {window}"
         )
     n_positions = (length - window) // stride + 1
+    anchor, segment = window_layout(window, stride)
     return RollingPlan(
         window=window,
         stride=stride,
@@ -205,7 +190,8 @@ def make_plan(
         n_positions=n_positions,
         t_origin=t_origin,
         epsilon=eps,
-        anchor=_anchor_interval(window, stride),
+        anchor=anchor,
+        segment=segment,
     )
 
 
@@ -251,7 +237,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
         zeros = np.zeros(k)  # the unused average slots of every family
         forms, families = {}, {}
         with np.errstate(all="ignore"):  # a non-finite figure is refused by name
-            pending = pair_forms(*shifted_means(legs, pairs, k, stride, n), pairs)
+            pending = pair_forms(*shifted_means(legs, pairs, k, stride, n, plan.segment), pairs)
             for family in plan.families:  # a pair's form runs just before its first family
                 pair = FAMILY_LEGS[family]
                 if pair not in forms:

@@ -710,7 +710,7 @@ def test_overflowing_moment_is_refused_without_a_warning():
 
 @pytest.mark.parametrize("n, stride, k", [
     (1, 1, 1), (1, 3, 7),  # one-tick windows
-    (7, 3, 9), (64, 1, 40), (6, 4, 9),  # g = gcd(n, stride) is 1, or 2: below a segment
+    (7, 3, 9), (64, 1, 40), (6, 4, 9),  # gcd(n, stride) is 1, or 2: tick sums
     (8, 8, 9), (32, 16, 1),  # g = n; one window
     (96, 64, 7), (12, 8, 9),  # 1 < g < n
     (64, 128, 5), (12, 20, 9),  # stride > n, at g = n and g < n
@@ -722,8 +722,9 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
     span = (k - 1) * stride + n
     x = 1e4 * rng.lognormal(0.0, 1e-4, span)
     y = rng.lognormal(0.0, 0.4, span)
-    buf = np.empty(span, np.complex128)
-    means = market_core.window_means([(x, None), (x, y)], k, stride, n, buf)
+    _, g = market_core.window_layout(n, stride)
+    buf = np.empty(span // g, np.complex128)
+    means = market_core.window_means([(x, None), (x, y)], k, stride, n, g, buf)
     for got, terms in zip(means, (x, x * y)):
         want = [math.fsum(terms[j * stride : j * stride + n].tolist()) / n for j in range(k)]
         assert got.shape == (k,) and not np.shares_memory(got, buf)
@@ -732,14 +733,13 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
             assert np.array_equal(got, terms[::stride])
 
 
-def _one_sum_means(x, y, k, stride, n):
+def _one_sum_means(x, y, k, stride, n, g):
     """The window means of ``x`` or ``x*y`` by the single-sum float64 rule
-    the kernel's lanes must match bit for bit: segment sums of ``g`` ticks
-    from ``g = 4`` on, the first window reduced in full, the others read from
-    one cumulative sum, and each divided by ``n``."""
-    g = math.gcd(n, stride)
-    if g < market_core._MIN_SEGMENT:
-        seg, g = (x if y is None else x * y), 1
+    the kernel's lanes must match bit for bit: segment sums of ``g`` ticks,
+    the first window reduced in full, the others read from one cumulative
+    sum, and each divided by ``n``."""
+    if g == 1:
+        seg = x if y is None else x * y
     elif y is None:
         seg = np.einsum("ij->i", x.reshape(-1, g))
     else:
@@ -766,13 +766,14 @@ def test_each_lane_is_its_own_float64_sum(n, stride, k):
     span = (k - 1) * stride + n
     x, y, z = (scale * rng.lognormal(0.0, sd, span) for scale, sd in
                ((1e4, 1e-4), (1.0, 0.4), (1e-3, 1.0)))
-    buf = np.empty(span, np.complex128)
+    _, g = market_core.window_layout(n, stride)
+    buf = np.empty(span // g, np.complex128)
     for terms in ([(x, None), (y, z)], [(y, z), (x, None)], [(x, y), (z, None)], [(z, x)]):
-        got = market_core.window_means(terms, k, stride, n, buf)
+        got = market_core.window_means(terms, k, stride, n, g, buf)
         assert len(got) == len(terms)
         for mean, (a, b) in zip(got, terms):
             assert mean.shape == (k,) and mean.flags.c_contiguous
-            assert mean.tobytes() == _one_sum_means(a, b, k, stride, n).tobytes()
+            assert mean.tobytes() == _one_sum_means(a, b, k, stride, n, g).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -784,11 +785,12 @@ def test_a_non_finite_lane_leaves_its_partner_alone(bad, n, stride, k):
     span = (k - 1) * stride + n
     x, y = rng.lognormal(0.0, 0.4, span), rng.lognormal(0.0, 0.4, span)
     x[span // 2] = bad
-    buf = np.empty(span, np.complex128)
+    _, g = market_core.window_layout(n, stride)
+    buf = np.empty(span // g, np.complex128)
     with np.errstate(all="ignore"):  # inf - inf in the spoiled lane
         for terms, spoiled in (([(x, y), (y, None)], 0), ([(y, None), (x, None)], 1)):
-            got = market_core.window_means(terms, k, stride, n, buf)
-            want = [_one_sum_means(a, b, k, stride, n) for a, b in terms]
+            got = market_core.window_means(terms, k, stride, n, g, buf)
+            want = [_one_sum_means(a, b, k, stride, n, g) for a, b in terms]
             assert got[1 - spoiled].tobytes() == want[1 - spoiled].tobytes()
             assert not np.isfinite(got[spoiled]).all()
             np.testing.assert_array_equal(got[spoiled], want[spoiled])  # NaN where NaN

@@ -310,21 +310,28 @@ class TestRandomChunkBytes:
 # alone is pinned by the hand-built chunks below).
 
 PINNED_REPORT_DIGESTS = {
-    "json": "d13a0e280598fd9dfa30a4f268bf828c42d5d3089f2d590b55cb6943ec6dfd7e",
-    "csv": "673bacd3f1d559daad36db39d7301d68c6e7c3b64333615f83cdaa57339150a2",
+    # window 64, stride 3: tick sums (gcd 1)
+    (3, "json"): "d13a0e280598fd9dfa30a4f268bf828c42d5d3089f2d590b55cb6943ec6dfd7e",
+    (3, "csv"): "673bacd3f1d559daad36db39d7301d68c6e7c3b64333615f83cdaa57339150a2",
+    # window 64, stride 16: sums of 16-tick segments
+    (16, "json"): "1b2a710c1306d7692e3ac7e964659d54fd23a5120b6d3401bcad10288e1f6318",
+    (16, "csv"): "6a61e6fda4d964441b5090061e0113b400cec0f16d8f4a8b680df7e629279576",
 }
 
 
-@pytest.mark.parametrize("fmt, writer", [("json", write_json), ("csv", write_csv)])
-def test_pinned_report_digest(fmt, writer):
-    pair = [gen_trades(SynthConfig(n_ticks=600, seed=seed), f"asset{k + 1}")
+@pytest.mark.parametrize("fmt, writer, stride, n_ticks", [
+    ("json", write_json, 3, 600), ("csv", write_csv, 3, 600),
+    ("json", write_json, 16, 2000), ("csv", write_csv, 16, 2000),
+], ids=["json-write_json", "csv-write_csv", "json-write_json-stride16", "csv-write_csv-stride16"])
+def test_pinned_report_digest(fmt, writer, stride, n_ticks):
+    pair = [gen_trades(SynthConfig(n_ticks=n_ticks, seed=seed), f"asset{k + 1}")
             for k, seed in enumerate((41, 42))]
-    plan = make_plan(*pair, window=64, stride=3, alpha=1, beta=1, families=FAMILIES)
+    plan = make_plan(*pair, window=64, stride=stride, alpha=1, beta=1, families=FAMILIES)
     plan = dataclasses.replace(plan, anchor=100)  # two anchor blocks, the last one short
     chunks = list(iter_rolling_stats(*pair, plan))
     assert [len(chunk) for chunk in chunks] == [100, plan.n_positions - 100]
     text = _render(writer, plan, chunks)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGESTS[fmt]
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGESTS[stride, fmt]
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from mbstat import (
 from mbstat import market_core, rolling
 from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
                            NonUniformSpacing, ParseError)
-from mbstat.market_core import FAMILY_LEGS, average_slots
+from mbstat.market_core import FAMILY_LEGS, average_slots, window_layout
 from mbstat.oracle import relative_deviation
-from mbstat.rolling import FAMILIES, _anchor_interval
+from mbstat.rolling import FAMILIES
 
 
 def synth_pair(n, seed=100, **kw):
@@ -116,13 +116,20 @@ class TestPlan:
         with pytest.raises(InvalidConfig, match="lags must be >= 0"):
             make_plan(s1, s2, window=4, families=("price_corr",), **lags)
 
-    def test_anchor_interval_snaps_to_default(self):
-        assert _anchor_interval(256, 1) == 4096
-        assert _anchor_interval(1024, 1) == 4096
-        # tiny windows and big strides shorten the block to bound drift
-        assert _anchor_interval(2, 1) < 4096
-        assert _anchor_interval(256, 64) < 4096
-        assert _anchor_interval(256, 100000) == 1
+    @pytest.mark.parametrize("window, stride, layout", [
+        (256, 1, (4096, 1)), (2, 1, (191, 1)),  # the 4096 cap; a tiny window's short block
+        (1024, 256, (80, 256)), (96, 64, (102, 32)), (64, 4, (1327, 4)),  # segments of g >= 4
+        (96, 65, (100, 1)), (64, 6, (885, 1)),  # g = 1 and g = 2: tick sums
+        (64, 128, (42, 64)),  # stride past the window: one segment per window
+        (256, 100000, (1, 32)),  # a stride past any span: one position per block
+    ])
+    def test_window_layout(self, window, stride, layout):
+        """The kernel's layout, ``(anchor, segment)``, and the plan stores it
+        as it is."""
+        assert window_layout(window, stride) == layout
+        s1, s2 = synth_pair(window + 1)
+        plan = make_plan(s1, s2, window=window, stride=stride, families=("price_corr",))
+        assert (plan.anchor, plan.segment) == layout
 
 
 def family_floor(arrays, i):
@@ -444,7 +451,7 @@ def _guard_pair(n_ticks):
 def _guard_plan(window, stride, lag, families):
     """A plan of at least three anchor blocks, the last one partial (unless a
     block is one position)."""
-    anchor = _anchor_interval(window, stride)
+    anchor, _ = window_layout(window, stride)
     positions = 2 * anchor + (anchor + 1) // 2
     s1, s2 = _guard_pair(window + (positions - 1) * stride + lag)
     plan = make_plan(s1, s2, window=window, stride=stride, alpha=lag, beta=lag,

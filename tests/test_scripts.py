@@ -1,12 +1,17 @@
 """The example scripts and README's library example run end to end on
-small inputs."""
+small inputs, and the names README gives resolve."""
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import mbstat
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +40,16 @@ def test_readme_library_example_gives_its_commented_values():
         assert eval(code, namespace) == pytest.approx(commented[shown], rel=1e-12), line
         checked.append(shown)
     assert checked == list(commented)
+
+
+def test_readme_module_names_resolve():
+    """Every backticked ``module.name`` in README whose module is an mbstat
+    submodule names an attribute of it, so a function moved away from under
+    the docs fails here."""
+    modules = {info.name for info in pkgutil.iter_modules(mbstat.__path__)}
+    refs = [(module, name) for module, name in
+            re.findall(r"`(\w+)\.(\w+)", (ROOT / "README.md").read_text()) if module in modules]
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"mbstat.{module}"), name)]
+    assert not missing, missing
