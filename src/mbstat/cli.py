@@ -181,8 +181,10 @@ def run_verify(args) -> int:
                 kind = f"{_ORACLE_LEG_KIND[leg1[0]]}_{_ORACLE_LEG_KIND[leg2[0]]}"
                 corr[legs] = oracle_corr_windows(kind, x1, x2, w1, w2, g1, g2,
                                                  window=plan.window, stride=plan.stride)
-            direct = corr[legs] + g1 * g2 if family in JOINT_FAMILIES else corr[legs]
-            dev = relative_deviation(market, direct, np.abs(g1 * g2))
+            with np.errstate(over="ignore"):  # an infinite scale fails the gate (NaN)
+                g12 = g1 * g2
+            direct = corr[legs] + g12 if family in JOINT_FAMILIES else corr[legs]
+            dev = relative_deviation(market, direct, np.abs(g12))
             worst[family] = _worst(worst.get(family), dev, chunk.first_position)
 
     status = EXIT_OK

@@ -230,9 +230,10 @@ def sum_specs(leg1: str, leg2: str) -> dict[str, tuple[str, str | None]]:
 
 
 def window_layout(window: int, stride: int) -> tuple[int, int]:
-    """The layout of a rolling plan's window sums, ``(anchor, segment)``: the
-    window positions per block, and the ticks per segment summed before the
-    cumulative sum (:func:`window_means`).  Every window is a run of whole
+    """The layout of a rolling plan's window sums, ``(anchor, segment)``,
+    which the plan derives on each read: the window positions per block, and
+    the ticks per segment summed before the cumulative sum
+    (:func:`window_means`).  Every window is a run of whole
     segments of ``g = gcd(window, stride)`` ticks; below ``g = 4`` a row
     reduction costs more than the cumulative sum it saves, so a segment is a
     tick.  A block's cumulative sum drifts by ~span^2 * eps / window of a
@@ -386,18 +387,18 @@ def _report(family: str, src1, src2) -> CorrelationReport:
     (m, form), (m1, form1), (m2, form2) = _forms(family, src1, src2)
     market, frequency = family_values(family, m, form)
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
-    variances = dict(market_var1=form1[-1], market_var2=form2[-1],
-                     freq_var1=m1["yy"] - m1["y1"] * m1["y2"],
-                     freq_var2=m2["yy"] - m2["y1"] * m2["y2"])
-    require_finite(family, **variances)
-    slot1, slot2 = average_slots(family)
+    averages = dict(zip(average_slots(family), (g1, g2)))
+    figures = dict(cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww,
+                   market_var1=form1[-1], market_var2=form2[-1],
+                   freq_var1=m1["yy"] - m1["y1"] * m1["y2"],
+                   freq_var2=m2["yy"] - m2["y1"] * m2["y2"])
+    require_finite(family, **averages, **figures)
     leg1, leg2 = FAMILY_LEGS[family]
     return CorrelationReport(
         stat_family=family, market_value=market, frequency_value=frequency,
-        averages=MarketAverages(**{slot1: g1, slot2: g2}),
+        averages=MarketAverages(**averages),
         freq_avg1=m["x1"] + m["y1"], freq_avg2=m["x2"] + m["y2"], denominator=m["ww"],
-        cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww, **variances,
-        n=len(src1),
+        **figures, n=len(src1),
         alpha=src1.lag if leg1[0] == "p" else src1.alpha,
         beta=src2.lag if leg2[0] == "p" else src2.alpha,
         asset1=src1.asset_id, asset2=src2.asset_id, t_center=src1.t_center,

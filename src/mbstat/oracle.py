@@ -134,12 +134,14 @@ def relative_deviation(x, y, floor=0.0):
     must not turn benign summation-order noise into a huge ratio.  Floats
     give a float, arrays an array of the element-wise rule: 0 where
     ``|x - y|`` is 0, else ``|x - y|`` over the largest of ``|x|``, ``|y|``
-    and ``floor``.  A NaN or an inf in ``x`` or ``y`` gives NaN.
+    and ``floor``.  A NaN or an inf in ``x`` or ``y``, or an infinite
+    ``floor``, gives NaN: no deviation is small against an infinite scale.
     """
     with np.errstate(invalid="ignore"):  # inf against inf is NaN, a breach
         diff = np.abs(np.subtract(x, y))
-        dev = diff / np.fmax(np.fmax(np.abs(x), np.abs(y)), floor)
-    return np.where(diff == 0.0, 0.0, dev)[()]  # [()]: a 0-d result as a float
+        scale = np.fmax(np.fmax(np.abs(x), np.abs(y)), floor)
+        dev = np.where(scale < np.inf, diff / scale, np.nan)
+        return np.where(diff == 0.0, 0.0, dev)[()]  # [()]: a 0-d result as a float
 
 
 def _weight_kind(kind: str) -> str:

@@ -6,8 +6,8 @@ block's span each leg is shifted by the block's first window, every needed
 window mean is read by two strided slices from a cumulative sum, two means
 to one ``complex128`` cumulative sum (see ``market_core.window_means``), and
 each block starts from a fresh shift and a fresh full sum, which bounds
-drift.  The plan's block and segment lengths, ``anchor`` and ``segment``,
-are ``market_core.window_layout``'s, decided once per plan.
+drift.  The block and segment lengths, the plan's ``anchor`` and
+``segment``, are ``market_core.window_layout``'s, read once per run.
 
 This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
 ``build_leg``, which builds it over one anchor block's span at a time (a
@@ -55,8 +55,10 @@ class RollingPlan:
     Window ``i`` starts at common-grid index ``i * stride``; its first tick
     sits at index ``off1 + i*stride`` of series 1 and ``off2 + i*stride`` of
     series 2.  ``length`` counts usable common-grid ticks (enough history for
-    every requested lag exists at every index).  ``anchor`` and ``segment``
-    are the kernel's layout, :func:`~mbstat.market_core.window_layout`.
+    every requested lag exists at every index).  The plan keeps what
+    :func:`make_plan` is given and where the two grids meet; the rest is
+    derived on each read: ``n_positions``, and ``anchor`` and ``segment``,
+    the kernel's layout, :func:`~mbstat.market_core.window_layout`.
     """
 
     window: int
@@ -67,11 +69,12 @@ class RollingPlan:
     off1: int
     off2: int
     length: int
-    n_positions: int
     t_origin: int
     epsilon: int
-    anchor: int
-    segment: int
+
+    n_positions = property(lambda self: (self.length - self.window) // self.stride + 1)
+    anchor = property(lambda self: window_layout(self.window, self.stride)[0])
+    segment = property(lambda self: window_layout(self.window, self.stride)[1])
 
     def start_index1(self, position: int) -> int:
         return self.off1 + position * self.stride
@@ -176,23 +179,8 @@ def make_plan(
             f"only {max(length, 0)} usable overlapping ticks after reserving "
             f"history for alpha={alpha}, beta={beta}; window needs {window}"
         )
-    n_positions = (length - window) // stride + 1
-    anchor, segment = window_layout(window, stride)
-    return RollingPlan(
-        window=window,
-        stride=stride,
-        alpha=alpha,
-        beta=beta,
-        families=families,
-        off1=off1,
-        off2=off2,
-        length=length,
-        n_positions=n_positions,
-        t_origin=t_origin,
-        epsilon=eps,
-        anchor=anchor,
-        segment=segment,
-    )
+    return RollingPlan(window=window, stride=stride, alpha=alpha, beta=beta, families=families,
+                       off1=off1, off2=off2, length=length, t_origin=t_origin, epsilon=eps)
 
 
 def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, start: int = 0,
@@ -226,18 +214,19 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     """Yield one :class:`RollingChunk` per anchor block, in position order.
     Each block's legs are built over its own span, so a return or past value
     out of range is refused when its block is reached."""
-    n, stride = plan.window, plan.stride
+    n, stride, n_positions = plan.window, plan.stride, plan.n_positions
+    anchor, segment = plan.anchor, plan.segment
     pairs = {}
     for family in plan.families:  # a pair's errors name its first family
         pairs.setdefault(FAMILY_LEGS[family], family)
 
-    for c0 in range(0, plan.n_positions, plan.anchor):
-        k = min(plan.anchor, plan.n_positions - c0)
+    for c0 in range(0, n_positions, anchor):
+        k = min(anchor, n_positions - c0)
         legs = leg_sequences(s1, s2, plan, c0 * stride, (k - 1) * stride + n)
         zeros = np.zeros(k)  # the unused average slots of every family
         forms, families = {}, {}
         with np.errstate(all="ignore"):  # a non-finite figure is refused by name
-            pending = pair_forms(*shifted_means(legs, pairs, k, stride, n, plan.segment), pairs)
+            pending = pair_forms(*shifted_means(legs, pairs, k, stride, n, segment), pairs)
             for family in plan.families:  # a pair's form runs just before its first family
                 pair = FAMILY_LEGS[family]
                 if pair not in forms:

@@ -470,6 +470,18 @@ class TestVerify:
         assert main(["analyze", *flags, "--output", out]) == 4
         assert "non-finite market_value" in capsys.readouterr().err
 
+    def test_an_overflowing_scale_fails_closed(self, tmp_path, capsys):
+        # Prices near 1e155: the gate's scale |g1*g2| overflows to inf, over
+        # which any finite market value read a deviation of 0.
+        p1, p2 = generate_pair(tmp_path, n=600, seed=1, extra=(
+            "--price-start", "1e155", "--log-price-step-sd", "1e-5"))
+        code = main(["verify", "--asset1-path", p1, "--asset2-path", p2,
+                     "--window", "16", "--stats", "price_corr"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "max_rel_dev=nan at t_center=8.5 over 584 windows [FAIL]" in captured.out
+        assert "deviation=nan" in captured.err
+
     def test_all_zero_deviations_name_a_real_window(self, tmp_path, capsys):
         # Constant powers of two: closed form and oracle are both exactly 0.
         text = "t,price,volume\n" + "".join(f"{t},2,1\n" for t in range(100, 120))

@@ -8,16 +8,16 @@ more in the high regime take the rolling kernel's segment sums where their
 length ``g = gcd(window, stride)`` is neither the stride nor 1 (window 96,
 stride 64, ``g = 32``) and where the stride passes the window (window 64,
 stride 128, ``g = 64``).  The three strided shapes of the high regime run
-again with tick sums forced (``segment=1``).  Each shape runs over its first anchor block and
-into the second.  At each sampled position every family is evaluated by the
-rolling engine and by the per-window ``mb_*`` functions.
+again with tick sums forced (``window_layout`` patched to segment 1).  Each
+shape runs over its first anchor block and into the second.  At each sampled
+position every family is evaluated by the rolling engine and by the
+per-window ``mb_*`` functions.
 The positions include each block's ends and, per correlation, the position
 of smallest ``|market value|``; at least one of those has ``|value| / S``
 below 1e-3, so the bounds are not only met at values of typical size.
 """
 
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,15 +96,17 @@ def measured(regime, shape, segment=None):
     """Per ``(path, family, field)`` the worst ``(scale-relative,
     value-relative)`` error over the sampled positions, and the smallest
     ``|market value| / S`` of a correlation among them.  A ``segment`` other
-    than ``None`` replaces the plan's own."""
+    than ``None`` replaces the plan's own, through the layout the run reads."""
     window, stride, n_ticks = SHAPES[shape]
     s1, s2 = (gen_trades(SynthConfig(n_ticks=n_ticks, seed=seed, **REGIMES[regime]), name)
               for seed, name in ((11, "one"), (12, "two")))
     plan = make_plan(s1, s2, window=window, stride=stride, alpha=1, beta=1)
-    if segment is not None:
-        plan = replace(plan, segment=segment)
     assert plan.n_positions > plan.anchor  # the second block is reached
-    merged = collect_rolling_stats(s1, s2, plan)
+    with pytest.MonkeyPatch.context() as patch:
+        if segment is not None:
+            anchor = plan.anchor
+            patch.setattr(rolling, "window_layout", lambda window, stride: (anchor, segment))
+        merged = collect_rolling_stats(s1, s2, plan)
     sequences = rolling.leg_sequences(s1, s2, plan)
     smallest = [int(np.argmin(np.abs(merged.families[f]["market_value"]))) for f in CORRELATIONS]
     positions = {0, plan.anchor - 1, plan.anchor, plan.n_positions - 1, *smallest}

@@ -14,9 +14,11 @@ from mbstat import (
     CorrelationReport,
     FAMILIES,
     ReturnView,
+    SynthConfig,
     Window,
     compute_returns,
     cov,
+    gen_trades,
     joint_moment,
     lag_view,
     make_series,
@@ -542,6 +544,16 @@ def test_non_finite_leg_variance_is_refused(prices2, volumes2, shown):
     s2 = make_series("b", np.arange(3), prices2, volumes2)
     with pytest.raises(ConsistencyError, match=rf"^price_corr: non-finite market_var2 {shown}$"):
         mb_corr_prices(Window(s1, 0, 3), Window(s2, 0, 3))
+
+
+def test_non_finite_covariance_is_refused():
+    # Prices near 1e155: the market value is finite (about -2.6e299) but
+    # cov_cc, a difference of products near 1e310, is inf; analyze refuses
+    # the same window's cov_CC.
+    config = dict(n_ticks=600, price_start=1e155, log_price_step_sd=1e-5)
+    s1, s2 = (gen_trades(SynthConfig(seed=seed, **config), f"a{seed}") for seed in (1, 2))
+    with pytest.raises(ConsistencyError, match=r"^price_corr: non-finite cov_cc inf$"):
+        mb_corr_prices(Window(s1, 1, 16), Window(s2, 1, 16))
 
 
 # Every public per-window statistic against the exact-rational reference of

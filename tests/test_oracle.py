@@ -463,7 +463,8 @@ class TestRelativeDeviation:
         (math.nan, 1.0, 1.0, math.nan),
         (1.0, math.nan, 1.0, math.nan), (2.0, 1.0, math.nan, 0.5),
         (0.0, math.nan, 0.0, math.nan), (math.inf, math.inf, 1.0, math.nan),
-        (math.inf, 1.0, 1.0, math.nan),
+        (math.inf, 1.0, 1.0, math.nan), (1.0, 2.0, math.inf, math.nan),
+        (1e300, 1e300, math.inf, 0.0),
     ])
     def test_arrays_follow_the_float_rule(self, x, y, floor, want):
         got = relative_deviation(x, y, floor)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import os
@@ -11,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan
 from mbstat.errors import ConsistencyError
-from mbstat import reports
+from mbstat import reports, rolling
+from mbstat.market_core import window_layout
 from mbstat.reports import RECORD_FIELDS, write_csv, write_json
 from mbstat.rolling import (
     JOINT_PRICE_FAMILY,
@@ -323,11 +323,13 @@ PINNED_REPORT_DIGESTS = {
     ("json", write_json, 3, 600), ("csv", write_csv, 3, 600),
     ("json", write_json, 16, 2000), ("csv", write_csv, 16, 2000),
 ], ids=["json-write_json", "csv-write_csv", "json-write_json-stride16", "csv-write_csv-stride16"])
-def test_pinned_report_digest(fmt, writer, stride, n_ticks):
+def test_pinned_report_digest(fmt, writer, stride, n_ticks, monkeypatch):
     pair = [gen_trades(SynthConfig(n_ticks=n_ticks, seed=seed), f"asset{k + 1}")
             for k, seed in enumerate((41, 42))]
+    _, segment = window_layout(64, stride)
+    # Blocks of 100 positions with the plan's own segment: two, the last one short.
+    monkeypatch.setattr(rolling, "window_layout", lambda window, stride: (100, segment))
     plan = make_plan(*pair, window=64, stride=stride, alpha=1, beta=1, families=FAMILIES)
-    plan = dataclasses.replace(plan, anchor=100)  # two anchor blocks, the last one short
     chunks = list(iter_rolling_stats(*pair, plan))
     assert [len(chunk) for chunk in chunks] == [100, plan.n_positions - 100]
     text = _render(writer, plan, chunks)

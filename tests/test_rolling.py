@@ -1,7 +1,7 @@
 import functools
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from mbstat.errors import (DegenerateDenominator, InvalidConfig, MissingHistory,
                            NonUniformSpacing, ParseError)
 from mbstat.market_core import FAMILY_LEGS, average_slots, window_layout
 from mbstat.oracle import relative_deviation
-from mbstat.rolling import FAMILIES
+from mbstat.rolling import FAMILIES, RollingPlan
 
 
 def synth_pair(n, seed=100, **kw):
@@ -124,12 +124,38 @@ class TestPlan:
         (256, 100000, (1, 32)),  # a stride past any span: one position per block
     ])
     def test_window_layout(self, window, stride, layout):
-        """The kernel's layout, ``(anchor, segment)``, and the plan stores it
+        """The kernel's layout, ``(anchor, segment)``, and the plan reads it
         as it is."""
         assert window_layout(window, stride) == layout
         s1, s2 = synth_pair(window + 1)
         plan = make_plan(s1, s2, window=window, stride=stride, families=("price_corr",))
         assert (plan.anchor, plan.segment) == layout
+
+    @pytest.fixture(scope="class")
+    def pair_plan(self):
+        """The 2,000-tick pair at window 64, stride 6: anchor 885, tick sums,
+        323 positions over 1,999 ticks."""
+        s1, s2 = synth_pair(2000, seed=1)
+        plan = make_plan(s1, s2, window=64, stride=6, alpha=1, beta=1)
+        assert (plan.anchor, plan.segment, plan.n_positions, plan.length) == (885, 1, 323, 1999)
+        return s1, s2, plan
+
+    def test_a_replaced_stride_rederives_the_layout(self, pair_plan):
+        s1, s2, plan = pair_plan
+        plan = replace(plan, stride=4)
+        assert (plan.anchor, plan.segment, plan.n_positions) == (1327, 4, 484)
+        assert len(collect_rolling_stats(s1, s2, plan)) == 484
+
+    def test_a_replaced_length_rederives_the_positions(self, pair_plan):
+        assert replace(pair_plan[2], length=1899).n_positions == 306
+
+    @pytest.mark.parametrize("derived", ["n_positions", "anchor", "segment"])
+    def test_derived_values_are_not_fields(self, pair_plan, derived):
+        with pytest.raises(TypeError):
+            replace(pair_plan[2], **{derived: 4})
+
+    def test_a_plan_keeps_ten_fields(self):
+        assert len(fields(RollingPlan)) == 10
 
 
 def family_floor(arrays, i):
