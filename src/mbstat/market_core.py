@@ -21,9 +21,9 @@ sum, each bit for bit its own float64 sum; :func:`pair_forms` runs the
 closed form on them, which gives ``g - g0`` and the same market value, and
 reassembles ``g`` and the reported covariances; :func:`family_values`
 checks a family's values.  A per-window function is a one-position run over
-the window's own arrays, two-pass: 19 window sums in 10 passes for a
-correlation report or joint moment, 7 in 4 for a volatility.  ``x*y ==
-y*x`` bit for bit, so mirrored products are one sum and the
+the window's own arrays, two-pass: 19 window sums for a correlation report
+or joint moment, 7 for a volatility, each one reduction of its term with no
+lane.  ``x*y == y*x`` bit for bit, so mirrored products are one sum and the
 specialization-chain identities hold bit-exactly.
 
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
@@ -265,7 +265,10 @@ def window_means(terms, k: int, stride: int, n: int, segment: int,
     of two strided slices of the cumulative sum; a one-segment window is its
     segment's sum, so a one-tick covariance is exactly 0.  Each lane is
     divided by ``n`` on its own, as a complex-by-real division is not one
-    operation per lane."""
+    operation per lane.  One window of ticks is a reduction of each term,
+    with no lane."""
+    if k == 1 and segment == 1:
+        return [np.array([np.add.reduce(x if y is None else x * y) / n]) for x, y in terms]
     lanes = buf.real, buf.imag
     if len(terms) == 1:
         lanes[1][:] = 0.0
@@ -283,8 +286,6 @@ def window_means(terms, k: int, stride: int, n: int, segment: int,
         sums = buf[::step]
     else:
         first = [np.add.reduce(lane[:m]) for lane in lanes[: len(terms)]]
-        if k == 1:
-            return [np.array([s / n]) for s in first]
         sums = np.empty(k, np.complex128)
         sums[0] = complex(*first)
         c = np.cumsum(buf, out=buf)

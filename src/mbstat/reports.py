@@ -7,7 +7,8 @@ deterministic byte for byte for fixed inputs and flags.
 
 Emission is columnar, in the word rows of ``mbstat generate``: a block of
 positions is one matrix of ``_grid17.row_template`` rows, its numbers
-written by ``float_words`` (``"%.17g"``) and placed by one flat scatter.
+written by ``float_words`` (``"%.17g"``) and placed by one assignment of
+word columns, ``rows[:, words] = text[:, src]``.
 The writers write bytes to a binary stream.  ``_grid17`` is imported when a
 report is written, so that a run that writes none does not compile it.
 """
@@ -35,11 +36,11 @@ _ARRAY_KEYS = (
     "cov_cc", "cov_uc", "cov_cu", "cov_ww",
 )
 
-# Positions per block, one float_words call and one scatter each.  On the
-# dense-emit benchmark (2-core Xeon) 128 positions read a median 87.6k items
-# per calibrated CPU second at 35.6 MB peak RSS over ten 20 s runs, where 32
-# with a 2-D gather and text output read 62.3k at 33.8 MB; in 8 s runs, 64
-# read 73.1k-80.6k at 34.5 MB against 84.3k-87.7k for 128.
+# Positions per block, one float_words call and one column assignment
+# each.  On the dense-emit benchmark (2-core Xeon) 128 positions read a median
+# 87.6k items per calibrated CPU second at 35.6 MB peak RSS over ten 20 s
+# runs, where 32 with a 2-D gather and text output read 62.3k at 33.8 MB; in
+# 8 s runs, 64 read 73.1k-80.6k at 34.5 MB against 84.3k-87.7k for 128.
 _BLOCK = 128
 
 
@@ -67,16 +68,6 @@ def _check_finite(plan: RollingPlan, block: np.ndarray) -> None:
     )
 
 
-def _scatter(positions: int, width: int, words: np.ndarray, where: tuple):
-    """Flat ``(dst, src)`` indices that place the text of a block, ``(n,
-    distinct arrays, 3)`` words, in ``n`` rows of ``width`` words: ``dst``
-    in the rows, ``src`` in the text, position by position, so that the
-    first ``n`` positions' indices lead both."""
-    src = (np.array(where)[:, None] * 3 + np.arange(3)).ravel()
-    at = np.arange(positions)[:, None]
-    return (at * width + words).ravel(), (at * 3 * (max(where) + 1) + src).ravel()
-
-
 def _write_records(out: IO[bytes], plan: RollingPlan, chunks: Iterable[RollingChunk],
                    record: Callable[[RollingPlan, str], str], sep: str) -> None:
     """Write the records of ``chunks``, each after ``sep`` but the first,
@@ -86,32 +77,25 @@ def _write_records(out: IO[bytes], plan: RollingPlan, chunks: Iterable[RollingCh
     pieces = "".join(sep + record(plan, family) for family in plan.families).split("%s")
     row, at = row_template([piece.encode() for piece in pieces])
     words = (at[:, None] + np.arange(3)).ravel()  # the numbers' words in a row
-    m = np.tile(row, (0, 1))  # the rows of a block, as many as a chunk holds
-    scatter = {}  # where -> _scatter's indices for len(m) positions
+    m = np.tile(row, (min(plan.n_positions, _BLOCK), 1))  # the rows of a block
     skip = len(sep)
     for chunk in chunks:
         distinct = {}  # id -> (array, its column of a block)
-        where = tuple(
+        where = np.array([
             distinct.setdefault(id(col), (col, len(distinct)))[1]
             for family in plan.families
             for col in (chunk.t_center, *(chunk.families[family][k] for k in _ARRAY_KEYS))
-        )
-        if len(m) < min(len(chunk), _BLOCK):
-            m = np.tile(row, (min(len(chunk), _BLOCK), 1))
-            scatter.clear()
-        if where not in scatter:
-            scatter[where] = _scatter(len(m), len(row), words, where)
-        dst, src = scatter[where]
+        ])
+        src = (where[:, None] * 3 + np.arange(3)).ravel()  # their words in a block's text
         for b0 in range(0, len(chunk), _BLOCK):
             block = np.stack([col[b0 : b0 + _BLOCK] for col, _ in distinct.values()],
                              axis=1, dtype=np.float64)
             if not np.isfinite(block).all():
                 _check_finite(plan, block[:, where].T)
             n = len(block)
-            text = np.empty((n, block.shape[1], 3), row.dtype)
+            text = np.empty((n, block.shape[1] * 3), row.dtype)
             float_words(block.reshape(-1), text.reshape(-1, 3), layout(False))
-            k = n * len(words)
-            m.reshape(-1)[dst[:k]] = text.reshape(-1)[src[:k]]
+            m[:n, words] = text[:, src]
             out.write(nonzero_bytes(m[:n])[skip:])
             skip = 0
 

@@ -768,6 +768,7 @@ def _one_sum_means(x, y, k, stride, n, g):
 @pytest.mark.parametrize("n, stride, k", [
     (1, 1, 1), (1, 7, 40),  # one-tick windows
     (30, 1, 1), (256, 1, 300), (64, 3, 50),  # g = 1
+    (8193, 1, 1), (100_003, 1, 1),  # one window past numpy's 8,192-element reduction buffer
     (96, 64, 9), (8, 4, 30), (20, 5, 30), (64, 16, 30), (256, 64, 9),  # g = 32, 4, 5, 16, 64
     (512, 256, 5), (256, 256, 6), (64, 128, 5),  # g = 256, one segment, stride > n
 ])
