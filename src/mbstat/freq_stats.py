@@ -30,10 +30,15 @@ import numpy as np
 from .errors import ConsistencyError, EmptyInput, LengthMismatch
 
 
-def _as_floats(xs) -> np.ndarray:
+def _one_d(xs) -> np.ndarray:
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 1:
         raise LengthMismatch(f"expected a 1-D sequence, got shape {arr.shape}")
+    return arr
+
+
+def _as_floats(xs) -> np.ndarray:
+    arr = _one_d(xs)
     if arr.size == 0:
         raise EmptyInput("statistics of an empty sequence are undefined")
     return _finite(arr)

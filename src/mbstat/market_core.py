@@ -16,15 +16,14 @@ it for both paths, the per-window functions here and :mod:`mbstat.rolling`,
 in residual form (Chan, Golub & LeVeque 1983): :func:`shifted_means` shifts
 each leg by the first window of its span, ``D = C - g0*W`` and ``y = x -
 x0``, and takes the means :func:`sum_specs` names with :func:`window_means`,
-two per pass: the real and imaginary lanes of one ``complex128`` cumulative
-sum, each bit for bit its own float64 sum; :func:`pair_forms` runs the
-closed form on them, which gives ``g - g0`` and the same market value, and
-reassembles ``g`` and the reported covariances; :func:`family_values`
-checks a family's values.  A per-window function is a one-position run over
-the window's own arrays, two-pass: 19 window sums for a correlation report
-or joint moment, 7 for a volatility, each one reduction of its term with no
-lane.  ``x*y == y*x`` bit for bit, so mirrored products are one sum and the
-specialization-chain identities hold bit-exactly.
+as the rows of one float64 matrix, each bit for bit its own float64 sum;
+:func:`pair_forms` runs the closed form on them, which gives ``g - g0`` and
+the same market value, and reassembles ``g`` and the reported covariances;
+:func:`family_values` checks a family's values.  A per-window function is a
+one-position run over the window's own arrays, two-pass: 19 window sums for
+a correlation report or joint moment, 7 for a volatility, each one
+reduction of its row.  ``x*y == y*x`` bit for bit, so mirrored products are
+one sum and the specialization-chain identities hold bit-exactly.
 
 ``cov`` throughout is the unnormalized covariance (joint moment minus product
 of means).  A Pearson-style normalization is available only on the report
@@ -46,7 +45,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveInvestment,
 )
-from .freq_stats import _finite, _fsum, _products, mean
+from .freq_stats import _finite, _fsum, _one_d, _products, mean
 from .trade_series import ReturnView, Window
 
 # Joint-moment denominators are strictly positive for valid trade data; this
@@ -56,6 +55,11 @@ DENOM_FLOOR = 1e-300
 # Internal agreement required between two algebraically identical evaluations
 # of the same joint moment (different arrangement, same compensated moments).
 JOINT_MOMENT_REL_TOL = 1e-12
+
+# Float64 entries per row group of window_means (256 KiB): at 256/1, 7 rows
+# drained faster than one (1 << 13), and all 35 in one matrix, out of cache,
+# cost the rolling sweep 5-9% of its throughput and 2.6 MB of peak RSS.
+_ROW_ELEMENTS = 1 << 15
 
 PRICE_FAMILY = "price_corr"
 RETURN_FAMILY = "return_corr"
@@ -247,50 +251,44 @@ def window_layout(window: int, stride: int) -> tuple[int, int]:
     return anchor, g if g >= 4 else 1
 
 
-def window_means(terms, k: int, stride: int, n: int, segment: int,
-                 buf: np.ndarray) -> list[np.ndarray]:
-    """Means over the ``k`` windows ``[j*stride, j*stride + n)`` of one or two
-    terms, each ``(x, None)`` for ``x`` or ``(x, y)`` for ``x*y``, ``x`` being
-    their span: one fresh array per term, both summed in one pass.  The terms
-    fill the real and imaginary lanes of ``buf``, a ``complex128`` array of
-    one entry per segment of the span (overwritten); a lone term's partner
-    lane is zeros.  Complex addition and subtraction are one IEEE operation
-    per lane, so one cumulative sum and one strided difference serve both
-    lanes and give each the bits of its own float64 sum.  ``segment``
-    divides ``n`` and ``stride`` (:func:`window_layout`); above 1 the
-    segments are summed first, one row reduction each into the lane (a
-    product needs no span-long temporary), and the windows are read from the
-    segment sums at window ``n/segment`` and stride ``stride/segment``.
-    Each lane's first window is summed in full, the others are the difference
-    of two strided slices of the cumulative sum; a one-segment window is its
-    segment's sum, so a one-tick covariance is exactly 0.  Each lane is
-    divided by ``n`` on its own, as a complex-by-real division is not one
-    operation per lane.  One window of ticks is a reduction of each term,
-    with no lane."""
-    if k == 1 and segment == 1:
-        return [np.array([np.add.reduce(x if y is None else x * y) / n]) for x, y in terms]
-    lanes = buf.real, buf.imag
-    if len(terms) == 1:
-        lanes[1][:] = 0.0
-    for lane, (x, y) in zip(lanes, terms):
-        if segment == 1 and y is None:
-            np.copyto(lane, x)
-        elif segment == 1:
-            np.multiply(x, y, out=lane)
-        elif y is None:
-            np.einsum("ij->i", x.reshape(-1, segment), out=lane)
-        else:
-            np.einsum("ij,ij->i", x.reshape(-1, segment), y.reshape(-1, segment), out=lane)
-    step, m = stride // segment, n // segment
-    if m == 1:
-        sums = buf[::step]
-    else:
-        first = [np.add.reduce(lane[:m]) for lane in lanes[: len(terms)]]
-        sums = np.empty(k, np.complex128)
-        sums[0] = complex(*first)
-        c = np.cumsum(buf, out=buf)
-        np.subtract(c[step + m - 1 :: step], c[step - 1 :: step][: k - 1], out=sums[1:])
-    return [np.divide(lane, n) for lane in (sums.real, sums.imag)[: len(terms)]]
+def window_means(terms, k: int, stride: int, n: int, segment: int) -> np.ndarray:
+    """Means over the ``k`` windows ``[j*stride, j*stride + n)`` of any number
+    of terms, each ``(x, None)`` for ``x`` or ``(x, y)`` for ``x*y``, ``x``
+    being their span: a ``(len(terms), k)`` array, a row per term.  The terms
+    are rows of a float64 matrix of one entry per segment of the span, taken
+    in groups of at most ``_ROW_ELEMENTS`` entries; one cumulative sum along
+    the rows and one strided difference serve a group, and give each row the
+    bits of its own float64 sum.  ``segment`` divides ``n`` and ``stride``
+    (:func:`window_layout`); above 1 the segments are summed first, one row
+    reduction each (a product needs no span-long temporary), and the windows
+    are read from the segment sums at window ``n/segment`` and stride
+    ``stride/segment``.  A row's first window is summed in full, the others
+    are the difference of two strided slices of the cumulative sum, which
+    one window skips; a one-segment window is its segment's sum, so a
+    one-tick covariance is exactly 0."""
+    step, m, span = stride // segment, n // segment, ((k - 1) * stride + n) // segment
+    group = max(1, _ROW_ELEMENTS // span)
+    buf = np.empty((min(group, len(terms)), span))
+    sums = np.empty((len(terms), k))
+    for g in range(0, len(terms), group):
+        rows, out = buf[: min(group, len(terms) - g)], sums[g : g + group]
+        for row, (x, y) in zip(rows, terms[g : g + group]):
+            if segment == 1 and y is None:
+                np.copyto(row, x)
+            elif segment == 1:
+                np.multiply(x, y, out=row)
+            elif y is None:
+                np.einsum("ij->i", x.reshape(-1, segment), out=row)
+            else:
+                np.einsum("ij,ij->i", x.reshape(-1, segment), y.reshape(-1, segment), out=row)
+        out[:, 0] = np.add.reduce(rows[:, :m], axis=1)
+        if m == 1:
+            out[:, 1:] = rows[:, step::step]
+        elif k > 1:
+            c = np.cumsum(rows, axis=1, out=rows)
+            np.subtract(c[:, step + m - 1 :: step], c[:, step - 1 :: step][:, : k - 1],
+                        out=out[:, 1:])
+    return np.divide(sums, n, out=sums)
 
 
 def shifted_means(legs: dict, pairs, k: int, stride: int, n: int,
@@ -301,23 +299,18 @@ def shifted_means(legs: dict, pairs, k: int, stride: int, n: int,
     shifted by the first: ``D = C - g0*W`` with ``g0 = sum(C)/sum(W)``, and
     ``y = x - mean(x)``.  Returns the means the closed forms of ``pairs`` read,
     keyed by :func:`sum_specs` spec, and per leg its shift ``(g0, x0)``.  The
-    distinct specs are taken two to a :func:`window_means` pass, in order; an
-    odd last one rides alone.  Warnings are the caller's to silence: the
-    checks name a non-finite figure."""
+    distinct specs are the rows of one :func:`window_means` call, in order.
+    Warnings are the caller's to silence: the checks name a non-finite
+    figure."""
     arrays, shifts = {}, {}
     for leg, (c, w, x) in legs.items():
         g0 = np.add.reduce(c[:n]) / np.add.reduce(w[:n])
         x0 = np.add.reduce(x[:n]) / n
         shifts[leg] = g0, x0
         arrays[f"D{leg}"], arrays[f"W{leg}"], arrays[f"y{leg}"] = c - g0 * w, w, x - x0
-    buf = np.empty(((k - 1) * stride + n) // segment, np.complex128)
     specs = list(dict.fromkeys(spec for pair in pairs for spec in sum_specs(*pair).values()))
-    means = {}
-    for i in range(0, len(specs), 2):
-        lane_specs = specs[i : i + 2]
-        terms = [(arrays[a], b and arrays[b]) for a, b in lane_specs]
-        means.update(zip(lane_specs, window_means(terms, k, stride, n, segment, buf)))
-    return means, shifts
+    terms = [(arrays[a], b and arrays[b]) for a, b in specs]
+    return dict(zip(specs, window_means(terms, k, stride, n, segment))), shifts
 
 
 def pair_forms(means: dict, shifts: dict, pairs: dict):
@@ -417,8 +410,7 @@ def vwap(window: Window) -> float:
 
 def portfolio_return(r, investments) -> float:
     """Investment-weighted return ``sum(r_i * X_i) / sum(X_i)``."""
-    r = np.asarray(r, dtype=np.float64)
-    x = np.asarray(investments, dtype=np.float64)
+    r, x = _one_d(r), _one_d(investments)
     if len(r) != len(x):
         raise LengthMismatch(f"returns and investments differ: {len(r)} vs {len(x)}")
     if not len(x):

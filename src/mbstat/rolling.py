@@ -3,8 +3,8 @@
 The engine advances a fixed-size window over the common grid of two series
 and runs :mod:`mbstat.market_core`'s kernel once per anchor block: over the
 block's span each leg is shifted by the block's first window, every needed
-window mean is read by two strided slices from a cumulative sum, two means
-to one ``complex128`` cumulative sum (see ``market_core.window_means``), and
+window mean is read by two strided slices from a cumulative sum, the sums
+being the rows of one float64 matrix (see ``market_core.window_means``), and
 each block starts from a fresh shift and a fresh full sum, which bounds
 drift.  The block and segment lengths, the plan's ``anchor`` and
 ``segment``, are ``market_core.window_layout``'s, read once per run.
@@ -13,8 +13,8 @@ This module places each leg (asset, ``beta`` lag of ``p2``, horizon) for
 ``build_leg``, which builds it over one anchor block's span at a time (a
 price leg's volumes and prices are views of its series, its trade values and
 a return leg's arrays are block-sized).  The kernel takes the window sums
-``sum_specs`` asks for (35 per anchor block for all seven families, in 18
-passes of two) and runs ``closed_form`` once per leg pair (5 for all seven
+``sum_specs`` asks for (35 per anchor block for all seven families, in one
+call) and runs ``closed_form`` once per leg pair (5 for all seven
 families), under the first family in plan order that needs it, just before
 that family's values and checks (``family_values``).  Results stream out
 chunk by chunk (one chunk per anchor block), so a million-position run never

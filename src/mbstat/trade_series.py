@@ -282,12 +282,13 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """Parse canonical CSV trade content into a validated series.
 
     ``source`` is a binary stream (a file opened in ``"rb"`` mode), or the
-    text, which is encoded whole as UTF-8 and read as a stream.  The stream
-    is read twice in chunks: a first pass checks that it is ASCII (a
-    ``ParseError`` names the offset of the first other byte, before any
-    other rule) and counts its rows, a second fills the columns;
-    neither holds more than one chunk of it.  A stream that cannot seek is
-    read into memory first.
+    text, which is encoded whole as UTF-8 and read as a stream; anything
+    else, a text stream or bytes, is a ``TypeError`` before it is read.
+    The stream is read twice in chunks: a first pass checks that it is
+    ASCII (a ``ParseError`` names the offset of the first other byte, before
+    any other rule) and counts its rows, a second fills the columns; neither
+    holds more than one chunk of it.  A stream that cannot seek is read
+    into memory first.
 
     The header is exactly ``t,price,volume``, or ``t,price,volume,value``
     with a declared trade value; rows end in LF (the last row may omit it)
@@ -304,6 +305,8 @@ def parse_trades(source, asset_id: str = "asset") -> TradeSeries:
     """
     if isinstance(source, str):  # a lone surrogate is then refused as not ASCII
         source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+    elif not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError(f"expected CSV text or a binary stream, got {type(source).__name__}")
     name = source.name if isinstance(getattr(source, "name", None), str) else "input"
     try:
         return _checked_series(asset_id, *_read_columns(source))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestVawarAndPortfolio:
     def test_portfolio_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             portfolio_return([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("r, investments, shape", [
+        ([[1.0]], [[1.0]], "(1, 1)"),
+        ([1.0, 2.0], [[1.0, 2.0]], "(1, 2)"),
+        ([[1.0, 2.0]], [1.0, 0.0], "(1, 2)"),  # before the investment is refused
+        (1.0, 1.0, "()"),
+    ])
+    def test_portfolio_rejects_a_non_1d_input(self, r, investments, shape):
+        # As freq_stats refuses it; was a bare TypeError from math.fsum.
+        with pytest.raises(LengthMismatch, match=rf"^expected a 1-D sequence, got shape "
+                                                 rf"{re.escape(shape)}$"):
+            portfolio_return(r, investments)
 
     def test_portfolio_rejects_empty(self):
         with pytest.raises(EmptyInput):
@@ -735,11 +748,10 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
     x = 1e4 * rng.lognormal(0.0, 1e-4, span)
     y = rng.lognormal(0.0, 0.4, span)
     _, g = market_core.window_layout(n, stride)
-    buf = np.empty(span // g, np.complex128)
-    means = market_core.window_means([(x, None), (x, y)], k, stride, n, g, buf)
+    means = market_core.window_means([(x, None), (x, y)], k, stride, n, g)
+    assert means.shape == (2, k) and not any(np.shares_memory(means, a) for a in (x, y))
     for got, terms in zip(means, (x, x * y)):
         want = [math.fsum(terms[j * stride : j * stride + n].tolist()) / n for j in range(k)]
-        assert got.shape == (k,) and not np.shares_memory(got, buf)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         if n == 1:  # a one-tick window is its value, bit for bit
             assert np.array_equal(got, terms[::stride])
@@ -747,7 +759,7 @@ def test_window_means_are_window_sums_over_n(n, stride, k):
 
 def _one_sum_means(x, y, k, stride, n, g):
     """The window means of ``x`` or ``x*y`` by the single-sum float64 rule
-    the kernel's lanes must match bit for bit: segment sums of ``g`` ticks,
+    the kernel's rows must match bit for bit: segment sums of ``g`` ticks,
     the first window reduced in full, the others read from one cumulative
     sum, and each divided by ``n``."""
     if g == 1:
@@ -765,53 +777,70 @@ def _one_sum_means(x, y, k, stride, n, g):
     return sums / n
 
 
+def _many_terms(span, count, seed):
+    """``count`` distinct terms over ``span`` ticks, up to 20: the plain
+    means of five arrays, then their products."""
+    rng = np.random.default_rng(seed)
+    arrays = [scale * rng.lognormal(0.0, sd, span) for scale, sd in
+              ((1e4, 1e-4), (1.0, 0.4), (1e-3, 1.0), (1e2, 1e-2), (1.0, 2.0))]
+    pairs = [(a, None) for a in arrays] + [(a, b) for i, a in enumerate(arrays)
+                                           for b in arrays[i:]]
+    return pairs[:count]
+
+
 @pytest.mark.parametrize("n, stride, k", [
     (1, 1, 1), (1, 7, 40),  # one-tick windows
     (30, 1, 1), (256, 1, 300), (64, 3, 50),  # g = 1
+    (256, 1, 4096),  # 7 rows to a group of _ROW_ELEMENTS: 20 terms span 3 groups
     (8193, 1, 1), (100_003, 1, 1),  # one window past numpy's 8,192-element reduction buffer
     (96, 64, 9), (8, 4, 30), (20, 5, 30), (64, 16, 30), (256, 64, 9),  # g = 32, 4, 5, 16, 64
     (512, 256, 5), (256, 256, 6), (64, 128, 5),  # g = 256, one segment, stride > n
 ])
-def test_each_lane_is_its_own_float64_sum(n, stride, k):
-    """Each lane of a pass is, bit for bit, the float64 rule run on its term
-    alone, whichever term shares the pass; a lone term gives the same bits."""
+def test_each_row_is_its_own_float64_sum(n, stride, k):
+    """Each row of a call is, bit for bit, the float64 rule run on its term
+    alone, in the order of the terms, whichever terms share the call or its
+    group; a lone term gives the same bits."""
     rng = np.random.default_rng(10 * n + stride)
     span = (k - 1) * stride + n
     x, y, z = (scale * rng.lognormal(0.0, sd, span) for scale, sd in
                ((1e4, 1e-4), (1.0, 0.4), (1e-3, 1.0)))
     _, g = market_core.window_layout(n, stride)
-    buf = np.empty(span // g, np.complex128)
-    for terms in ([(x, None), (y, z)], [(y, z), (x, None)], [(x, y), (z, None)], [(z, x)]):
-        got = market_core.window_means(terms, k, stride, n, g, buf)
-        assert len(got) == len(terms)
+    if (n, stride, k) == (256, 1, 4096):
+        assert market_core._ROW_ELEMENTS // span == 7
+    for terms in ([(x, None), (y, z)], [(y, z), (x, None)], [(x, y), (z, None)], [(z, x)],
+                  _many_terms(span, 20, n)):
+        got = market_core.window_means(terms, k, stride, n, g)
+        assert got.shape == (len(terms), k)
         for mean, (a, b) in zip(got, terms):
-            assert mean.shape == (k,) and mean.flags.c_contiguous
+            assert mean.flags.c_contiguous
             assert mean.tobytes() == _one_sum_means(a, b, k, stride, n, g).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("n, stride, k", [(16, 1, 40), (64, 16, 20)])
-def test_a_non_finite_lane_leaves_its_partner_alone(bad, n, stride, k):
-    """A non-finite term spoils its own windows only: the other lane of the
-    pass keeps the bits of its own float64 sum."""
-    rng = np.random.default_rng(7)
-    span = (k - 1) * stride + n
-    x, y = rng.lognormal(0.0, 0.4, span), rng.lognormal(0.0, 0.4, span)
-    x[span // 2] = bad
+@pytest.mark.parametrize("n, stride, k", [(16, 1, 40), (64, 16, 20), (256, 1, 4096)])
+def test_a_non_finite_row_spoils_only_itself(bad, n, stride, k):
+    """A non-finite term spoils its own windows only: every other row keeps
+    the bits of its own float64 sum, in the spoiled row's group and, at
+    256/1 (7 rows to a group), in the next."""
     _, g = market_core.window_layout(n, stride)
-    buf = np.empty(span // g, np.complex128)
-    with np.errstate(all="ignore"):  # inf - inf in the spoiled lane
-        for terms, spoiled in (([(x, y), (y, None)], 0), ([(y, None), (x, None)], 1)):
-            got = market_core.window_means(terms, k, stride, n, g, buf)
-            want = [_one_sum_means(a, b, k, stride, n, g) for a, b in terms]
-            assert got[1 - spoiled].tobytes() == want[1 - spoiled].tobytes()
-            assert not np.isfinite(got[spoiled]).all()
-            np.testing.assert_array_equal(got[spoiled], want[spoiled])  # NaN where NaN
+    span = (k - 1) * stride + n
+    terms = _many_terms(span, 10, 7)
+    x = terms[0][0].copy()
+    x[span // 2] = bad
+    terms.insert(1, (x, terms[1][0]))
+    assert (market_core._ROW_ELEMENTS // (span // g) < len(terms)) == (n == 256)
+    with np.errstate(all="ignore"):  # inf - inf in the spoiled row
+        got = market_core.window_means(terms, k, stride, n, g)
+        want = [_one_sum_means(a, b, k, stride, n, g) for a, b in terms]
+    assert not np.isfinite(got[1]).all()
+    np.testing.assert_array_equal(got[1], want[1])  # NaN where NaN
+    for i in (0, *range(2, len(terms))):
+        assert got[i].tobytes() == want[i].tobytes(), i
 
 
 def _count_window_sums(monkeypatch):
-    """A counter of the kernel's window sums, one per distinct mean (a pass
-    of the kernel sums one or two)."""
+    """A counter of the kernel's window sums, one per distinct mean (a call
+    of the kernel sums any number)."""
     calls = [0]
     window_means = market_core.window_means
 

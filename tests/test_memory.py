@@ -1,7 +1,8 @@
 """Working-set bounds, measured with ``tracemalloc`` (numpy reports its
 buffers to it): reading a file holds its float columns and a few chunks,
 not its text or its tick times, and keeps two columns, not the trade value; a
-rolling drain holds one anchor block, not a series-long leg, writing a
+rolling drain holds one anchor block, not a series-long leg, and its window
+sums one group of rows, not a matrix of all of them, writing a
 series' CSV one block of rows, not its tick times, and writing a report one
 block of rows, not a table of indices per position."""
 
@@ -11,7 +12,9 @@ import pytest
 
 from mbstat import (FAMILIES, SynthConfig, Window, gen_trades, iter_rolling_stats, make_plan,
                     serialize)
-from mbstat import _csv_rows, _grid17, reports, trade_series
+from mbstat import _csv_rows, _grid17, market_core, reports, trade_series
+from mbstat.market_core import FAMILY_LEGS
+from mbstat.rolling import leg_sequences
 from mbstat.trade_series import parse_trades
 
 N = 100_000
@@ -116,6 +119,28 @@ def test_a_plan_and_its_drain_allocate_no_array_as_long_as_the_series(long_pair)
 
     _, peak = _traced(plan_and_drain)
     assert peak < 8 * len(s1), peak
+
+
+def test_a_block_of_window_sums_holds_one_row_group(long_pair):
+    # One all-family block at window 256, stride 1: 35 means over 4,096
+    # windows.  Its kernel's peak above the means was measured at 1.46x
+    # their bytes: the legs' shifted arrays and one row group of the
+    # cumulative sums (7 rows).  Two means to a complex128 buffer took
+    # 1.37x, and all 35 rows in one matrix 2.31x.
+    s1, s2 = long_pair
+    plan = make_plan(s1, s2, window=256, stride=1, alpha=1, beta=1, families=FAMILIES)
+    k = plan.anchor
+    legs = leg_sequences(s1, s2, plan, 0, (k - 1) * plan.stride + plan.window)
+    pairs = dict.fromkeys(FAMILY_LEGS[family] for family in FAMILIES)
+
+    def block():
+        return market_core.shifted_means(legs, pairs, k, plan.stride, plan.window, plan.segment)
+
+    means, _ = block()
+    nbytes = sum(m.nbytes for m in means.values())
+    assert (len(means), k, nbytes) == (35, 4096, 35 * 4096 * 8)
+    _, peak = _traced(block)
+    assert peak < 1.8 * nbytes, (peak, nbytes)
 
 
 def test_a_window_builds_only_its_own_times(long_pair):

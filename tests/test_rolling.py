@@ -267,49 +267,51 @@ class TestChunking:
     def test_mirrored_products_are_one_pass(self, monkeypatch):
         # (W_p1,D_p1)/(D_p1,W_p1) and (W_r1,D_r1)/(D_r1,W_r1) are one window sum
         # each: 12 means of the four legs' shifted arrays and 23 products, 35
-        # sums that take 18 passes of two lanes (the last one alone).  So too
-        # at window 1024, stride 256, where a window sum reads segment sums.
-        # A per-window report takes its 19 sums in 10 passes, a volatility
-        # its 7 in 4.
-        passes = 0
+        # sums that take one call per block.  So too at window 1024, stride
+        # 256, where a window sum reads segment sums.  A per-window report
+        # takes its 19 sums in one call, and so does a volatility its 7.
+        calls = []
         window_sums = market_core.window_means
 
-        def counting(*args):
-            nonlocal passes
-            passes += 1
-            return window_sums(*args)
+        def counting(terms, *args):
+            calls.append(len(terms))
+            return window_sums(terms, *args)
 
         monkeypatch.setattr(market_core, "window_means", counting)
         for n_ticks, window, stride in ((9000, 8, 1), (23000, 1024, 256)):
             s1, s2 = synth_pair(n_ticks)
             plan = make_plan(s1, s2, window=window, stride=stride, alpha=1, beta=1)
-            passes = 0
+            calls.clear()
             blocks = sum(1 for _ in iter_rolling_stats(s1, s2, plan))
             assert blocks > 1
-            assert passes == 18 * blocks
+            assert calls == [35] * blocks
         w1, w2 = Window(s1, 0, 30), Window(s2, 0, 30)
-        for fn, args, want in ((mb_corr_prices, (w1, w2), 10), (mb_price_volatility, (w1,), 4)):
-            passes = 0
+        for fn, args, want in ((mb_corr_prices, (w1, w2), 19), (mb_price_volatility, (w1,), 7)):
+            calls.clear()
             fn(*args)
-            assert passes == want, fn.__name__
+            assert calls == [want], fn.__name__
 
     @pytest.mark.parametrize("window, stride", [(256, 1), (64, 3), (96, 64), (1, 7)])
     def test_a_family_is_the_same_whatever_shares_its_passes(self, window, stride):
-        # The kernel sums two means per pass, so a sum's lane partner depends
-        # on which families are asked for.  Each family's records are the same
-        # bytes alone, beside others with an odd or an even number of sums,
-        # and among all seven (at 256/1 over two anchor blocks; at 64/3
-        # g = 1, at 96/64 g = 32 segment sums).  Every request runs the
-        # all-family plan's windows and blocks, so that only the passes differ.
+        # The kernel sums a block's means as rows in groups of
+        # _ROW_ELEMENTS entries, so which means share a group depends on
+        # which families are asked for.  Each family's records are the same
+        # bytes alone, beside others, and among all seven (at 256/1 over two
+        # anchor blocks, 7 rows to a group; at 64/3 g = 1, at 96/64 g = 32
+        # segment sums).  Every request runs the all-family plan's windows
+        # and blocks, so that only the groups differ.
         s1, s2 = synth_pair(5000)
         plan = make_plan(s1, s2, window=window, stride=stride, alpha=1, beta=1)
         requests = [FAMILIES, *((family,) for family in FAMILIES),
                     ("price_corr", "return_corr"), ("price_corr", "return_vol"),
                     ("price_return_corr", "price_vol", "joint_return_moment")]
-        sums = [len({spec for family in families
-                     for spec in market_core.sum_specs(*FAMILY_LEGS[family]).values()})
-                for families in requests[len(FAMILIES) + 1 :]]
-        assert {count % 2 for count in sums} == {0, 1}, sums
+        if window == 256:  # a group boundary falls at a different row per request
+            span = (plan.anchor - 1) * stride + window
+            group = market_core._ROW_ELEMENTS // span
+            sums = [len({spec for family in families
+                         for spec in market_core.sum_specs(*FAMILY_LEGS[family]).values()})
+                    for families in requests]
+            assert group == 7 and len({count % group for count in sums}) > 1, sums
         runs = {families: collect_rolling_stats(s1, s2, replace(plan, families=families))
                 for families in requests}
         for families, run in runs.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import re
 import threading
@@ -478,6 +479,20 @@ class TestStreamReader:
         # A stream opened from a descriptor is named input.
         data = text.encode() + b"5000,\xff,1\n"
         assert _through_a_pipe(data) == (ParseError, f"input: byte {len(text) + 5} is not ASCII")
+
+    def test_a_source_that_is_not_text_or_a_binary_stream_is_refused(self, tmp_path):
+        # Each was a bare AttributeError (readinto or seekable) mid-read.
+        text = "t,price,volume\n0,2,1\n"
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with open(path) as fh:
+            sources = [fh, io.StringIO(text), text.encode()]
+            for source in sources:
+                name = type(source).__name__
+                with pytest.raises(TypeError, match=f"^expected CSV text or a binary stream, "
+                                                    f"got {name}$"):
+                    parse_trades(source)
+            assert fh.tell() == 0 and sources[1].tell() == 0  # nothing was read
 
     BAD_ROW = "t,price,volume\n0,2,1\n1,+4,1\n"  # row 2 is not canonical
 
