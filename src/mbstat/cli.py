@@ -62,6 +62,10 @@ def _output(path: str):
     """Binary stream for ``path``; ``-`` is stdout's buffer, flushed before
     and after the body so that it keeps its order with printed text.
 
+    ``-`` streams, unbuffered, as legs are built block by block: a run
+    refused part way leaves the records before the refusal and no closing
+    bytes, and only the exit code says that the output is complete.
+
     A regular file is written to a temporary sibling that replaces ``path``
     only when the body succeeds: a failed run leaves no partial report, and
     a file already at ``path`` stays as it was.
@@ -245,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pair_flags(ana)
     ana.add_argument("--stats", default=",".join(sorted(_STAT_CHOICES)),
                      help="comma-separated subset of: " + ", ".join(sorted(_STAT_CHOICES)))
-    ana.add_argument("--output", default="-", help="report path, '-' for stdout")
+    ana.add_argument("--output", default="-", help="report path; '-' streams to stdout, "
+                     "where only the exit code says that the report is complete")
     ana.add_argument("--format", default="json", choices=["json", "csv"])
     ana.set_defaults(handler=run_analyze)
 

@@ -19,7 +19,8 @@ x0``, and takes the means :func:`sum_specs` names with :func:`window_means`,
 as the rows of one float64 matrix, each bit for bit its own float64 sum;
 :func:`pair_forms` runs the closed form on them, which gives ``g - g0`` and
 the same market value, and reassembles ``g`` and the reported covariances;
-:func:`family_values` checks a family's values.  A per-window function is a
+:func:`family_record` checks a family's values and builds its record, the
+fields :data:`RECORD_KEYS` names.  A per-window function is a
 one-position run over the window's own arrays, two-pass: 19 window sums for
 a correlation report or joint moment, 7 for a volatility, each one
 reduction of its row.  ``x*y == y*x`` bit for bit, so mirrored products are
@@ -88,6 +89,11 @@ FAMILIES = tuple(FAMILY_LEGS)
 
 #: The joint moments ``g1*g2 + corr``, each over its correlation's legs.
 JOINT_FAMILIES = (JOINT_PRICE_FAMILY, JOINT_RETURN_FAMILY)
+
+#: A family's record (:func:`family_record`), in emission order; ``cov_uc``
+#: and ``cov_cu`` are :class:`CorrelationReport`'s ``cov_wc`` and ``cov_cw``.
+RECORD_KEYS = ("market_value", "frequency_value", "a1", "a2", "h1", "h2", "denominator",
+               "cov_cc", "cov_uc", "cov_cu", "cov_ww")
 
 
 def average_slots(family: str) -> tuple[str, str]:
@@ -202,21 +208,6 @@ def closed_form(family: str, m_c1, m_w1, m_c2, m_w2, jm_cc, jm_wc, jm_cw, jm_ww)
     cov_ww = jm_ww - m_w1 * m_w2
     market = (cov_cc - g1 * cov_wc - g2 * cov_cw + g1 * g2 * cov_ww) / jm_ww
     return g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market
-
-
-def checked_joint_moment(family: str, g1, g2, market, jm_cc, cov_wc, cov_cw, cov_ww, jm_ww):
-    """Joint market moment ``g1*g2 + market``, cross-checked against the
-    expanded form assembled from the raw moments.  The two arrangements are
-    algebraically identical; disagreement indicates a bug, not bad data."""
-    combined = g1 * g2 + market
-    expanded = (jm_cc - g1 * cov_wc - g2 * cov_cw + 2.0 * g1 * g2 * cov_ww) / jm_ww
-    gap = abs(combined - expanded)
-    tol = JOINT_MOMENT_REL_TOL
-    # Relative to the larger form; a NaN gap (gap != gap) is let through.
-    agree = (gap <= tol * abs(combined)) | (gap <= tol * abs(expanded)) | (gap != gap)
-    if not _everywhere(agree):
-        raise ConsistencyError(f"{family}: joint-moment evaluations disagree")
-    return combined
 
 
 @functools.cache
@@ -335,21 +326,34 @@ def pair_forms(means: dict, shifts: dict, pairs: dict):
                   cov_cc, cov_wc, cov_cw, cov_ww, market)
 
 
-def family_values(family: str, m, form) -> tuple:
-    """A family's market and frequency values from its pair's means ``m`` and
-    closed form ``form`` (as :func:`pair_forms` returns them): for a joint
-    family the checked joint moment and the frequency joint moment, both
-    reassembled from the shifted sums.  Both values and the denominator must
-    be finite."""
+def family_record(family: str, m, form, zeros=0.0) -> dict:
+    """A family's record, keyed by :data:`RECORD_KEYS`, from its pair's means
+    ``m`` and closed form ``form`` as :func:`pair_forms` yields them; the
+    average slots the family does not fill hold ``zeros``.  A joint family's
+    values are the joint moments, the market one cross-checked against the
+    expanded form: the two are algebraically identical, so disagreement is a
+    bug, not bad data.  Only the values and the denominator are checked
+    finite here.  :func:`_report` checks the rest; the rolling engine leaves
+    them to the writers, as a check of every array of a block would cost
+    more than building its records."""
     g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, market = form
     frequency = m["yy"] - m["y1"] * m["y2"]
     if family in JOINT_FAMILIES:
         jm_cc = cov_cc + g1 * m["w1"] * (g2 * m["w2"])
-        market = checked_joint_moment(family, g1, g2, market, jm_cc, cov_wc, cov_cw, cov_ww,
-                                      m["ww"])
+        combined = g1 * g2 + market
+        expanded = (jm_cc - g1 * cov_wc - g2 * cov_cw + 2.0 * g1 * g2 * cov_ww) / m["ww"]
+        gap, tol = abs(combined - expanded), JOINT_MOMENT_REL_TOL
+        # Relative to the larger form; a NaN gap (gap != gap) is let through.
+        agree = (gap <= tol * abs(combined)) | (gap <= tol * abs(expanded)) | (gap != gap)
+        if not _everywhere(agree):
+            raise ConsistencyError(f"{family}: joint-moment evaluations disagree")
+        market = combined
         frequency = frequency + (m["x1"] + m["y1"]) * (m["x2"] + m["y2"])
     require_finite(family, market_value=market, frequency_value=frequency, denominator=m["ww"])
-    return market, frequency
+    record = dict(zip(RECORD_KEYS, (market, frequency, zeros, zeros, zeros, zeros, m["ww"],
+                                    cov_cc, cov_wc, cov_cw, cov_ww)))
+    record.update(zip(average_slots(family), (g1, g2)))
+    return record
 
 
 def _forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
@@ -372,27 +376,26 @@ def _forms(family: str, src1, src2) -> list[tuple[dict, tuple]]:
 def _volatility(family: str, src) -> float:
     """A leg's closed form against itself, from its one table of 7 means."""
     [(m, form)] = _forms(family, src, src)
-    return family_values(family, m, form)[0]
+    return family_record(family, m, form)["market_value"]
 
 
 def _report(family: str, src1, src2) -> CorrelationReport:
-    """The closed form of a pair, the figures reported beside it, and the
-    family's values (a joint family's market value is its joint moment)."""
+    """The family's record of a pair and the figures reported beside it (a
+    joint family's market value is its joint moment)."""
     (m, form), (m1, form1), (m2, form2) = _forms(family, src1, src2)
-    market, frequency = family_values(family, m, form)
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
-    averages = dict(zip(average_slots(family), (g1, g2)))
-    figures = dict(cov_cc=cov_cc, cov_wc=cov_wc, cov_cw=cov_cw, cov_ww=cov_ww,
-                   market_var1=form1[-1], market_var2=form2[-1],
+    record = family_record(family, m, form)
+    averages = {slot: record[slot] for slot in average_slots(family)}
+    figures = dict(cov_cc=record["cov_cc"], cov_wc=record["cov_uc"], cov_cw=record["cov_cu"],
+                   cov_ww=record["cov_ww"], market_var1=form1[-1], market_var2=form2[-1],
                    freq_var1=m1["yy"] - m1["y1"] * m1["y2"],
                    freq_var2=m2["yy"] - m2["y1"] * m2["y2"])
     require_finite(family, **averages, **figures)
     leg1, leg2 = FAMILY_LEGS[family]
     return CorrelationReport(
-        stat_family=family, market_value=market, frequency_value=frequency,
-        averages=MarketAverages(**averages),
-        freq_avg1=m["x1"] + m["y1"], freq_avg2=m["x2"] + m["y2"], denominator=m["ww"],
-        **figures, n=len(src1),
+        stat_family=family, market_value=record["market_value"],
+        frequency_value=record["frequency_value"], averages=MarketAverages(**averages),
+        freq_avg1=m["x1"] + m["y1"], freq_avg2=m["x2"] + m["y2"],
+        denominator=record["denominator"], **figures, n=len(src1),
         alpha=src1.lag if leg1[0] == "p" else src1.alpha,
         beta=src2.lag if leg2[0] == "p" else src2.alpha,
         asset1=src1.asset_id, asset2=src2.asset_id, t_center=src1.t_center,

@@ -20,20 +20,16 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from .errors import ConsistencyError
+from .market_core import RECORD_KEYS
 from .rolling import RollingChunk, RollingPlan
 
 SCHEMA_VERSION = 1
 
+# The fields after stat_family write the chunk arrays of RECORD_KEYS, in order.
 RECORD_FIELDS = (
     "t_center", "N", "alpha", "beta", "stat_family",
     "market_value", "frequency_value", "a1", "a2", "h1", "h2", "denominator",
     "cov_CC", "cov_UC", "cov_CU", "cov_UU_or_CoCo_or_UCo",
-)
-
-# Chunk array behind each numeric field after stat_family, in field order.
-_ARRAY_KEYS = (
-    "market_value", "frequency_value", "a1", "a2", "h1", "h2", "denominator",
-    "cov_cc", "cov_uc", "cov_cu", "cov_ww",
 )
 
 # Positions per block, one float_words call and one column assignment
@@ -53,14 +49,14 @@ def _json_record(plan: RollingPlan, family: str) -> str:
 
 def _csv_record(plan: RollingPlan, family: str) -> str:
     return "%%s,%d,%d,%d,%s%s\n" % (
-        plan.window, plan.alpha, plan.beta, family, ",%s" * len(_ARRAY_KEYS),
+        plan.window, plan.alpha, plan.beta, family, ",%s" * len(RECORD_KEYS),
     )
 
 
 def _check_finite(plan: RollingPlan, block: np.ndarray) -> None:
     """Refuse a block that holds a non-finite value, naming the first."""
     pos, row = np.argwhere(~np.isfinite(block).T)[0]  # first in record order
-    family, slot = divmod(int(row), len(_ARRAY_KEYS) + 1)
+    family, slot = divmod(int(row), len(RECORD_KEYS) + 1)
     field = RECORD_FIELDS[4 + slot] if slot else RECORD_FIELDS[0]
     raise ConsistencyError(
         f"refusing to serialize non-finite value {float(block[row, pos])!r} "
@@ -84,7 +80,7 @@ def _write_records(out: IO[bytes], plan: RollingPlan, chunks: Iterable[RollingCh
         where = np.array([
             distinct.setdefault(id(col), (col, len(distinct)))[1]
             for family in plan.families
-            for col in (chunk.t_center, *(chunk.families[family][k] for k in _ARRAY_KEYS))
+            for col in (chunk.t_center, *(chunk.families[family][k] for k in RECORD_KEYS))
         ])
         src = (where[:, None] * 3 + np.arange(3)).ravel()  # their words in a block's text
         for b0 in range(0, len(chunk), _BLOCK):

@@ -16,7 +16,7 @@ a return leg's arrays are block-sized).  The kernel takes the window sums
 ``sum_specs`` asks for (35 per anchor block for all seven families, in one
 call) and runs ``closed_form`` once per leg pair (5 for all seven
 families), under the first family in plan order that needs it, just before
-that family's values and checks (``family_values``).  Results stream out
+that family's checks and record (``family_record``).  Results stream out
 chunk by chunk (one chunk per anchor block), so a million-position run never
 holds more than one block of legs and records.
 """
@@ -39,8 +39,7 @@ from .market_core import (  # the family names stay importable from here
     PRICE_VOL_FAMILY,
     RETURN_FAMILY,
     RETURN_VOL_FAMILY,
-    average_slots,
-    family_values,
+    family_record,
     pair_forms,
     shifted_means,
     window_layout,
@@ -201,19 +200,12 @@ def leg_sequences(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan, start: in
     return sequences
 
 
-def _family_records(family: str, m: dict, form: tuple, zeros: np.ndarray) -> dict[str, np.ndarray]:
-    g1, g2, cov_cc, cov_wc, cov_cw, cov_ww, _ = form
-    market, freq = family_values(family, m, form)
-    averages = dict.fromkeys(("a1", "a2", "h1", "h2"), zeros)
-    averages.update(zip(average_slots(family), (g1, g2)))
-    return {"market_value": market, "frequency_value": freq, **averages, "denominator": m["ww"],
-            "cov_cc": cov_cc, "cov_uc": cov_wc, "cov_cu": cov_cw, "cov_ww": cov_ww}
-
-
 def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
     """Yield one :class:`RollingChunk` per anchor block, in position order.
     Each block's legs are built over its own span, so a return or past value
-    out of range is refused when its block is reached."""
+    out of range is refused when its block is reached.  Of a family's record
+    (``market_core.family_record``) only the values and the denominator are
+    checked finite: a writer refuses a non-finite average or covariance."""
     n, stride, n_positions = plan.window, plan.stride, plan.n_positions
     anchor, segment = plan.anchor, plan.segment
     pairs = {}
@@ -231,7 +223,7 @@ def iter_rolling_stats(s1: TradeSeries, s2: TradeSeries, plan: RollingPlan):
                 pair = FAMILY_LEGS[family]
                 if pair not in forms:
                     forms[pair] = next(pending)
-                families[family] = _family_records(family, *forms[pair], zeros)
+                families[family] = family_record(family, *forms[pair], zeros)
         t_center = plan.t_center(c0 + np.arange(k, dtype=np.int64))
         yield RollingChunk(first_position=c0, t_center=t_center, families=families, legs=legs)
 

@@ -633,11 +633,13 @@ def _check_steps(lag, minimum: int, what: str) -> int:
 def slice_window(series: TradeSeries, center, half_width) -> Window:
     """Window over the ticks inside ``[center - hw*eps, center + hw*eps]``.
 
-    ``center`` is a time value on the series' grid; ``half_width`` a count of
-    grid steps.
+    ``center`` is a time value on the series' grid, an integer one taken as
+    a Python int (a NumPy int would wrap); ``half_width`` a count of grid
+    steps.
     """
     hw = _check_steps(half_width, 0, "half_width")
     eps, t0 = series.epsilon, series.start_time
+    center = operator.index(center) if isinstance(center, (int, np.integer)) else center
     lo_t, hi_t = center - hw * eps, center + hw * eps
     i_lo = max(0, -int((t0 - lo_t) // eps))  # exact ceil and floor, for int times
     i_hi = min(len(series) - 1, int((hi_t - t0) // eps))

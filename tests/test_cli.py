@@ -251,6 +251,29 @@ class TestAnalyze:
             ["g1.csv", "g2.csv"] + ([] if existing is None else ["report.json"])
         )
 
+    def test_a_refusal_past_the_first_block_truncates_stdout_not_a_file(
+        self, tmp_path, capsysbinary
+    ):
+        """Legs are built block by block, so a return out of range in a later
+        block is refused after the first block's records are written: on
+        stdout they stay, with no closing bytes, and only the exit code says
+        the report is cut; a report path is left with no file."""
+        rows = serialize(gen_trades(SynthConfig(n_ticks=1200, seed=1))).split("\n")
+        for t, price in ((499, "1e-300"), (500, "1e300")):  # the return at t=500 is inf
+            rows[1 + t] = f"{t},{price},{rows[1 + t].split(',')[2]}"
+        p1, p2 = write_pair(tmp_path, "\n".join(rows),
+                            serialize(gen_trades(SynthConfig(n_ticks=1200, seed=2))))
+        flags = ["analyze", "--asset1-path", p1, "--asset2-path", p2, "--window", "4",
+                 "--stats", "return_corr"]
+        assert main([*flags, "--output", "-"]) == 4
+        captured = capsysbinary.readouterr()
+        assert captured.err.startswith(b"error[ParseError]: return inf at t=500 over horizon 1")
+        assert captured.out.startswith(b'{\n"schema_version": 1,\n"records": [\n{"t_center": ')
+        assert captured.out.count(b'"stat_family": "return_corr"') > 100
+        assert captured.out.endswith(b"}") and b"]" not in captured.out
+        assert main([*flags, "--output", str(tmp_path / "report")]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a1.csv", "a2.csv"]
+
     def test_report_replaces_existing_file(self, tmp_path):
         p1, p2 = generate_pair(tmp_path, n=150)
         out = tmp_path / "report.csv"

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan, serialize
 from mbstat._grid17 import _K_MAX, _K_MIN, decimal_17, float_texts, layout
-from mbstat.reports import _ARRAY_KEYS, _BLOCK
+from mbstat.market_core import RECORD_KEYS
+from mbstat.reports import _BLOCK
 
 
 def _expected(values, point_zero):
@@ -144,7 +145,7 @@ def test_dense_block_takes_the_fast_path():
     chunk = next(iter(iter_rolling_stats(*pair, plan)))
     rows = {}
     for family in plan.families:
-        for col in (chunk.t_center, *(chunk.families[family][k] for k in _ARRAY_KEYS)):
+        for col in (chunk.t_center, *(chunk.families[family][k] for k in RECORD_KEYS)):
             rows.setdefault(col[:_BLOCK].tobytes(), col[:_BLOCK])
     values = np.concatenate(list(rows.values()))
     assert len(rows) > 20

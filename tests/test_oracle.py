@@ -45,6 +45,10 @@ class TestMakeWeights:
         expect = [1 / 69, 4 / 69, 64 / 69]
         assert list(w.weights) == pytest.approx(expect, rel=1e-14)
 
+    def test_length_is_the_number_of_weights(self):
+        assert len(make_weights("volume_product", [1, 2, 1], [2, 1, 1])) == 3
+        assert len(make_weights("volume", [5.0])) == 1
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             make_weights("volume_past_value", [1, 2, 3], [1, 2])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mbstat import FAMILIES, SynthConfig, gen_trades, iter_rolling_stats, make_plan
+from mbstat import Window, collect_rolling_stats, mb_corr_prices
 from mbstat.errors import ConsistencyError
 from mbstat import reports, rolling
 from mbstat.market_core import window_layout
@@ -257,6 +258,25 @@ class TestNonFiniteRefusal:
             a1[a1_at] = float("-inf")
         with pytest.raises(ConsistencyError, match="non-finite value " + shown):
             writer(io.BytesIO(), plan, iter(chunks))
+
+    def test_a_covariance_past_the_doubles_is_refused_when_reported(self):
+        """At prices near 1e155 a window's cov_cc is a difference of products
+        past the largest double.  The rolling engine checks only a family's
+        values and denominator, so its records hold the inf; a per-window
+        report refuses it by name, and a writer refuses it at write time."""
+        pair = [gen_trades(SynthConfig(n_ticks=600, seed=seed, price_start=1e155,
+                                       log_price_step_sd=1e-5), f"asset{seed}")
+                for seed in (1, 2)]
+        plan = make_plan(*pair, window=16, families=(PRICE_FAMILY,))
+        records = collect_rolling_stats(*pair, plan).families[PRICE_FAMILY]
+        assert np.isinf(records["cov_cc"]).any()
+        for key in ("market_value", "frequency_value", "a1", "a2", "denominator"):
+            assert np.isfinite(records[key]).all(), key
+        with pytest.raises(ConsistencyError, match=r"^price_corr: non-finite cov_cc inf$"):
+            mb_corr_prices(*(Window(s, 1, 16) for s in pair))
+        for writer in (write_json, write_csv):
+            with pytest.raises(ConsistencyError, match=r"inf \(price_corr cov_CC\)$"):
+                writer(io.BytesIO(), plan, iter_rolling_stats(*pair, plan))
 
 
 # ---------------------------------------------------------------------------

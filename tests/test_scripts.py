@@ -25,6 +25,18 @@ def test_convention_gap_demo_exits_0():
     assert proc.stdout
 
 
+def test_cli_smoke_exits_0(tmp_path):
+    """The CLI smoke checks, run from another directory with this
+    interpreter as ``python``; the script sets its own PYTHONPATH."""
+    env = dict(os.environ)
+    env["PATH"] = os.pathsep.join(filter(None, [os.path.dirname(sys.executable),
+                                                env.get("PATH")]))
+    proc = subprocess.run(["bash", str(ROOT / "scripts" / "cli_smoke.sh")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "centers exact" in proc.stdout
+
+
 def test_readme_library_example_gives_its_commented_values():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]

@@ -341,6 +341,12 @@ class TestStrictParse:
         with pytest.raises(AssertionError, match="per-row loop ran"):
             parse_trades(text.replace("\n4000,", "\n4000,+", 1))
 
+    def test_row_loop_on_canonical_rows_names_the_chunk(self):
+        # parse_trades runs the loop only on a chunk it has refused, so this
+        # last guard is reached only by a direct call.
+        with pytest.raises(ParseError, match="^rows 1 to 2 are not canonical CSV$"):
+            trade_series._raise_first_bad_row("0,1.5,2\n1,2.25,3\n", 3, 0)
+
 
 class TestTimesChunkByChunk:
     """Each tick time is checked against the grid of the first two as its
@@ -631,6 +637,14 @@ class TestSliceWindow:
     def test_fractional_half_width(self, five):
         with pytest.raises(LagNotOnGrid):
             slice_window(five, center=2, half_width=0.5)
+
+    def test_numpy_int_center_gives_the_bounds_of_an_int(self):
+        # center + hw*eps is past the int64 range: a NumPy int center must
+        # not wrap there, but bound the window as the same Python int does.
+        s = make_series("a", np.arange(10) * 10**17, np.ones(10), np.ones(10))
+        for center in (5 * 10**17, np.int64(5 * 10**17)):
+            w = slice_window(s, center, 90)
+            assert (w.start, w.count) == (0, 10), type(center)
 
 
 class TestBoundaryRules:
